@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 16, "worker threads per parallel phase")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	sched := fs.String("sched", "",
-		"engine thread scheduler: heap (default) or calendar; reports are byte-identical either way")
+		"engine thread scheduler: sorted (default), heap or calendar; reports are byte-identical either way")
 	machineName := fs.String("machine", "",
 		"machine-model preset to simulate (topology, line size, protocol); empty = opteron48. Unlike -sched this changes results")
 	period := fs.Uint64("period", 0, "sampling period in instructions (0 = calibrated default)")
@@ -441,12 +441,31 @@ func runReplayStream(path string, cfg pmu.Config, rec recordOptions, sched, mach
 		fmt.Fprintf(stderr, "cheetah: preparing trace: %v\n", err)
 		return 1
 	}
-	report, res, err := profileMaybeRecorded(sys, sr.Program(), cfg, rec, stderr)
+	report, res, err := profileStreamed(sys, sr.Program(), cfg, rec, stderr)
 	if err != nil {
 		return 1
 	}
 	printReport(stdout, report, res, words, candidates)
 	return 0
+}
+
+// profileStreamed is profileMaybeRecorded for a streamed replay, whose
+// phase windows load from disk mid-run. A window that fails to load —
+// the file changed after open, or its records fail their checksum —
+// panics in a thread body, and the engine re-raises that here as an
+// *exec.BodyPanic, which becomes one diagnostic line and an error.
+func profileStreamed(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, rec recordOptions, stderr io.Writer) (report *cheetah.Report, res cheetah.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			bp, ok := p.(*exec.BodyPanic)
+			if !ok {
+				panic(p)
+			}
+			fmt.Fprintf(stderr, "cheetah: %v\n", bp)
+			err = bp
+		}
+	}()
+	return profileMaybeRecorded(sys, prog, cfg, rec, stderr)
 }
 
 // runIndex rewrites a trace (any decodable framing) as an indexed

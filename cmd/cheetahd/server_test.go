@@ -328,6 +328,59 @@ func TestBadSubmissionsRejected(t *testing.T) {
 	if s := queue.Stats(); s.Submitted != 0 {
 		t.Errorf("rejected submissions reached the queue: %+v", s)
 	}
+
+	// A trace whose index is valid but whose records fail their checksum
+	// passes upload validation (the index alone) and fails in replay.
+	// The job must fail naming the checksum, and the daemon must live on
+	// to serve the next upload.
+	var buf bytes.Buffer
+	enc := trace.NewIndexedEncoder(&buf)
+	if err := trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: 20000, Threads: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)/3] ^= 0xFF
+	corrupt := filepath.Join(t.TempDir(), "corrupt.trace")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	id := submitTrace(t, ts, corrupt, "")
+	st := waitStatus(t, ts, id)
+	if st.State != string(sweep.JobFailed) || !strings.Contains(st.Error, "checksum") {
+		t.Errorf("corrupt upload: job %s ended %s with error %q, want failed naming the checksum", id, st.State, st.Error)
+	}
+	good := writeTrace(t, t.TempDir(), "good.trace", 0.02)
+	if got, want := fetchReport(t, ts, submitTrace(t, ts, good, "")), cliReplayReport(t, good); got != want {
+		t.Error("upload after a failed job: report differs from the CLI replay")
+	}
+}
+
+// waitStatus polls a job's status until it reaches a terminal state.
+func waitStatus(t *testing.T, ts *httptest.Server, id string) jobStatus {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st jobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == string(sweep.JobDone) || st.State == string(sweep.JobFailed) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished (state %s)", id, st.State)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestQueueFullReturns429: submissions beyond the cell bound get 429

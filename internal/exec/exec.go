@@ -286,6 +286,8 @@ func New(machine Machine, cfg Config, probes ...Probe) *Engine {
 }
 
 // Run executes the program to completion and returns its timing record.
+// A panicking thread body fails the run: once the rest of its phase has
+// drained, Run panics with the body's *BodyPanic.
 func (e *Engine) Run(p Program) Result {
 	e.nextTID = mem.MainThread
 	e.pool = nil
@@ -366,6 +368,11 @@ func (e *Engine) runPhase(idx int, ph Phase) {
 	mPhasesRun.Inc()
 	mQueueDepth.Set(int64(len(threads)))
 	e.simulate(threads)
+	for _, th := range threads {
+		if th.panicked != nil {
+			panic(th.panicked)
+		}
+	}
 
 	end := e.clock
 	for _, th := range threads {

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/mem"
@@ -352,4 +355,48 @@ func TestSerialPhaseWithMultipleBodiesPanics(t *testing.T) {
 	}()
 	noop := func(tt *T) {}
 	e.Run(Program{Phases: []Phase{{Name: "bad", Bodies: []Body{noop, noop}, Serial: true}}})
+}
+
+// TestBodyPanicReRaisedFromRun: a panic inside one thread body must
+// reach the goroutine that called Run, carrying the original value and
+// the body's stack, only after the phase's other threads have finished,
+// so that no generator goroutine is left blocked behind the failed run.
+func TestBodyPanicReRaisedFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := &fixedMachine{cores: 4, latency: 1}
+	e := New(m, Config{OpBuffer: 8})
+	busy := func(tt *T) {
+		for i := 0; i < 1000; i++ {
+			tt.Store(mem.Addr(0x40 + 8*tt.Index()))
+		}
+	}
+	failing := func(tt *T) {
+		tt.Load(0x80)
+		panic("body failed")
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run(Program{Phases: []Phase{
+			{Name: "work", Bodies: []Body{busy, failing, busy}},
+			{Name: "never", Bodies: []Body{busy}},
+		}})
+	}()
+	bp, ok := got.(*BodyPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want a *BodyPanic", got)
+	}
+	if bp.Value != "body failed" || bp.Error() != "body failed" {
+		t.Errorf("re-raised value %v, want the body's own", bp.Value)
+	}
+	if !strings.Contains(string(bp.Stack), "TestBodyPanicReRaisedFromRun") {
+		t.Errorf("re-raised stack does not show the panicking body:\n%s", bp.Stack)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed run, %d before", n, before)
+	}
 }

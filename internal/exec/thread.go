@@ -1,6 +1,11 @@
 package exec
 
-import "repro/internal/mem"
+import (
+	"fmt"
+	"runtime/debug"
+
+	"repro/internal/mem"
+)
 
 // opKind distinguishes the three operation types a thread body can issue.
 type opKind uint8
@@ -105,6 +110,10 @@ type thread struct {
 	t    *T
 	out  chan []op
 	free chan []op
+	// panicked is the body's recovered panic, written by the generator
+	// before it closes out, so the engine may read it once refill has
+	// seen out closed.
+	panicked *BodyPanic
 
 	buf []op
 	pos int
@@ -134,12 +143,31 @@ func initThread(th *thread, t *T, id mem.ThreadID, core, phase, index int, start
 	}
 }
 
+// BodyPanic is a thread body's panic as Run re-raises it. A body runs on
+// its own generator goroutine, where no caller's recover can reach it,
+// so the generator recovers the panic and ends the thread there; the
+// engine finishes the phase's other threads, leaving no generator
+// blocked, and then panics with this value on the goroutine that called
+// Run. It prints as the original value; Stack is the body's goroutine
+// stack at the panic.
+type BodyPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *BodyPanic) Error() string { return fmt.Sprint(p.Value) }
+
 // startGen launches the generator goroutine running the thread body.
 func (th *thread) startGen() {
 	go func() {
+		defer close(th.out)
+		defer func() {
+			if r := recover(); r != nil {
+				th.panicked = &BodyPanic{Value: r, Stack: debug.Stack()}
+			}
+		}()
 		th.body(th.t)
 		th.t.flush()
-		close(th.out)
 	}()
 }
 

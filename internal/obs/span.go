@@ -101,7 +101,7 @@ func (t *Tracer) Event(cat, name string, tid int, args map[string]any) {
 	}
 	t.emit(TraceEvent{
 		Name: name, Cat: cat, Ph: "i",
-		TS: time.Since(t.start).Microseconds(),
+		TS:  time.Since(t.start).Microseconds(),
 		PID: t.pid, TID: tid, S: "t", Args: args,
 	})
 }

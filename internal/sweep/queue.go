@@ -190,22 +190,58 @@ func (j *Job) Subscribe() (past []JobEvent, live <-chan JobEvent, cancel func())
 	}
 }
 
-// emit records an event and fans it out. terminal closes all
-// subscriber channels after delivery.
-func (j *Job) emit(ev JobEvent, terminal bool) {
+// emit records a progress event and fans it out.
+func (j *Job) emit(ev JobEvent) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.record(ev, false)
+}
+
+// record appends ev to the history and delivers it to every subscriber;
+// j.mu must be held. A slow subscriber whose buffer is full misses a
+// progress event (it resyncs from the snapshot), but never the terminal
+// one: to make room for it, the subscriber's oldest buffered event is
+// dropped instead. terminal then closes every subscriber channel, so
+// each stream ends with the terminal event.
+func (j *Job) record(ev JobEvent, terminal bool) {
 	j.events = append(j.events, ev)
 	for id, ch := range j.subs {
 		select {
 		case ch <- ev:
-		default: // slow subscriber: drop, it resyncs from the snapshot
+		default:
+			if terminal {
+				select {
+				case <-ch:
+				default:
+				}
+				// Cannot block: every send happens under j.mu, and the
+				// receive above left a free slot.
+				ch <- ev
+			}
 		}
 		if terminal {
 			delete(j.subs, id)
 			close(ch)
 		}
 	}
-	j.mu.Unlock()
+}
+
+// finish moves the job to its terminal state and records the terminal
+// event in one critical section, so a Subscribe sees either a running
+// job whose live channel will carry the event or a finished job whose
+// snapshot ends with it.
+func (j *Job) finish(results map[string]harness.CellResult, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.results = results
+	j.finishedAt = time.Now()
+	if err != nil {
+		j.state, j.err = JobFailed, err
+		j.record(JobEvent{Kind: "failed", Err: err.Error(), Done: j.nDone, Total: len(j.Cells)}, true)
+		return
+	}
+	j.state = JobDone
+	j.record(JobEvent{Kind: "done", Done: len(j.Cells), Total: len(j.Cells)}, true)
 }
 
 // flight is one in-flight cell execution shared by every job that
@@ -250,6 +286,11 @@ type JobQueue struct {
 	pending  int // admitted-but-unfinished cells (bounded)
 	nextID   uint64
 	stats    QueueStats
+
+	// afterFinish, when set (tests only), runs right after a job reaches
+	// its terminal state, before Done closes — where a Subscribe once
+	// saw the terminal state without the terminal event.
+	afterFinish func(*Job)
 }
 
 // NewJobQueue builds a queue ready to accept submissions.
@@ -332,7 +373,7 @@ func (q *JobQueue) Submit(spec JobSpec) (*Job, error) {
 
 	mGWJobsSubmitted.Inc()
 	mGWQueueDepth.Set(int64(depth))
-	job.emit(JobEvent{Kind: "queued", Total: len(cells)}, false)
+	job.emit(JobEvent{Kind: "queued", Total: len(cells)})
 	go q.runJob(job, tenantSem)
 	return job, nil
 }
@@ -436,7 +477,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	job.mu.Lock()
 	job.state = JobRunning
 	job.mu.Unlock()
-	job.emit(JobEvent{Kind: "running", Total: len(job.Cells)}, false)
+	job.emit(JobEvent{Kind: "running", Total: len(job.Cells)})
 
 	results := make(map[string]harness.CellResult, len(job.Cells))
 	var (
@@ -470,7 +511,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 			done := job.nDone
 			job.mu.Unlock()
 			job.emit(JobEvent{Kind: "cell-done", Cell: cell.ID(), Via: via,
-				Done: done, Total: len(job.Cells)}, false)
+				Done: done, Total: len(job.Cells)})
 		}(cell)
 	}
 	cellWG.Wait()
@@ -483,17 +524,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 		})
 	}
 
-	job.mu.Lock()
-	job.results = results
-	if firstErr != nil {
-		job.state = JobFailed
-		job.err = firstErr
-	} else {
-		job.state = JobDone
-	}
-	job.finishedAt = time.Now()
-	nDone := job.nDone
-	job.mu.Unlock()
+	// Account first, so whoever sees the terminal state sees it counted.
 	q.mu.Lock()
 	if firstErr != nil {
 		q.stats.Failed++
@@ -504,11 +535,12 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	if firstErr != nil {
 		mGWJobsFailed.Inc()
 		q.logf("gateway: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), firstErr)
-		job.emit(JobEvent{Kind: "failed", Err: firstErr.Error(),
-			Done: nDone, Total: len(job.Cells)}, true)
 	} else {
 		mGWJobsCompleted.Inc()
-		job.emit(JobEvent{Kind: "done", Done: len(job.Cells), Total: len(job.Cells)}, true)
+	}
+	job.finish(results, firstErr)
+	if q.afterFinish != nil {
+		q.afterFinish(job)
 	}
 	close(job.done)
 }

@@ -294,6 +294,90 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestSubscribeAtTerminalTransition subscribes at the instant a job
+// reaches its terminal state, where Subscribe once returned a terminal
+// job's history without its terminal event and an already-closed
+// channel. Every subscriber's stream, early or in that instant, must end
+// with the terminal event, for finished and failed jobs alike.
+func TestSubscribeAtTerminalTransition(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		err        error
+	}{
+		{"done", "done", nil},
+		{"failed", "failed", errors.New("cell exploded")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := func(harness.Cell) (harness.CellResult, error) { return harness.CellResult{}, tc.err }
+			q := NewJobQueue(QueueConfig{Workers: 1, Exec: exec})
+			var atFinish []string
+			var liveAfter int
+			q.afterFinish = func(j *Job) {
+				past, live, cancel := j.Subscribe()
+				defer cancel()
+				for _, ev := range past {
+					atFinish = append(atFinish, ev.Kind)
+				}
+				for range live {
+					liveAfter++
+				}
+			}
+			j, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			past, live, cancel := j.Subscribe()
+			defer cancel()
+			waitJob(t, j)
+
+			early := make([]string, 0, 4)
+			for _, ev := range past {
+				early = append(early, ev.Kind)
+			}
+			for ev := range live {
+				early = append(early, ev.Kind)
+			}
+			for name, kinds := range map[string][]string{"early": early, "at-finish": atFinish} {
+				if len(kinds) == 0 || kinds[len(kinds)-1] != tc.want {
+					t.Errorf("%s subscriber saw %v, want a stream ending in %q", name, kinds, tc.want)
+				}
+			}
+			if liveAfter != 0 {
+				t.Errorf("at-finish subscriber got %d live events after its snapshot", liveAfter)
+			}
+		})
+	}
+}
+
+// TestTerminalEventSurvivesFullBuffer drives a Job directly: a
+// subscriber that never reads overflows its buffer with progress
+// events, and must still find the terminal event last on its channel.
+func TestTerminalEventSurvivesFullBuffer(t *testing.T) {
+	j := &Job{Cells: []harness.Cell{fakeCell("x")}, state: JobRunning,
+		done: make(chan struct{}), subs: make(map[int]chan JobEvent)}
+	_, live, cancel := j.Subscribe()
+	defer cancel()
+	for i := 0; i < 2*cap(live); i++ {
+		j.emit(JobEvent{Kind: "cell-done", Done: i})
+	}
+	j.finish(nil, nil)
+	var got []JobEvent
+	for ev := range live {
+		got = append(got, ev)
+	}
+	if len(got) != cap(live) {
+		t.Fatalf("subscriber received %d events, want a full buffer of %d", len(got), cap(live))
+	}
+	if last := got[len(got)-1]; last.Kind != "done" {
+		t.Errorf("last event %q, want the terminal done", last.Kind)
+	}
+	for _, ev := range got[:len(got)-1] {
+		if ev.Kind != "cell-done" {
+			t.Errorf("buffered event %q before the terminal one", ev.Kind)
+		}
+	}
+}
+
 // TestProcPoolExecMatchesLocal: a cell executed through the pool's wire
 // protocol returns the same payload as local execution, and a worker
 // crash mid-assignment is healed by respawn-and-retry.

@@ -49,9 +49,8 @@ type BinaryEncoder struct {
 	// of record offsets, maintained here so no counting wrapper has to
 	// sit under the buffer.
 	written uint64
-	// Per-thread column predictors (v2). Values, not pointers: the map is
-	// bounded by the distinct thread ids of the trace being written.
-	prev map[mem.ThreadID]accessState
+	// Per-thread column predictors (v2).
+	prev tidTable[accessState]
 	meta metaState
 	// onRecord, when set, observes the exact bytes of each encoded record
 	// after it is written. The index writer hooks it to checksum record
@@ -68,6 +67,48 @@ type accessState struct {
 	size  uint64
 	lat   uint64
 	phase uint64
+}
+
+// denseThreads bounds the thread ids a tidTable keeps in its dense
+// slice: every recorder numbers threads from 0, so real traces never
+// leave it, while one hostile id near MaxThreadID cannot size a
+// megabyte-scale slice.
+const denseThreads = 1 << 12
+
+// tidTable maps thread ids to per-thread state: a dense slice for ids
+// in [0, denseThreads) and a map for the rest — ids a hostile trace can
+// claim up to MaxThreadID, and the negative ids hand-built events can
+// carry into an encoder. A missing entry reads as T's zero value.
+type tidTable[T any] struct {
+	dense  []T
+	sparse map[mem.ThreadID]*T
+}
+
+// at returns tid's entry, creating the zero value on first use. The
+// pointer is valid until the next call.
+func (t *tidTable[T]) at(tid mem.ThreadID) *T {
+	if uint32(tid) < uint32(len(t.dense)) {
+		return &t.dense[tid]
+	}
+	return t.grow(tid)
+}
+
+func (t *tidTable[T]) grow(tid mem.ThreadID) *T {
+	if tid >= 0 && tid < denseThreads {
+		dense := make([]T, min(max(int(tid)+1, 2*len(t.dense)), denseThreads))
+		copy(dense, t.dense)
+		t.dense = dense
+		return &t.dense[tid]
+	}
+	v := t.sparse[tid]
+	if v == nil {
+		if t.sparse == nil {
+			t.sparse = make(map[mem.ThreadID]*T)
+		}
+		v = new(T)
+		t.sparse[tid] = v
+	}
+	return v
 }
 
 // v2 access-record flag bits. Bit 0 is the store/load bit (shared with
@@ -114,7 +155,6 @@ func newBinaryEncoder(w io.Writer, version int) *BinaryEncoder {
 		w:       bufio.NewWriterSize(w, 1<<16),
 		buf:     make([]byte, 0, 256),
 		version: version,
-		prev:    make(map[mem.ThreadID]accessState),
 	}
 	magic := binaryMagicFor(version)
 	_, e.err = e.w.Write(magic)
@@ -123,7 +163,9 @@ func newBinaryEncoder(w io.Writer, version int) *BinaryEncoder {
 }
 
 // Encode implements Encoder.
-func (e *BinaryEncoder) Encode(ev Event) error {
+func (e *BinaryEncoder) Encode(ev Event) error { return e.encode(&ev) }
+
+func (e *BinaryEncoder) encode(ev *Event) error {
 	if e.err != nil {
 		return e.err
 	}
@@ -177,7 +219,7 @@ func (e *BinaryEncoder) Encode(ev Event) error {
 	case KindAccess:
 		b = binary.AppendUvarint(b, uint64(ev.TID))
 		if e.version >= BinaryV2 {
-			st := e.prev[ev.TID]
+			st := e.prev.at(ev.TID)
 			flags := byte(b2i(ev.Write))
 			if ev.Size == st.size {
 				flags |= accessSameSize
@@ -200,7 +242,7 @@ func (e *BinaryEncoder) Encode(ev Event) error {
 			if flags&accessSamePhase == 0 {
 				b = appendZigzag(b, uint64(ev.Phase)-st.phase)
 			}
-			e.prev[ev.TID] = accessState{
+			*st = accessState{
 				addr: uint64(ev.Addr), ip: ev.IP, size: ev.Size,
 				lat: uint64(ev.Lat), phase: uint64(ev.Phase),
 			}
@@ -258,11 +300,16 @@ type binaryDecoder struct {
 	// error rather than misparse from a random offset.
 	err error
 	// prev and meta mirror the encoder's prediction context (v2).
-	prev map[mem.ThreadID]accessState
+	prev tidTable[accessState]
 	meta metaState
 	// sawIndex records that the stream ended at a valid index block
 	// (v3), for metadata inspection.
 	sawIndex bool
+	// win is br's buffered bytes as the fast path last peeked them, and
+	// used how many of those it has decoded since: the fast path walks
+	// win and advances br only when win runs out or decode takes over.
+	win  []byte
+	used int
 }
 
 // newBinaryDecoder validates the magic, detects the framing version and
@@ -282,31 +329,146 @@ func newBinaryDecoder(br *bufio.Reader) (*binaryDecoder, error) {
 	if version == 0 {
 		return nil, fmt.Errorf("trace: bad binary magic %q", head)
 	}
-	d := &binaryDecoder{br: br, version: version, prev: make(map[mem.ThreadID]accessState)}
-	return d, nil
+	return &binaryDecoder{br: br, version: version}, nil
 }
 
 // next returns the next event. All errors — including io.EOF — are
 // terminal: the decoder latches the first one and returns it forever.
 func (d *binaryDecoder) next() (Event, error) {
-	if d.err != nil {
-		return Event{}, d.err
-	}
-	ev, err := d.decode()
-	if err != nil {
-		d.err = err
-		return Event{}, err
-	}
-	return ev, nil
+	var ev Event
+	err := d.nextInto(&ev)
+	return ev, err
 }
 
-func (d *binaryDecoder) decode() (Event, error) {
+// nextInto decodes the next event into the caller-owned *ev, with
+// next's error contract; *ev is zero after an error. A v2/v3 access
+// record wholly inside the read buffer takes the allocation-free fast
+// path; everything else — metadata, v1, records straddling a buffer
+// refill, and every malformed record — goes through decode.
+func (d *binaryDecoder) nextInto(ev *Event) error {
+	if d.err != nil {
+		*ev = Event{}
+		return d.err
+	}
+	if d.version >= BinaryV2 {
+		if d.used == len(d.win) {
+			// Peeking only what is already buffered never reads, so the
+			// fast path cannot consume or reorder an error of the
+			// underlying reader.
+			d.sync()
+			d.win, _ = d.br.Peek(d.br.Buffered())
+		}
+		if b := d.win[d.used:]; len(b) > 0 && b[0] == byte(KindAccess) {
+			if n := d.fastAccess(b, ev); n > 0 {
+				d.used += n
+				return nil
+			}
+		}
+		d.sync()
+	}
+	*ev = Event{}
+	if err := d.decode(ev); err != nil {
+		*ev = Event{}
+		d.err = err
+		return err
+	}
+	return nil
+}
+
+// sync advances br past the records the fast path decoded from win,
+// which reading br again invalidates.
+func (d *binaryDecoder) sync() {
+	d.br.Discard(d.used)
+	d.win, d.used = nil, 0
+}
+
+// fastAccess decodes the v2 access record at the head of b into *ev and
+// returns its length. It returns 0, consuming nothing and leaving the
+// prediction state untouched, when b ends inside the record or the
+// record breaks any rule decode enforces: decode then re-reads the same
+// bytes and either decodes them or reports the exact error.
+func (d *binaryDecoder) fastAccess(b []byte, ev *Event) int {
+	tid, i := uvarintAt(b, 1)
+	if i < 0 || tid > MaxThreadID || i >= len(b) {
+		return 0
+	}
+	flags := b[i]
+	if flags&^byte(accessFlagsMask) != 0 {
+		return 0
+	}
+	st := d.prev.at(mem.ThreadID(tid))
+	next := *st
+	var z uint64
+	if z, i = uvarintAt(b, i+1); i < 0 {
+		return 0
+	}
+	next.addr += unzigzag(z)
+	if z, i = uvarintAt(b, i); i < 0 {
+		return 0
+	}
+	next.ip += unzigzag(z)
+	if flags&accessSameSize == 0 {
+		if z, i = uvarintAt(b, i); i < 0 {
+			return 0
+		}
+		next.size += unzigzag(z)
+	}
+	if flags&accessSameLat == 0 {
+		if z, i = uvarintAt(b, i); i < 0 {
+			return 0
+		}
+		next.lat += unzigzag(z)
+	}
+	if flags&accessSamePhase == 0 {
+		if z, i = uvarintAt(b, i); i < 0 {
+			return 0
+		}
+		next.phase += unzigzag(z)
+	}
+	if next.addr > 1<<62 || next.ip > MaxInstrs || next.size > 1<<16-1 ||
+		next.lat > 1<<32-1 || next.phase > MaxPhaseIndex {
+		return 0
+	}
+	*st = next
+	// Zero, then store the fields: a composite literal here is built in
+	// a temporary and block-copied, a fifth of the whole decode.
+	*ev = Event{}
+	ev.Kind = KindAccess
+	ev.TID = mem.ThreadID(tid)
+	ev.Write = flags&accessWrite != 0
+	ev.Addr = mem.Addr(next.addr)
+	ev.Size = next.size
+	ev.IP = next.ip
+	ev.Lat = uint32(next.lat)
+	ev.Phase = int(next.phase)
+	return i
+}
+
+// uvarintAt decodes the uvarint at b[i:] and returns it with the index
+// just past it, or -1 when b ends inside the varint or it overflows 64
+// bits. One-byte values, the common case, skip the general decoder.
+func uvarintAt(b []byte, i int) (uint64, int) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint64(b[i]), i + 1
+	}
+	v, n := binary.Uvarint(b[min(i, len(b)):])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, i + n
+}
+
+// unzigzag reverses appendZigzag's mapping into a wrapping delta.
+func unzigzag(z uint64) uint64 { return uint64(int64(z>>1) ^ -int64(z&1)) }
+
+// decode reads one record into *ev, which the caller has zeroed.
+func (d *binaryDecoder) decode(ev *Event) error {
 	kind, err := d.br.ReadByte()
 	if err == io.EOF {
-		return Event{}, io.EOF
+		return io.EOF
 	}
 	if err != nil {
-		return Event{}, fmt.Errorf("trace: %w", err)
+		return fmt.Errorf("trace: %w", err)
 	}
 	if kind == kindIndexBlock && d.version >= BinaryV3 {
 		// Sequential readers skip the index: consume the payload,
@@ -314,63 +476,65 @@ func (d *binaryDecoder) decode() (Event, error) {
 		// indexed trace decodes to exactly its record stream, and any
 		// truncation or trailing garbage is a terminal error.
 		if err := d.skipIndexBlock(); err != nil {
-			return Event{}, err
+			return err
 		}
 		d.sawIndex = true
-		return Event{}, io.EOF
+		return io.EOF
 	}
-	ev := Event{Kind: Kind(kind)}
+	ev.Kind = Kind(kind)
 	switch ev.Kind {
 	case KindProgram:
 		cores, err := d.uvarint("cores", 1<<16-1)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if cores == 0 {
-			return Event{}, fmt.Errorf("trace: zero core count")
+			return fmt.Errorf("trace: zero core count")
 		}
 		ev.Cores = int(cores)
 		if ev.Name, err = d.string("program name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindSymbol:
 		addr, err := d.column("addr", 1<<62, &d.meta.symAddr)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Addr = mem.Addr(addr)
-		if err := d.fields(
-			field{"size", 1 << 40, func(v uint64) { ev.Size = v }},
-		); err != nil {
-			return Event{}, err
+		if ev.Size, err = d.uvarint("size", 1<<40); err != nil {
+			return err
 		}
 		if ev.Name, err = d.string("symbol name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindObject:
 		addr, err := d.column("addr", 1<<62, &d.meta.objAddr)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Addr = mem.Addr(addr)
-		if err := d.fields(
-			field{"size", 1 << 40, func(v uint64) { ev.Size = v }},
-			field{"class", 1 << 40, func(v uint64) { ev.Class = v }},
-			field{"thread", MaxThreadID, func(v uint64) { ev.TID = mem.ThreadID(v) }},
-		); err != nil {
-			return Event{}, err
+		if ev.Size, err = d.uvarint("size", 1<<40); err != nil {
+			return err
 		}
+		if ev.Class, err = d.uvarint("class", 1<<40); err != nil {
+			return err
+		}
+		tid, err := d.uvarint("thread", MaxThreadID)
+		if err != nil {
+			return err
+		}
+		ev.TID = mem.ThreadID(tid)
 		if ev.Seq, err = d.column("seq", 1<<62, &d.meta.objSeq); err != nil {
-			return Event{}, err
+			return err
 		}
 		live, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated object: %w", err)
+			return fmt.Errorf("trace: truncated object: %w", err)
 		}
 		ev.Live = live != 0
 		nframes, err := d.uvarint("frame count", MaxFrames)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		if nframes > 0 {
 			ev.Stack = make(heap.CallStack, 0, nframes)
@@ -378,107 +542,128 @@ func (d *binaryDecoder) decode() (Event, error) {
 		for i := uint64(0); i < nframes; i++ {
 			var f heap.Frame
 			if f.File, err = d.string("frame file"); err != nil {
-				return Event{}, err
+				return err
 			}
 			line, err := d.uvarint("frame line", 1<<31)
 			if err != nil {
-				return Event{}, err
+				return err
 			}
 			f.Line = int(line)
 			if f.Func, err = d.string("frame func"); err != nil {
-				return Event{}, err
+				return err
 			}
 			ev.Stack = append(ev.Stack, f)
 		}
 	case KindPhase:
 		idx, err := d.uvarint("phase index", MaxPhaseIndex)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.Phase = int(idx)
 		par, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated phase: %w", err)
+			return fmt.Errorf("trace: truncated phase: %w", err)
 		}
 		ev.Parallel = par != 0
 		if ev.Name, err = d.string("phase name"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindThreadEnd:
-		if err := d.fields(
-			field{"thread id", MaxThreadID, func(v uint64) { ev.TID = mem.ThreadID(v) }},
-			field{"phase index", MaxPhaseIndex, func(v uint64) { ev.Phase = int(v) }},
-			field{"instrs", MaxInstrs, func(v uint64) { ev.Instrs = v }},
-		); err != nil {
-			return Event{}, err
+		tid, err := d.uvarint("thread id", MaxThreadID)
+		if err != nil {
+			return err
+		}
+		ev.TID = mem.ThreadID(tid)
+		phase, err := d.uvarint("phase index", MaxPhaseIndex)
+		if err != nil {
+			return err
+		}
+		ev.Phase = int(phase)
+		if ev.Instrs, err = d.uvarint("instrs", MaxInstrs); err != nil {
+			return err
 		}
 	case KindNote:
 		var err error
 		if ev.Name, err = d.string("note"); err != nil {
-			return Event{}, err
+			return err
 		}
 	case KindAccess:
 		tid, err := d.uvarint("thread id", MaxThreadID)
 		if err != nil {
-			return Event{}, err
+			return err
 		}
 		ev.TID = mem.ThreadID(tid)
 		if d.version >= BinaryV2 {
 			flags, err := d.br.ReadByte()
 			if err != nil {
-				return Event{}, fmt.Errorf("trace: truncated access: %w", err)
+				return fmt.Errorf("trace: truncated access: %w", err)
 			}
 			if flags&^byte(accessFlagsMask) != 0 {
-				return Event{}, fmt.Errorf("trace: unknown access flag bits %#02x", flags)
+				return fmt.Errorf("trace: unknown access flag bits %#02x", flags)
 			}
 			ev.Write = flags&accessWrite != 0
-			st := d.prev[ev.TID]
-			if err := d.accessColumns(&ev, &st, flags); err != nil {
-				return Event{}, err
+			st := d.prev.at(ev.TID)
+			next := *st
+			if err := d.accessColumns(ev, &next, flags); err != nil {
+				return err
 			}
-			d.prev[ev.TID] = st
+			*st = next
 			break
 		}
 		write, err := d.br.ReadByte()
 		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated access: %w", err)
+			return fmt.Errorf("trace: truncated access: %w", err)
 		}
 		ev.Write = write != 0
-		if err := d.fields(
-			field{"addr", 1 << 62, func(v uint64) { ev.Addr = mem.Addr(v) }},
-			field{"size", 1<<16 - 1, func(v uint64) { ev.Size = v }},
-			field{"ip", MaxInstrs, func(v uint64) { ev.IP = v }},
-			field{"lat", 1<<32 - 1, func(v uint64) { ev.Lat = uint32(v) }},
-			field{"phase index", MaxPhaseIndex, func(v uint64) { ev.Phase = int(v) }},
-		); err != nil {
-			return Event{}, err
+		addr, err := d.uvarint("addr", 1<<62)
+		if err != nil {
+			return err
 		}
+		ev.Addr = mem.Addr(addr)
+		if ev.Size, err = d.uvarint("size", 1<<16-1); err != nil {
+			return err
+		}
+		if ev.IP, err = d.uvarint("ip", MaxInstrs); err != nil {
+			return err
+		}
+		lat, err := d.uvarint("lat", 1<<32-1)
+		if err != nil {
+			return err
+		}
+		ev.Lat = uint32(lat)
+		phase, err := d.uvarint("phase index", MaxPhaseIndex)
+		if err != nil {
+			return err
+		}
+		ev.Phase = int(phase)
 	default:
-		return Event{}, fmt.Errorf("trace: unknown event kind %d", kind)
+		return fmt.Errorf("trace: unknown event kind %d", kind)
 	}
-	return ev, nil
+	return nil
 }
 
 // accessColumns decodes the v2 delta-encoded access columns against the
 // thread's prediction state, updating it in place. Columns whose "same"
 // flag is set repeat the state value and occupy no bytes.
 func (d *binaryDecoder) accessColumns(ev *Event, st *accessState, flags byte) error {
-	for _, c := range []struct {
-		name string
-		max  uint64
-		prev *uint64
-		same bool
-	}{
-		{"addr", 1 << 62, &st.addr, false},
-		{"ip", MaxInstrs, &st.ip, false},
-		{"size", 1<<16 - 1, &st.size, flags&accessSameSize != 0},
-		{"lat", 1<<32 - 1, &st.lat, flags&accessSameLat != 0},
-		{"phase index", MaxPhaseIndex, &st.phase, flags&accessSamePhase != 0},
-	} {
-		if c.same {
-			continue
+	if _, err := d.column("addr", 1<<62, &st.addr); err != nil {
+		return err
+	}
+	if _, err := d.column("ip", MaxInstrs, &st.ip); err != nil {
+		return err
+	}
+	if flags&accessSameSize == 0 {
+		if _, err := d.column("size", 1<<16-1, &st.size); err != nil {
+			return err
 		}
-		if _, err := d.column(c.name, c.max, c.prev); err != nil {
+	}
+	if flags&accessSameLat == 0 {
+		if _, err := d.column("lat", 1<<32-1, &st.lat); err != nil {
+			return err
+		}
+	}
+	if flags&accessSamePhase == 0 {
+		if _, err := d.column("phase index", MaxPhaseIndex, &st.phase); err != nil {
 			return err
 		}
 	}
@@ -506,34 +691,15 @@ func (d *binaryDecoder) column(what string, max uint64, prev *uint64) (uint64, e
 	if err != nil {
 		return 0, fmt.Errorf("trace: truncated %s delta: %w", what, err)
 	}
-	delta := uint64(int64(z>>1) ^ -int64(z&1))
 	// Wrapping add mirrors the encoder's wrapping subtract exactly; the
 	// bound check below keeps hostile deltas from smuggling in values the
 	// absolute v1 column would have rejected.
-	v := *prev + delta
+	v := *prev + unzigzag(z)
 	if v > max {
 		return 0, fmt.Errorf("trace: %s %d exceeds limit %d", what, v, max)
 	}
 	*prev = v
 	return v, nil
-}
-
-// field is one bounded uvarint field of a binary record.
-type field struct {
-	name string
-	max  uint64
-	set  func(uint64)
-}
-
-func (d *binaryDecoder) fields(fs ...field) error {
-	for _, f := range fs {
-		v, err := d.uvarint(f.name, f.max)
-		if err != nil {
-			return err
-		}
-		f.set(v)
-	}
-	return nil
 }
 
 func (d *binaryDecoder) uvarint(what string, max uint64) (uint64, error) {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/mem"
 )
@@ -264,5 +265,38 @@ func TestBinaryV2DeltaWraparound(t *testing.T) {
 	d := NewDecoder(bytes.NewReader(b))
 	if _, err := d.Next(); err == nil {
 		t.Error("decoder accepted a wrapped-negative address")
+	}
+}
+
+// TestDecodeIndependentOfReadChunking: the access fast path decodes only
+// records wholly inside the read buffer and leaves the rest to the
+// general decoder, so readers that return one byte, or half of what is
+// asked, per call must decode to exactly the events a whole-buffer read
+// does, ending at the index block just the same.
+func TestDecodeIndependentOfReadChunking(t *testing.T) {
+	_, data := synthTrace(t, 1<<14, 4)
+	want := decodeEvents(t, data)
+	for name, r := range map[string]io.Reader{
+		"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+		"half":     iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		d := NewDecoder(r)
+		var got []Event
+		for {
+			ev, err := d.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: decode: %v", name, err)
+			}
+			got = append(got, ev)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s reads decoded %d events differing from whole-buffer reads (%d)", name, len(got), len(want))
+		}
+		if !d.Indexed() {
+			t.Errorf("%s reads did not end at the index block", name)
+		}
 	}
 }

@@ -112,6 +112,9 @@ func FuzzIndexOpen(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
+	// Thread claims that wrap uint64 back to their segment's claim:
+	// validation must refuse them before any op list is sized from them.
+	f.Add(reindex(f, indexedBytes(f, indexableEvents()), wrapThreadClaims))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.trace")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

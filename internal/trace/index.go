@@ -86,6 +86,11 @@ func (e *CorruptPayloadError) Error() string {
 		e.Path, span, e.Off, e.Want, e.Got)
 }
 
+// minAccessRecord is the smallest v2 access record in bytes: kind,
+// thread id, flags, and one-byte addr and ip deltas. It bounds how many
+// accesses a segment of a given length can hold.
+const minAccessRecord = 5
+
 // maxIndexPayload bounds the index block before any allocation is sized
 // from it; generous for ~65k phases with wide thread sets.
 const maxIndexPayload = 1 << 28
@@ -169,10 +174,13 @@ type IndexedEncoder struct {
 
 	// Exactly one of the two is open at any time; regions and segments
 	// alternate as metadata and phase records arrive.
-	inSeg      bool
-	curRegion  layoutRegion
-	curSeg     indexSegment
-	curThreads map[mem.ThreadID]*segThread
+	inSeg     bool
+	curRegion layoutRegion
+	curSeg    indexSegment
+	// curThreads finds the open segment's threads by id; curList holds
+	// them in first-record order.
+	curThreads tidTable[*segThread]
+	curList    []*segThread
 	// curCRC accumulates the open span's record-byte checksum, fed by
 	// the encoder's onRecord hook so no bytes are hashed twice.
 	curCRC uint32
@@ -208,8 +216,8 @@ func (e *IndexedEncoder) closeCurrent() {
 		seg := e.curSeg
 		seg.length = e.b.written - seg.off
 		seg.crc = e.curCRC
-		seg.threads = make([]segThread, 0, len(e.curThreads))
-		for _, t := range e.curThreads {
+		seg.threads = make([]segThread, 0, len(e.curList))
+		for _, t := range e.curList {
 			seg.threads = append(seg.threads, *t)
 		}
 		sort.Slice(seg.threads, func(i, j int) bool { return seg.threads[i].tid < seg.threads[j].tid })
@@ -231,18 +239,18 @@ func (e *IndexedEncoder) fail(reason string) {
 }
 
 func (e *IndexedEncoder) thread(tid mem.ThreadID) *segThread {
-	t := e.curThreads[tid]
-	if t == nil {
-		t = &segThread{tid: tid, state: e.b.prev[tid]}
-		e.curThreads[tid] = t
+	p := e.curThreads.at(tid)
+	if *p == nil {
+		*p = &segThread{tid: tid, state: *e.b.prev.at(tid)}
+		e.curList = append(e.curList, *p)
 	}
-	return t
+	return *p
 }
 
 // observe runs before the record is encoded, so e.b.written is the
 // record's start offset and e.b.prev/e.b.meta are the prediction state
 // a mid-file decoder must be seeded with.
-func (e *IndexedEncoder) observe(ev Event) {
+func (e *IndexedEncoder) observe(ev *Event) {
 	switch ev.Kind {
 	case KindProgram:
 		if e.inSeg || len(e.idx.segs) > 0 {
@@ -273,7 +281,7 @@ func (e *IndexedEncoder) observe(ev Event) {
 		e.phases[ev.Phase] = true
 		e.inSeg = true
 		e.curSeg = indexSegment{phase: ev.Phase, off: e.b.written, meta: e.b.meta}
-		e.curThreads = make(map[mem.ThreadID]*segThread)
+		e.curThreads, e.curList = tidTable[*segThread]{}, nil
 		e.curCRC = 0
 	case KindThreadEnd:
 		if !e.inSeg || ev.Phase != e.curSeg.phase {
@@ -307,8 +315,8 @@ func (e *IndexedEncoder) Encode(ev Event) error {
 	if e.b.err != nil {
 		return e.b.err
 	}
-	e.observe(ev)
-	return e.b.Encode(ev)
+	e.observe(&ev)
+	return e.b.encode(&ev)
 }
 
 // Close implements Encoder: it appends the index block and footer, then
@@ -533,6 +541,11 @@ func (idx *traceIndex) validate(dataStart, indexOff uint64) error {
 	if pos != indexOff {
 		return fmt.Errorf("trace: index: spans end at %d, want %d", pos, indexOff)
 	}
+	// Access claims size replay's operation lists, so they are bounded
+	// before anything sums them: a segment's claim by its byte length
+	// (the tiling above bounds the lengths' sum by the file size, so the
+	// segments' total cannot wrap), and each thread's claim by what its
+	// segment has left, so the threads' sum cannot wrap either.
 	phases := make(map[int]bool, len(idx.segs))
 	var total uint64
 	for i := range idx.segs {
@@ -541,11 +554,19 @@ func (idx *traceIndex) validate(dataStart, indexOff uint64) error {
 			return fmt.Errorf("trace: index: phase %d indexed twice", s.phase)
 		}
 		phases[s.phase] = true
+		if s.accesses > s.length/minAccessRecord {
+			return fmt.Errorf("trace: index: phase %d claims %d accesses in a %d-byte segment",
+				s.phase, s.accesses, s.length)
+		}
 		var segSum uint64
 		for j := range s.threads {
 			t := &s.threads[j]
 			if j > 0 && t.tid <= s.threads[j-1].tid {
 				return fmt.Errorf("trace: index: phase %d thread list not strictly ascending", s.phase)
+			}
+			if left := s.accesses - segSum; t.accesses > left {
+				return fmt.Errorf("trace: index: phase %d thread %d claims %d accesses, but its segment has %d left",
+					s.phase, t.tid, t.accesses, left)
 			}
 			segSum += t.accesses
 		}
@@ -679,11 +700,15 @@ func FileIsIndexed(path string) bool {
 type crcReader struct {
 	r   io.Reader
 	crc uint32
+	eof bool // r has reported io.EOF: the whole span went through crc
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	if err == io.EOF {
+		c.eof = true
+	}
 	return n, err
 }
 
@@ -696,7 +721,9 @@ func verifySpanCRC(path string, phase int, off uint64, cr *crcReader, want uint3
 	if !enabled {
 		return cause
 	}
-	io.Copy(io.Discard, cr)
+	if !cr.eof {
+		io.Copy(io.Discard, cr)
+	}
 	if cr.crc != want {
 		return &CorruptPayloadError{Path: path, Phase: phase, Off: off, Want: want, Got: cr.crc}
 	}
@@ -710,11 +737,10 @@ func newSeededDecoder(r io.Reader, threads []segThread, meta metaState) *binaryD
 	d := &binaryDecoder{
 		br:      bufio.NewReaderSize(r, 1<<16),
 		version: BinaryV3,
-		prev:    make(map[mem.ThreadID]accessState, len(threads)),
 		meta:    meta,
 	}
 	for _, t := range threads {
-		d.prev[t.tid] = t.state
+		*d.prev.at(t.tid) = t.state
 	}
 	return d
 }

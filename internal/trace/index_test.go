@@ -42,7 +42,7 @@ func indexableEvents() []Event {
 
 // indexedBytes encodes evs through the IndexedEncoder, failing the test
 // if the stream turns out unindexable.
-func indexedBytes(t *testing.T, evs []Event) []byte {
+func indexedBytes(t testing.TB, evs []Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := NewIndexedEncoder(&buf)
@@ -166,7 +166,7 @@ func TestUnindexableStreamFallsBack(t *testing.T) {
 
 // indexSpans locates the index record inside an indexed trace: the
 // record's start offset and the payload's byte range.
-func indexSpans(t *testing.T, data []byte) (indexOff, payloadStart, payloadEnd uint64) {
+func indexSpans(t testing.TB, data []byte) (indexOff, payloadStart, payloadEnd uint64) {
 	t.Helper()
 	foot := data[len(data)-footerSize:]
 	indexOff = binary.LittleEndian.Uint64(foot[:8])
@@ -181,7 +181,7 @@ func indexSpans(t *testing.T, data []byte) (indexOff, payloadStart, payloadEnd u
 // reindex rewrites data's index block after applying mutate to the
 // parsed index — the tool for crafting structurally-corrupt indexes that
 // are byte-level well-formed.
-func reindex(t *testing.T, data []byte, mutate func(idx *traceIndex)) []byte {
+func reindex(t testing.TB, data []byte, mutate func(idx *traceIndex)) []byte {
 	t.Helper()
 	indexOff, payloadStart, payloadEnd := indexSpans(t, data)
 	idx, err := parseIndexPayload(data[payloadStart:payloadEnd])
@@ -198,6 +198,18 @@ func reindex(t *testing.T, data []byte, mutate func(idx *traceIndex)) []byte {
 	binary.LittleEndian.PutUint64(foot[:8], indexOff)
 	copy(foot[8:], footerMagic)
 	return append(out, foot[:]...)
+}
+
+// wrapThreadClaims adds four threads claiming 2^62 accesses each to
+// segment 1. Their claims sum to 2^64, which wraps to 0 in uint64, so
+// the segment's thread sum still equals its own claim; replay would size
+// 2^62-entry operation lists from them.
+func wrapThreadClaims(idx *traceIndex) {
+	s := &idx.segs[1]
+	last := s.threads[len(s.threads)-1].tid
+	for i := mem.ThreadID(1); i <= 4; i++ {
+		s.threads = append(s.threads, segThread{tid: last + i, accesses: 1 << 62})
+	}
 }
 
 // TestIndexFaultInjection: corrupted or inconsistent index blocks must
@@ -241,6 +253,7 @@ func TestIndexFaultInjection(t *testing.T) {
 		"phase-out-of-range": func(idx *traceIndex) {
 			idx.segs[2].phase = MaxPhaseIndex + 1
 		},
+		"thread-claims-wrap": wrapThreadClaims,
 	}
 	raw := map[string]func([]byte) []byte{
 		"bad-format-byte": func(d []byte) []byte {

@@ -51,8 +51,9 @@ func ReadMeta(r io.Reader) (*Meta, error) {
 			m.MaxPhase = idx
 		}
 	}
+	var ev Event
 	for {
-		ev, err := d.Next()
+		err := d.nextInto(&ev)
 		if err == io.EOF {
 			break
 		}

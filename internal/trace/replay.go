@@ -123,8 +123,9 @@ func Read(r io.Reader) (*Replay, error) {
 	rp := &Replay{phases: make(map[int]*replayPhase), maxPhase: -1}
 	d := NewDecoder(r)
 	sawProgram := false
+	var ev Event
 	for {
-		ev, err := d.Next()
+		err := d.nextInto(&ev)
 		if err == io.EOF {
 			break
 		}

@@ -341,8 +341,9 @@ func (sh *streamShared) foreignLines(h *heap.Heap, syms *symtab.Table) ([]uint64
 		for _, si := range scan {
 			seg := &sh.idx.segs[si]
 			d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.threads, seg.meta)
+			var ev Event
 			for {
-				ev, err := d.next()
+				err := d.nextInto(&ev)
 				if err == io.EOF {
 					break
 				}
@@ -384,8 +385,8 @@ type StreamReplay struct {
 	prepared bool
 
 	mu     sync.Mutex
-	winSeg int // segment index currently resident, -1 before the first load
-	win    map[mem.ThreadID]*replayThread
+	winSeg int             // segment index currently resident, -1 before the first load
+	win    []*replayThread // the resident segment's threads, indexed by id
 	// loads counts segment loads; maxWindowOps is the largest operation
 	// count ever resident — the bounded-memory evidence tests assert on.
 	loads        int
@@ -440,8 +441,11 @@ func (s *StreamReplay) Prepare(h *heap.Heap, syms *symtab.Table) (err error) {
 }
 
 // loadPhase decodes one segment into fresh per-thread operation lists,
-// cross-checking every record against the index's claims.
-func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error) {
+// indexed by thread id, cross-checking every record against the index's
+// claims. Each list is sized up front from its thread's claim, which
+// index validation bounds by the segment's byte length, so a load
+// allocates per thread, never per record.
+func (s *StreamReplay) loadPhase(si int) ([]*replayThread, error) {
 	sh := s.sh
 	seg := &sh.idx.segs[si]
 	f, err := os.Open(sh.path)
@@ -458,13 +462,18 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 		return verifySpanCRC(sh.path, seg.phase, seg.off, cr, seg.crc, sh.idx.hasCRC, cause)
 	}
 
-	win := make(map[mem.ThreadID]*replayThread, len(seg.threads))
-	counts := make(map[mem.ThreadID]uint64, len(seg.threads))
-	for _, t := range seg.threads {
-		win[t.tid] = &replayThread{}
+	// The thread list is ascending, so its last id sizes the table.
+	threads := make([]replayThread, len(seg.threads))
+	var win []*replayThread
+	if n := len(seg.threads); n > 0 {
+		win = make([]*replayThread, seg.threads[n-1].tid+1)
 	}
-	ev, err := d.next()
-	if err != nil {
+	for i, t := range seg.threads {
+		threads[i].ops = make([]replayOp, 0, t.accesses)
+		win[t.tid] = &threads[i]
+	}
+	var ev Event
+	if err := d.nextInto(&ev); err != nil {
 		return nil, checked(err)
 	}
 	if ev.Kind != KindPhase || ev.Phase != seg.phase {
@@ -472,7 +481,7 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 	}
 	var total uint64
 	for {
-		ev, err := d.next()
+		err := d.nextInto(&ev)
 		if err == io.EOF {
 			break
 		}
@@ -485,7 +494,10 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 		if ev.Phase != seg.phase {
 			return nil, checked(fmt.Errorf("trace: phase %d segment contains a record for phase %d", seg.phase, ev.Phase))
 		}
-		rt := win[ev.TID]
+		var rt *replayThread
+		if uint(ev.TID) < uint(len(win)) {
+			rt = win[ev.TID]
+		}
 		if rt == nil {
 			return nil, checked(fmt.Errorf("trace: phase %d segment has records for unindexed thread %d", seg.phase, ev.TID))
 		}
@@ -507,16 +519,15 @@ func (s *StreamReplay) loadPhase(si int) (map[mem.ThreadID]*replayThread, error)
 			size = 4
 		}
 		rt.ops = append(rt.ops, replayOp{gap: gap, addr: remapForeign(s.runs, ev.Addr), size: size, write: ev.Write})
-		counts[ev.TID]++
 		total++
 	}
 	if total != seg.accesses {
 		return nil, checked(fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, total, seg.accesses))
 	}
-	for _, t := range seg.threads {
-		if counts[t.tid] != t.accesses {
+	for i, t := range seg.threads {
+		if n := uint64(len(threads[i].ops)); n != t.accesses {
 			return nil, checked(fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
-				seg.phase, t.tid, counts[t.tid], t.accesses))
+				seg.phase, t.tid, n, t.accesses))
 		}
 	}
 	if err := checked(nil); err != nil {
@@ -543,10 +554,7 @@ func (s *StreamReplay) acquire(si int, tid mem.ThreadID) *replayThread {
 		s.win = win
 		s.winSeg = si
 		s.loads++
-		var ops uint64
-		for _, rt := range win {
-			ops += uint64(len(rt.ops))
-		}
+		ops := s.sh.idx.segs[si].accesses // loadPhase checked the count
 		if ops > s.maxWindowOps {
 			s.maxWindowOps = ops
 		}
@@ -559,7 +567,10 @@ func (s *StreamReplay) acquire(si int, tid mem.ThreadID) *replayThread {
 			})
 		}
 	}
-	return s.win[tid]
+	if uint(tid) < uint(len(s.win)) {
+		return s.win[tid]
+	}
+	return nil
 }
 
 // streamBody defers the segment load to the moment the engine actually

@@ -167,10 +167,11 @@ type Encoder interface {
 
 // Decoder reads a stream of events, auto-detecting the framing.
 type Decoder struct {
+	// next is the text framing's decoder; bd is set for binary streams,
+	// which Next drives directly.
 	next func() (Event, error)
+	bd   *binaryDecoder
 	err  error
-	// bd is set for binary streams, for framing/index introspection.
-	bd *binaryDecoder
 }
 
 // NewDecoder wraps r, detecting text or binary framing from the first
@@ -186,9 +187,6 @@ func NewDecoder(r io.Reader) *Decoder {
 		d.next, d.err = newTextDecoder(br)
 	case head[0] == 0x00:
 		d.bd, d.err = newBinaryDecoder(br)
-		if d.err == nil {
-			d.next = d.bd.next
-		}
 	default:
 		d.err = fmt.Errorf("trace: unrecognized framing (first byte %#02x; want '#' for text or 0x00 for binary)", head[0])
 	}
@@ -214,12 +212,26 @@ func (d *Decoder) Indexed() bool { return d.bd != nil && d.bd.sawIndex }
 // Next returns the next event, or io.EOF at a clean end of stream. After
 // any non-nil error the decoder is exhausted.
 func (d *Decoder) Next() (Event, error) {
+	var ev Event
+	err := d.nextInto(&ev)
+	return ev, err
+}
+
+// nextInto is Next decoding into a caller-owned event, which spares the
+// in-package readers Next's copy of the large Event per record.
+func (d *Decoder) nextInto(ev *Event) error {
 	if d.err != nil {
-		return Event{}, d.err
+		*ev = Event{}
+		return d.err
 	}
-	ev, err := d.next()
+	var err error
+	if d.bd != nil {
+		err = d.bd.nextInto(ev)
+	} else {
+		*ev, err = d.next()
+	}
 	if err != nil {
 		d.err = err
 	}
-	return ev, err
+	return err
 }
