@@ -159,24 +159,35 @@ func TestUploadedTraceReportMatchesCLIReplay(t *testing.T) {
 }
 
 // TestConcurrentIdenticalUploadsDedupe: N clients upload the same trace
-// at once; every report is byte-identical and the simulation runs far
-// fewer times than N (in-flight dedupe plus the result cache).
+// at once; every report is byte-identical and the simulation runs once
+// (in-flight dedupe).
 func TestConcurrentIdenticalUploadsDedupe(t *testing.T) {
 	t.Parallel()
 	path := writeTrace(t, t.TempDir(), "a.trace", 0.05)
 	want := cliReplayReport(t, path)
 
+	// The uploads all content-address to one cell. Exec holds each
+	// execution until every job has either joined an in-flight one or
+	// started its own; without the gate, a job whose cell lookup came
+	// after the execution finished would run it again, as often as
+	// timing allowed. With it, any second execution is a dedupe bug.
+	const n = 30
+	var queue atomic.Pointer[sweep.JobQueue]
 	var executions atomic.Int64
 	qcfg := sweep.QueueConfig{
 		Workers: 8,
 		Exec: func(c harness.Cell) (harness.CellResult, error) {
 			executions.Add(1)
+			deadline := time.Now().Add(time.Minute)
+			for queue.Load().Stats().CellsDeduped+uint64(executions.Load()) < n && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
 			return harness.RunCell(c)
 		},
 	}
-	ts, queue := testGateway(t, qcfg)
+	ts, q := testGateway(t, qcfg)
+	queue.Store(q)
 
-	const n = 30
 	var wg sync.WaitGroup
 	reports := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -194,14 +205,10 @@ func TestConcurrentIdenticalUploadsDedupe(t *testing.T) {
 			t.Fatalf("report %d diverges from CLI replay", i)
 		}
 	}
-	// The uploads all content-address to one cell. Without a cache every
-	// concurrent wave dedupes to a single in-flight execution; waves that
-	// miss the overlap re-execute, so allow a little slack — but nowhere
-	// near one execution per job.
-	if got := executions.Load(); got > 3 {
-		t.Errorf("cell executed %d times for %d identical jobs, want <= 3", got, n)
+	if got := executions.Load(); got != 1 {
+		t.Errorf("cell executed %d times for %d identical jobs, want 1", got, n)
 	}
-	s := queue.Stats()
+	s := q.Stats()
 	if s.CellsExecuted+s.CellsDeduped+s.CellsCached != n {
 		t.Errorf("stats don't account for every job: %+v", s)
 	}

@@ -145,6 +145,32 @@ func TestBatchedUnbatchedEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlushedUnflushedEquivalence proves T.Flush invisible to the
+// schedule: every randomized program whose bodies flush their buffers at
+// seeded pseudo-random points must produce the identical execution as
+// its unflushed twin, under all three schedulers, both free-running and
+// paced by a sampling PMU. Streamed trace replay flushes whenever a body
+// waits on its phase loader, so this is what keeps its reports exact.
+// ≥200 cases in -short, ≥2000 nightly.
+func TestFlushedUnflushedEquivalence(t *testing.T) {
+	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
+	for i := 0; i < equivCases(); i++ {
+		cfg := progen.Config{Seed: equivSeed + 3, Case: i, Addrs: addrs, MaxThreads: 12}
+		flushed := cfg
+		flushed.Flushes = true
+		for _, sched := range exec.SchedulerNames() {
+			refRes, refRec := runUnder(sched, progen.Generate(cfg))
+			res, rec := runUnder(sched, progen.Generate(flushed))
+			mustMatch(t, i, "unflushed/"+sched, "flushed/"+sched, refRes, res, refRec, rec)
+
+			cfgSched := equivEngineConfig(sched, false)
+			refRes, refRec = runWith(cfgSched, progen.Generate(cfg), equivPMU())
+			res, rec = runWith(cfgSched, progen.Generate(flushed), equivPMU())
+			mustMatch(t, i, "paced unflushed/"+sched, "paced flushed/"+sched, refRes, res, refRec, rec)
+		}
+	}
+}
+
 // TestSchedulerEquivalenceSelfCheck guards the suite itself: a run must
 // be deterministic against a re-run of the same scheduler, otherwise
 // "heap == calendar" could pass vacuously on noise.

@@ -39,6 +39,10 @@ type Config struct {
 	// generator intentionally exceeds typical core counts on later
 	// cases, so oversubscription is covered.
 	MaxThreads int
+	// Flushes makes every body also call T.Flush at pseudo-random points.
+	// The points come from a random stream of their own, so the program
+	// issues exactly the operations of its unflushed twin.
+	Flushes bool
 }
 
 // genOp is one materialized operation.
@@ -61,10 +65,14 @@ type phaseSpec struct {
 // behaviorally identical program.
 func Generate(cfg Config) exec.Program {
 	prog := exec.Program{Name: "progen"}
+	var flushRng *rand.Rand
+	if cfg.Flushes {
+		flushRng = rand.New(rand.NewSource(^cfg.Seed ^ int64(cfg.Case)))
+	}
 	for _, ph := range materialize(cfg) {
 		bodies := make([]exec.Body, len(ph.bodies))
 		for i, ops := range ph.bodies {
-			bodies[i] = replay(ops)
+			bodies[i] = replay(ops, flushPoints(flushRng, len(ops)))
 		}
 		switch {
 		case ph.serial:
@@ -176,10 +184,30 @@ func genOps(rng *rand.Rand, addrs []mem.Addr, n int) []genOp {
 	return ops
 }
 
-// replay wraps a materialized operation list as a thread body.
-func replay(ops []genOp) exec.Body {
+// flushPoints draws where a body of n operations flushes: flush[i]
+// flushes before operation i, flush[n] after the last. Densities range
+// from a flush before nearly every operation to a rare one. A nil rng
+// yields nil: no flushes.
+func flushPoints(rng *rand.Rand, n int) []bool {
+	if rng == nil {
+		return nil
+	}
+	flush := make([]bool, n+1)
+	every := 1 + rng.Intn(16)
+	for i := range flush {
+		flush[i] = rng.Intn(every) == 0
+	}
+	return flush
+}
+
+// replay wraps a materialized operation list as a thread body, calling
+// T.Flush wherever flush says.
+func replay(ops []genOp, flush []bool) exec.Body {
 	return func(t *exec.T) {
-		for _, o := range ops {
+		for i, o := range ops {
+			if flush != nil && flush[i] {
+				t.Flush()
+			}
 			switch o.kind {
 			case 'l':
 				t.Load(o.addr)
@@ -196,6 +224,9 @@ func replay(ops []genOp) exec.Body {
 			default:
 				t.Compute(o.n)
 			}
+		}
+		if flush != nil && flush[len(ops)] {
+			t.Flush()
 		}
 	}
 }

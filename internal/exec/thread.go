@@ -85,6 +85,14 @@ func (t *T) emit(o op) {
 	}
 }
 
+// Flush hands the operations issued so far to the engine now rather than
+// when the buffer fills. A body about to block on something other than
+// the engine (a trace loader's queue) calls it first, so the engine is
+// never left waiting on operations the body already holds. Buffer
+// boundaries are invisible to the schedule, so flushing never changes
+// an execution.
+func (t *T) Flush() { t.flush() }
+
 // flush hands the current buffer to the engine and picks up an empty one.
 func (t *T) flush() {
 	if len(t.buf) == 0 {

@@ -9,17 +9,21 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/exec"
 	"repro/internal/heap"
+	"repro/internal/mem"
+	"repro/internal/pmu"
 	"repro/internal/symtab"
 )
 
-// synthTrace writes an indexed synthetic trace of about accesses records
-// over the given parallel phase count and returns its path and bytes.
-func synthTrace(tb testing.TB, accesses uint64, phases int) (string, []byte) {
+// synthTrace writes an indexed synthetic trace sized by cfg and returns
+// its path and bytes.
+func synthTrace(tb testing.TB, cfg SynthConfig) (string, []byte) {
 	tb.Helper()
 	var buf bytes.Buffer
 	enc := NewIndexedEncoder(&buf)
-	if err := WriteSynthetic(enc, SynthConfig{Accesses: accesses, Threads: 8, Phases: phases}); err != nil {
+	if err := WriteSynthetic(enc, cfg); err != nil {
 		tb.Fatal(err)
 	}
 	if err := enc.Close(); err != nil {
@@ -64,10 +68,11 @@ func preparedStream(tb testing.TB, path string) *StreamReplay {
 	return s
 }
 
-// loadAll loads every phase window of s once.
+// loadAll loads every phase window of s once, through the decode loop
+// the replay's phase loaders run.
 func loadAll(tb testing.TB, s *StreamReplay) {
 	for si := range s.sh.idx.segs {
-		if _, err := s.loadPhase(si); err != nil {
+		if err := s.verifyPhase(si); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -93,18 +98,33 @@ func perAccess(b *testing.B, accesses uint64, run func()) {
 // BenchmarkDecode times the bare sequential decoder: NewDecoder and a
 // Next loop over an in-memory indexed trace.
 func BenchmarkDecode(b *testing.B) {
-	_, data := synthTrace(b, 1<<18, 16)
+	_, data := synthTrace(b, SynthConfig{Accesses: 1 << 18, Threads: 8, Phases: 16})
 	accesses := countAccesses(b, data)
 	perAccess(b, accesses, func() { countAccesses(b, data) })
 }
 
-// BenchmarkStreamLoadPhase times streaming replay's window loads: every
-// phase of an indexed trace decoded into per-thread operation lists,
-// checksums and index cross-checks included.
+// BenchmarkStreamLoadPhase times streaming replay's decode loop alone:
+// every phase of an indexed trace decoded into per-thread operation
+// chunks, checksums and index cross-checks included.
 func BenchmarkStreamLoadPhase(b *testing.B) {
-	path, _ := synthTrace(b, 1<<18, 16)
+	path, _ := synthTrace(b, SynthConfig{Accesses: 1 << 18, Threads: 8, Phases: 16})
 	s := preparedStream(b, path)
 	perAccess(b, s.Accesses, func() { loadAll(b, s) })
+}
+
+// BenchmarkStreamReplay times streamed replay end to end, in process:
+// phase loaders decoding a 16-thread synthetic trace while the engine
+// simulates it on the coherence simulator, sampled at the production
+// period.
+func BenchmarkStreamReplay(b *testing.B) {
+	path, _ := synthTrace(b, SynthConfig{Accesses: 1 << 18, Threads: 16, Phases: 16})
+	s := preparedStream(b, path)
+	prog := s.Program()
+	sampler := pmu.Config{Period: 64 * 1024, Jitter: 16 * 1024, HandlerCycles: 4, SetupCycles: 4700}
+	perAccess(b, s.Accesses, func() {
+		p := pmu.New(sampler, pmu.HandlerFunc(func(mem.Access, uint64) {}))
+		exec.New(cache.New(cache.DefaultConfig(s.Cores)), exec.DefaultConfig(), p).Run(prog)
+	})
 }
 
 // leastAllocs returns the fewest allocations per call of f over a few
@@ -121,11 +141,11 @@ func leastAllocs(f func()) float64 {
 // TestTraceLayerAllocsIndependentOfLength is the allocation guard of the
 // trace hot path: decoding a trace, or loading a phase window, of 2N
 // accesses must not allocate more than one of N. Per-record allocation
-// (or an unsized op list growing by appends) breaks it.
+// (or an operation chunk that is never reused) breaks it.
 func TestTraceLayerAllocsIndependentOfLength(t *testing.T) {
 	const n = 1 << 14
-	_, small := synthTrace(t, n, 1)
-	_, large := synthTrace(t, 2*n, 1)
+	_, small := synthTrace(t, SynthConfig{Accesses: n, Threads: 8, Phases: 1})
+	_, large := synthTrace(t, SynthConfig{Accesses: 2 * n, Threads: 8, Phases: 1})
 	decode := func(data []byte) float64 {
 		return leastAllocs(func() { countAccesses(t, data) })
 	}
@@ -133,8 +153,8 @@ func TestTraceLayerAllocsIndependentOfLength(t *testing.T) {
 		t.Errorf("decoding %d accesses allocates %.0f times, %d accesses %.0f times", 2*n, b, n, a)
 	}
 
-	smallPath, _ := synthTrace(t, n, 1)
-	largePath, _ := synthTrace(t, 2*n, 1)
+	smallPath, _ := synthTrace(t, SynthConfig{Accesses: n, Threads: 8, Phases: 1})
+	largePath, _ := synthTrace(t, SynthConfig{Accesses: 2 * n, Threads: 8, Phases: 1})
 	load := func(path string) float64 {
 		s := preparedStream(t, path)
 		return leastAllocs(func() { loadAll(t, s) })

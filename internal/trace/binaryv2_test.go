@@ -274,7 +274,7 @@ func TestBinaryV2DeltaWraparound(t *testing.T) {
 // asked, per call must decode to exactly the events a whole-buffer read
 // does, ending at the index block just the same.
 func TestDecodeIndependentOfReadChunking(t *testing.T) {
-	_, data := synthTrace(t, 1<<14, 4)
+	_, data := synthTrace(t, SynthConfig{Accesses: 1 << 14, Threads: 8, Phases: 4})
 	want := decodeEvents(t, data)
 	for name, r := range map[string]io.Reader{
 		"one-byte": iotest.OneByteReader(bytes.NewReader(data)),

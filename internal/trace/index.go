@@ -194,6 +194,7 @@ type IndexedEncoder struct {
 func NewIndexedEncoder(w io.Writer) *IndexedEncoder {
 	e := &IndexedEncoder{
 		b:      newBinaryEncoder(w, BinaryV3),
+		idx:    traceIndex{hasCRC: true},
 		phases: make(map[int]bool),
 	}
 	e.b.onRecord = func(rec []byte) {
@@ -349,15 +350,23 @@ func (e *IndexedEncoder) Close() error {
 	return e.b.Close()
 }
 
+// appendIndexPayload serializes idx in the payload format its hasCRC
+// selects; IndexedEncoder always writes the current, checksummed one.
 func appendIndexPayload(b []byte, idx *traceIndex) []byte {
-	b = append(b, indexFormat)
+	if idx.hasCRC {
+		b = append(b, indexFormat)
+	} else {
+		b = append(b, indexFormatV1)
+	}
 	b = binary.AppendUvarint(b, idx.accesses)
 	b = binary.AppendUvarint(b, uint64(len(idx.regions)))
 	for _, r := range idx.regions {
 		for _, v := range []uint64{r.off, r.length, r.syms, r.objs, r.meta.symAddr, r.meta.objAddr, r.meta.objSeq} {
 			b = binary.AppendUvarint(b, v)
 		}
-		b = binary.AppendUvarint(b, uint64(r.crc))
+		if idx.hasCRC {
+			b = binary.AppendUvarint(b, uint64(r.crc))
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(idx.segs)))
 	for _, s := range idx.segs {
@@ -365,7 +374,9 @@ func appendIndexPayload(b []byte, idx *traceIndex) []byte {
 			s.maxSize, s.addrMin, s.addrMax, s.meta.symAddr, s.meta.objAddr, s.meta.objSeq} {
 			b = binary.AppendUvarint(b, v)
 		}
-		b = binary.AppendUvarint(b, uint64(s.crc))
+		if idx.hasCRC {
+			b = binary.AppendUvarint(b, uint64(s.crc))
+		}
 		b = binary.AppendUvarint(b, uint64(len(s.threads)))
 		for _, t := range s.threads {
 			for _, v := range []uint64{uint64(t.tid), t.accesses,
@@ -730,12 +741,17 @@ func verifySpanCRC(path string, phase int, off uint64, cr *crcReader, want uint3
 	return cause
 }
 
-// newSeededDecoder returns a record decoder whose delta-prediction
-// context is preloaded from index snapshots, for decoding a segment or
-// region from the middle of a v3 file.
-func newSeededDecoder(r io.Reader, threads []segThread, meta metaState) *binaryDecoder {
+// maxSpanBuffer caps a span decoder's read buffer.
+const maxSpanBuffer = 1 << 16
+
+// newSeededDecoder returns a record decoder over the span bytes of r,
+// whose delta-prediction context is preloaded from index snapshots, for
+// decoding a segment or region from the middle of a v3 file. The read
+// buffer is sized to the span (bufio keeps its own 16-byte floor), so
+// opening a small span never costs a full-size buffer.
+func newSeededDecoder(r io.Reader, span uint64, threads []segThread, meta metaState) *binaryDecoder {
 	d := &binaryDecoder{
-		br:      bufio.NewReaderSize(r, 1<<16),
+		br:      bufio.NewReaderSize(r, int(min(span, maxSpanBuffer))),
 		version: BinaryV3,
 		meta:    meta,
 	}

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/symtab"
@@ -411,12 +417,21 @@ func TestStreamWindowStats(t *testing.T) {
 	if err := s.Prepare(heap.New(heap.Config{}), symtab.New(symtab.Config{})); err != nil {
 		t.Fatal(err)
 	}
-	// Drive the window exactly as the engine does: phases in order, every
-	// thread of a phase before the next phase.
+	// Drive the window as the engine's bodies do, short of releasing it:
+	// phases in order, every thread of a phase draining its queue before
+	// the next phase.
 	for si := range s.sh.idx.segs {
 		for _, tid := range s.sh.segs[si].tids {
-			if rt := s.acquire(si, tid); rt == nil {
+			w := s.acquire(si)
+			lt := w.thread(tid)
+			if lt == nil {
 				t.Fatalf("segment %d has no thread %d", si, tid)
+			}
+			for ops := range lt.q {
+				s.recycle(ops)
+			}
+			if <-w.done; w.err != nil {
+				t.Fatal(w.err)
 			}
 		}
 	}
@@ -429,10 +444,155 @@ func TestStreamWindowStats(t *testing.T) {
 	}
 	// Re-acquiring the resident segment must not reload it.
 	last := len(s.sh.idx.segs) - 1
-	s.acquire(last, mem.MainThread+1)
+	<-s.acquire(last).done
 	if l, _ := s.WindowStats(); l != loads {
 		t.Errorf("re-acquire of the resident segment reloaded it (%d -> %d loads)", loads, l)
 	}
+}
+
+// TestStreamProgramRunsTwice: a streamed program is as reusable as a
+// full replay's. Once every body has released a phase window, running
+// the program again reloads the phase instead of replaying the spent
+// one. The trace has a single phase, so the second run asks for the
+// very segment the first left resident.
+func TestStreamProgramRunsTwice(t *testing.T) {
+	evs := []Event{
+		{Kind: KindProgram, Name: "one-phase", Cores: 8},
+		{Kind: KindPhase, Phase: 0, Parallel: true, Name: "work"},
+	}
+	for i := 0; i < 3000; i++ {
+		evs = append(evs, Event{Kind: KindAccess, TID: mem.ThreadID(1 + i%2), Write: i%3 == 0,
+			Addr: mem.Addr(0x10000000 + 8*(i%16)), Size: 8, IP: uint64(2*i + 2), Lat: 4})
+	}
+	evs = append(evs, Event{Kind: KindThreadEnd, TID: 1, Instrs: 7000}, Event{Kind: KindThreadEnd, TID: 2, Instrs: 7000})
+	s := preparedStream(t, writeTemp(t, indexedBytes(t, evs)))
+	if len(s.sh.idx.segs) != 1 {
+		t.Fatalf("fixture has %d segments, want 1", len(s.sh.idx.segs))
+	}
+	prog := s.Program()
+	run := func() exec.Result {
+		return exec.New(cache.New(cache.DefaultConfig(s.Cores)), exec.DefaultConfig()).Run(prog)
+	}
+	first, second := run(), run()
+	if first.Accesses() != 3000 {
+		t.Fatalf("first run simulated %d accesses, want 3000", first.Accesses())
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("second run of the streamed program differs:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+	if loads, _ := s.WindowStats(); loads != 2*len(s.sh.idx.segs) {
+		t.Errorf("two runs loaded %d windows, want %d", loads, 2*len(s.sh.idx.segs))
+	}
+}
+
+// phaseCounter counts the accesses the engine runs in each phase.
+type phaseCounter struct {
+	exec.BaseProbe
+	phase    int
+	accesses map[int]int
+}
+
+func (p *phaseCounter) PhaseStart(ph exec.PhaseInfo) { p.phase = ph.Index }
+
+func (p *phaseCounter) Access(mem.Access, uint64) uint64 {
+	p.accesses[p.phase]++
+	return 0
+}
+
+// replayStreamed runs s's program on a fresh engine under probes and
+// returns the value Run panicked with (nil when it returned) and each
+// body's own panic. A replay that deadlocks fails the test after a
+// minute instead of hanging it.
+func replayStreamed(t *testing.T, s *StreamReplay, probes ...exec.Probe) (runPanic any, bodyPanics []any) {
+	t.Helper()
+	prog := s.Program()
+	var mu sync.Mutex
+	for i := range prog.Phases {
+		bodies := prog.Phases[i].Bodies
+		for j, body := range bodies {
+			bodies[j] = func(tt *exec.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						mu.Lock()
+						bodyPanics = append(bodyPanics, r)
+						mu.Unlock()
+						panic(r)
+					}
+				}()
+				body(tt)
+			}
+		}
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		exec.New(cache.New(cache.DefaultConfig(s.Cores)), exec.DefaultConfig(), probes...).Run(prog)
+	}()
+	select {
+	case runPanic = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("streamed replay deadlocked")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	return runPanic, bodyPanics
+}
+
+// awaitGoroutines fails the test unless the goroutine count returns to
+// at most before within a few seconds.
+func awaitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed replay, %d before", n, before)
+	}
+}
+
+// TestUncheckedIndexSkewFailsEveryBody: under a checksum-less (format-1)
+// index whose per-thread claims disagree with the records, the phase
+// loader cannot know before decoding that the segment is bad. Every body
+// of the phase must still fail with the same message, Run must re-raise
+// it, and nothing may hang or leak. The claims move 15000 of thread 1's
+// 16384 accesses to thread 2. A synthetic trace writes thread 1's
+// records before thread 2's, and the engine needs thread 2's first
+// buffer while thread 1's body holds its second, so a loader that
+// queued thread 1's records past its claim would fill the queue and
+// block forever.
+func TestUncheckedIndexSkewFailsEveryBody(t *testing.T) {
+	const moved = 15000
+	_, data := synthTrace(t, SynthConfig{Accesses: 1 << 16, Threads: 4, Phases: 1})
+	path := writeTemp(t, reindex(t, data, func(idx *traceIndex) {
+		idx.hasCRC = false
+		th := idx.segs[1].threads
+		th[0].accesses -= moved
+		th[1].accesses += moved
+	}))
+	s := preparedStream(t, path)
+	seg := &s.sh.idx.segs[1]
+	if s.sh.idx.hasCRC || seg.threads[0].accesses > 2*chunkOps {
+		t.Fatal("fixture is not a checksum-less index with a multi-chunk skew")
+	}
+	want := fmt.Sprintf("trace: streaming replay of %s: loading phase %d: trace: phase %d thread %d has %d accesses, index claims %d",
+		path, seg.phase, seg.phase, seg.threads[0].tid, seg.threads[0].accesses+moved, seg.threads[0].accesses)
+
+	before := runtime.NumGoroutine()
+	runPanic, bodyPanics := replayStreamed(t, s)
+	bp, ok := runPanic.(*exec.BodyPanic)
+	if !ok || bp.Value != want {
+		t.Fatalf("Run panicked with %v, want a *exec.BodyPanic of %q", runPanic, want)
+	}
+	if len(bodyPanics) != len(seg.threads) {
+		t.Errorf("%d bodies panicked, want all %d of the phase", len(bodyPanics), len(seg.threads))
+	}
+	for _, p := range bodyPanics {
+		if p != want {
+			t.Errorf("a body panicked with %v, want %q", p, want)
+		}
+	}
+	awaitGoroutines(t, before)
 }
 
 // TestReadMetaFileAgreesWithScan: the lazy metadata path over the index

@@ -3,8 +3,13 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 // noteEvents is an indexable stream carrying provenance notes of the
@@ -131,6 +136,47 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 			}
 		})
 	}
+
+	// Streamed replay verifies a segment's checksum before it decodes a
+	// record, so a corrupt phase fails every body of the phase with the
+	// checksum error, none of its accesses reaches the engine, and no
+	// goroutine outlives the failed run.
+	t.Run("streamed replay", func(t *testing.T) {
+		_, data := synthTrace(t, SynthConfig{Accesses: 1 << 14, Threads: 4, Phases: 4})
+		idx, err := readIndexAt(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := &idx.segs[2]
+		data[seg.off+seg.length/2] ^= 0x40
+		path := writeTemp(t, data)
+		ce := &CorruptPayloadError{Path: path, Phase: seg.phase, Off: seg.off, Want: seg.crc,
+			Got: crc32.Checksum(data[seg.off:seg.off+seg.length], castagnoli)}
+		want := fmt.Sprintf("trace: streaming replay of %s: loading phase %d: %v", path, seg.phase, ce)
+
+		before := runtime.NumGoroutine()
+		probe := &phaseCounter{accesses: make(map[int]int)}
+		runPanic, bodyPanics := replayStreamed(t, preparedStream(t, path), probe)
+		bp, ok := runPanic.(*exec.BodyPanic)
+		if !ok || bp.Value != want {
+			t.Fatalf("Run panicked with %v, want a *exec.BodyPanic of %q", runPanic, want)
+		}
+		if len(bodyPanics) != len(seg.threads) {
+			t.Errorf("%d bodies panicked, want all %d of the phase", len(bodyPanics), len(seg.threads))
+		}
+		for _, p := range bodyPanics {
+			if p != want {
+				t.Errorf("a body panicked with %v, want %q", p, want)
+			}
+		}
+		if n := probe.accesses[seg.phase]; n != 0 {
+			t.Errorf("the engine ran %d accesses of the corrupt phase %d", n, seg.phase)
+		}
+		if probe.accesses[seg.phase-1] == 0 {
+			t.Errorf("no access of phase %d, which precedes the corrupt one, reached the engine", seg.phase-1)
+		}
+		awaitGoroutines(t, before)
+	})
 
 	// The same corrupt files still carry an intact index, so the cheap
 	// index-only reads must keep working — corruption is a payload-read

@@ -14,12 +14,28 @@ import (
 
 // replayOp is one reconstructed thread operation: the compute gap since
 // the previous access (derived from consecutive ip values) followed by
-// the access itself.
+// the access itself. The gap, width and direction share one word,
+// gap<<16 | size<<8 | write, so an operation costs 16 bytes; gaps are
+// ip deltas, which MaxInstrs bounds far below 2^48.
 type replayOp struct {
-	gap   uint64
-	addr  mem.Addr
-	size  uint8
-	write bool
+	addr mem.Addr
+	bits uint64
+}
+
+// accessOp builds the operation replaying access ev at addr after gap
+// compute instructions. Size 0 (imported traces with unknown width)
+// replays as a word access; every other width, which the caller has
+// checked fits a byte, replays as recorded.
+func accessOp(gap uint64, addr mem.Addr, ev *Event) replayOp {
+	size := ev.Size
+	if size == 0 {
+		size = 4
+	}
+	bits := gap<<16 | size<<8
+	if ev.Write {
+		bits |= 1
+	}
+	return replayOp{addr: addr, bits: bits}
 }
 
 // replayThread accumulates one thread's stream within one phase.
@@ -169,13 +185,7 @@ func Read(r io.Reader) (*Replay, error) {
 				gap = ev.IP - t.lastIP - 1
 				t.lastIP = ev.IP
 			}
-			// Size 0 (imported traces with unknown width) replays as a
-			// word access; everything else keeps its recorded width.
-			size := uint8(ev.Size)
-			if size == 0 {
-				size = 4
-			}
-			t.ops = append(t.ops, replayOp{gap: gap, addr: ev.Addr, size: size, write: ev.Write})
+			t.ops = append(t.ops, accessOp(gap, ev.Addr, &ev))
 		}
 	}
 	if !sawProgram {
@@ -411,28 +421,36 @@ func bodyFor(rt *replayThread) exec.Body {
 	if rt == nil {
 		return func(*exec.T) {}
 	}
-	ops := rt.ops
-	// endInstrs counts the accesses themselves; lastIP is the instruction
-	// index of the final access, so the difference is pure trailing
-	// compute.
-	trailing := uint64(0)
-	if rt.sawEnd && rt.endInstrs > rt.lastIP {
-		trailing = rt.endInstrs - rt.lastIP
-	}
+	ops, trailing := rt.ops, rt.trailing()
 	return func(t *exec.T) {
-		for i := range ops {
-			op := &ops[i]
-			if op.gap > 0 {
-				t.Compute(int(op.gap))
-			}
-			if op.write {
-				t.StoreN(op.addr, op.size)
-			} else {
-				t.LoadN(op.addr, op.size)
-			}
-		}
+		replayOps(t, ops)
 		if trailing > 0 {
 			t.Compute(int(trailing))
+		}
+	}
+}
+
+// trailing returns the pure compute after the thread's last access:
+// endInstrs counts the accesses themselves, and lastIP is the
+// instruction index of the final access.
+func (rt *replayThread) trailing() uint64 {
+	if rt.sawEnd && rt.endInstrs > rt.lastIP {
+		return rt.endInstrs - rt.lastIP
+	}
+	return 0
+}
+
+// replayOps issues ops through t, each access after its compute gap.
+func replayOps(t *exec.T, ops []replayOp) {
+	for i := range ops {
+		op := &ops[i]
+		if gap := op.bits >> 16; gap > 0 {
+			t.Compute(int(gap))
+		}
+		if size := uint8(op.bits >> 8); op.bits&1 != 0 {
+			t.StoreN(op.addr, size)
+		} else {
+			t.LoadN(op.addr, size)
 		}
 	}
 }

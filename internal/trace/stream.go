@@ -7,7 +7,9 @@
 // a phase before starting the next, so a window holding exactly one
 // phase never thrashes: each phase's segment is read from disk once per
 // replay, and peak memory is the largest single phase plus the layout,
-// however long the trace is.
+// however long the trace is. Within a phase, decoding and simulation
+// overlap: a loader goroutine decodes the segment into per-thread
+// chunks that the thread bodies replay as they arrive.
 //
 // The reconstructed program is identical to Replay.Program()'s — same
 // thread ids, same operation streams, same pooling — so the detection
@@ -157,7 +159,7 @@ func openShared(path string) (*streamShared, error) {
 	for ri := range idx.regions {
 		r := &idx.regions[ri]
 		cr := &crcReader{r: io.NewSectionReader(f, int64(r.off), int64(r.length))}
-		d := newSeededDecoder(cr, nil, r.meta)
+		d := newSeededDecoder(cr, r.length, nil, r.meta)
 		var nsyms, nobjs uint64
 		for {
 			ev, err := d.next()
@@ -207,7 +209,7 @@ func openShared(path string) (*streamShared, error) {
 		if seg.maxSize > 255 {
 			return nil, fmt.Errorf("trace: access size %d unsupported (max 255)", seg.maxSize)
 		}
-		d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.threads, seg.meta)
+		d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.length, seg.threads, seg.meta)
 		ev, err := d.next()
 		if err != nil {
 			return nil, fmt.Errorf("trace: index: segment for phase %d: %w", seg.phase, err)
@@ -248,7 +250,7 @@ func (sh *streamShared) restoreLayout(h *heap.Heap, syms *symtab.Table) error {
 	defer f.Close()
 	for ri := range sh.idx.regions {
 		r := &sh.idx.regions[ri]
-		d := newSeededDecoder(io.NewSectionReader(f, int64(r.off), int64(r.length)), nil, r.meta)
+		d := newSeededDecoder(io.NewSectionReader(f, int64(r.off), int64(r.length)), r.length, nil, r.meta)
 		for {
 			ev, err := d.next()
 			if err == io.EOF {
@@ -340,7 +342,7 @@ func (sh *streamShared) foreignLines(h *heap.Heap, syms *symtab.Table) ([]uint64
 		seen := make(map[uint64]bool)
 		for _, si := range scan {
 			seg := &sh.idx.segs[si]
-			d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.threads, seg.meta)
+			d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.length, seg.threads, seg.meta)
 			var ev Event
 			for {
 				err := d.nextInto(&ev)
@@ -384,13 +386,15 @@ type StreamReplay struct {
 	runs     []lineRun
 	prepared bool
 
-	mu     sync.Mutex
-	winSeg int             // segment index currently resident, -1 before the first load
-	win    []*replayThread // the resident segment's threads, indexed by id
-	// loads counts segment loads; maxWindowOps is the largest operation
-	// count ever resident — the bounded-memory evidence tests assert on.
+	mu  sync.Mutex
+	win *window // the resident phase window, nil before the first load
+	// loads counts verified segment loads; maxWindowOps is the largest
+	// segment ever loaded — the bounded-memory evidence tests assert on.
 	loads        int
 	maxWindowOps uint64
+	// free recycles full-size operation chunks across the replay's
+	// windows.
+	free [][]replayOp
 }
 
 // OpenStream opens an indexed binary v3 trace for streaming replay. It
@@ -404,8 +408,7 @@ func OpenStream(path string) (*StreamReplay, error) {
 	}
 	return &StreamReplay{
 		sh: sh, Name: sh.name, Cores: sh.cores, Accesses: sh.idx.accesses,
-		Notes:  sh.notes,
-		winSeg: -1,
+		Notes: sh.notes,
 	}, nil
 }
 
@@ -440,44 +443,144 @@ func (s *StreamReplay) Prepare(h *heap.Heap, syms *symtab.Table) (err error) {
 	return nil
 }
 
-// loadPhase decodes one segment into fresh per-thread operation lists,
-// indexed by thread id, cross-checking every record against the index's
-// claims. Each list is sized up front from its thread's claim, which
-// index validation bounds by the segment's byte length, so a load
-// allocates per thread, never per record.
-func (s *StreamReplay) loadPhase(si int) ([]*replayThread, error) {
-	sh := s.sh
-	seg := &sh.idx.segs[si]
-	f, err := os.Open(sh.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cr := &crcReader{r: io.NewSectionReader(f, int64(seg.off), int64(seg.length))}
-	d := newSeededDecoder(cr, seg.threads, seg.meta)
-	// checked wraps every failure so a corrupt payload under a valid
-	// index surfaces as CorruptPayloadError rather than whatever decode
-	// or count error the damage happens to trip first.
-	checked := func(cause error) error {
-		return verifySpanCRC(sh.path, seg.phase, seg.off, cr, seg.crc, sh.idx.hasCRC, cause)
-	}
+// chunkOps bounds one delivery of a thread's operations from a phase
+// loader to the thread's body: small enough that the engine starts on a
+// phase soon after its loader does, large enough that the handoffs stay
+// a small share of the replay.
+const chunkOps = 1024
 
+// loadThread is one thread's slot in a phase window. The decode loop
+// fills ops, a chunk of at most chunkOps operations, and hands each full
+// one to the queue the thread's body replays from; replayThread's gap
+// and trailing-compute state rides along.
+type loadThread struct {
+	replayThread
+	// claim is the thread's indexed access count, n the accesses decoded
+	// for it so far.
+	claim, n uint64
+	// q holds one slot per chunk the claim can fill, so the loader never
+	// waits on a body; it is nil in a synchronous decode.
+	q chan []replayOp
+}
+
+// window is one phase's load: the threads' slots and, once done is
+// closed, the loader's verdict.
+type window struct {
+	si      int
+	threads []loadThread  // index thread-list order
+	byTID   []*loadThread // the same slots, indexed by thread id
+	done    chan struct{} // closed when the loader has finished
+	err     error         // the loader's failure; read after done
+	// left counts, under StreamReplay.mu, the phase's bodies that have
+	// not yet released the window; at zero a new acquire of the segment
+	// reloads it, so a program can run again.
+	left int
+}
+
+// newWindow builds segment si's empty window. A queued window gives each
+// thread a queue deep enough for every chunk its claim can fill, which
+// validation has already bounded by the segment's byte length.
+func (s *StreamReplay) newWindow(si int, queued bool) *window {
+	seg := &s.sh.idx.segs[si]
+	w := &window{si: si, threads: make([]loadThread, len(seg.threads))}
 	// The thread list is ascending, so its last id sizes the table.
-	threads := make([]replayThread, len(seg.threads))
-	var win []*replayThread
 	if n := len(seg.threads); n > 0 {
-		win = make([]*replayThread, seg.threads[n-1].tid+1)
+		w.byTID = make([]*loadThread, seg.threads[n-1].tid+1)
 	}
 	for i, t := range seg.threads {
-		threads[i].ops = make([]replayOp, 0, t.accesses)
-		win[t.tid] = &threads[i]
+		lt := &w.threads[i]
+		lt.claim = t.accesses
+		if queued {
+			lt.q = make(chan []replayOp, (t.accesses+chunkOps-1)/chunkOps)
+		}
+		w.byTID[t.tid] = lt
+	}
+	if queued {
+		w.done = make(chan struct{})
+		w.left = 1
+		if ss := &s.sh.segs[si]; ss.parallel {
+			w.left = len(ss.tids)
+		}
+	}
+	return w
+}
+
+// thread returns tid's slot, or nil when the segment has no records for
+// it.
+func (w *window) thread(tid mem.ThreadID) *loadThread {
+	if uint(tid) < uint(len(w.byTID)) {
+		return w.byTID[tid]
+	}
+	return nil
+}
+
+// takeChunk returns an empty chunk for a thread with rem accesses left
+// to deliver: a recycled full-size one when there is one, else a fresh
+// one sized to what is left.
+func (s *StreamReplay) takeChunk(rem uint64) []replayOp {
+	s.mu.Lock()
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.mu.Unlock()
+		return c
+	}
+	s.mu.Unlock()
+	return make([]replayOp, 0, min(rem, chunkOps))
+}
+
+// recycle returns a replayed chunk for reuse. Only full-size chunks are
+// kept: any of them fits any thread's next chunk.
+func (s *StreamReplay) recycle(c []replayOp) {
+	if cap(c) != chunkOps {
+		return
+	}
+	s.mu.Lock()
+	s.free = append(s.free, c[:0])
+	s.mu.Unlock()
+}
+
+// decodePhase is streamed replay's one decode loop, shared by the
+// loader and every synchronous check. It first streams segment w.si's
+// span through its checksum, so no record of a corrupt span is ever
+// decoded. It then decodes the records in file order, cross-checking
+// each against the index, into per-thread chunks: a full chunk goes to
+// the thread's queue (a synchronous window refills it in place), and
+// the partial tails go once every count has checked out. A thread's
+// records past its claim are counted but dropped, since the count check
+// fails the load anyway; so no thread delivers more chunks than its
+// queue holds.
+func (s *StreamReplay) decodePhase(w *window) error {
+	sh := s.sh
+	seg := &sh.idx.segs[w.si]
+	f, err := os.Open(sh.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	span := func() *io.SectionReader { return io.NewSectionReader(f, int64(seg.off), int64(seg.length)) }
+	d := newSeededDecoder(span(), seg.length, seg.threads, seg.meta)
+	if sh.idx.hasCRC {
+		// The checksum pass reads through the decoder's own buffer, then
+		// rewinds it to the span's start.
+		cr := &crcReader{r: span()}
+		d.br.Reset(cr)
+		for {
+			if _, err := d.br.Discard(maxSpanBuffer); err != nil {
+				break
+			}
+		}
+		if err := verifySpanCRC(sh.path, seg.phase, seg.off, cr, seg.crc, true, nil); err != nil {
+			return err
+		}
+		d.br.Reset(span())
 	}
 	var ev Event
 	if err := d.nextInto(&ev); err != nil {
-		return nil, checked(err)
+		return err
 	}
 	if ev.Kind != KindPhase || ev.Phase != seg.phase {
-		return nil, checked(fmt.Errorf("trace: segment for phase %d does not start at its phase record", seg.phase))
+		return fmt.Errorf("trace: segment for phase %d does not start at its phase record", seg.phase)
 	}
 	var total uint64
 	for {
@@ -486,99 +589,183 @@ func (s *StreamReplay) loadPhase(si int) ([]*replayThread, error) {
 			break
 		}
 		if err != nil {
-			return nil, checked(err)
+			return err
 		}
 		if ev.Kind != KindAccess && ev.Kind != KindThreadEnd {
-			return nil, checked(fmt.Errorf("trace: phase %d segment contains a kind-%d record", seg.phase, ev.Kind))
+			return fmt.Errorf("trace: phase %d segment contains a kind-%d record", seg.phase, ev.Kind)
 		}
 		if ev.Phase != seg.phase {
-			return nil, checked(fmt.Errorf("trace: phase %d segment contains a record for phase %d", seg.phase, ev.Phase))
+			return fmt.Errorf("trace: phase %d segment contains a record for phase %d", seg.phase, ev.Phase)
 		}
-		var rt *replayThread
-		if uint(ev.TID) < uint(len(win)) {
-			rt = win[ev.TID]
-		}
-		if rt == nil {
-			return nil, checked(fmt.Errorf("trace: phase %d segment has records for unindexed thread %d", seg.phase, ev.TID))
+		lt := w.thread(ev.TID)
+		if lt == nil {
+			return fmt.Errorf("trace: phase %d segment has records for unindexed thread %d", seg.phase, ev.TID)
 		}
 		if ev.Kind == KindThreadEnd {
-			rt.endInstrs = ev.Instrs
-			rt.sawEnd = true
+			lt.endInstrs = ev.Instrs
+			lt.sawEnd = true
 			continue
 		}
 		if ev.Size > 255 {
-			return nil, checked(fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size))
+			return fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size)
 		}
 		var gap uint64
-		if ev.IP > rt.lastIP {
-			gap = ev.IP - rt.lastIP - 1
-			rt.lastIP = ev.IP
+		if ev.IP > lt.lastIP {
+			gap = ev.IP - lt.lastIP - 1
+			lt.lastIP = ev.IP
 		}
-		size := uint8(ev.Size)
-		if size == 0 {
-			size = 4
-		}
-		rt.ops = append(rt.ops, replayOp{gap: gap, addr: remapForeign(s.runs, ev.Addr), size: size, write: ev.Write})
 		total++
+		if lt.n++; lt.n > lt.claim {
+			continue
+		}
+		if lt.ops == nil {
+			lt.ops = s.takeChunk(lt.claim - lt.n + 1)
+		}
+		lt.ops = append(lt.ops, accessOp(gap, remapForeign(s.runs, ev.Addr), &ev))
+		if len(lt.ops) == cap(lt.ops) {
+			w.deliver(lt)
+		}
 	}
 	if total != seg.accesses {
-		return nil, checked(fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, total, seg.accesses))
+		return fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, total, seg.accesses)
 	}
 	for i, t := range seg.threads {
-		if n := uint64(len(threads[i].ops)); n != t.accesses {
-			return nil, checked(fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
-				seg.phase, t.tid, n, t.accesses))
+		if n := w.threads[i].n; n != t.accesses {
+			return fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
+				seg.phase, t.tid, n, t.accesses)
 		}
 	}
-	if err := checked(nil); err != nil {
-		return nil, err
-	}
-	return win, nil
-}
-
-// acquire returns tid's operations for segment si, loading the segment
-// into the window if it is not resident. The engine finishes every body
-// of a phase before starting the next, so each segment loads exactly
-// once per sequential replay. A load failure here means the file
-// changed or broke after open-time validation — a contract violation
-// reported by panic, like workload Build errors.
-func (s *StreamReplay) acquire(si int, tid mem.ThreadID) *replayThread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.winSeg != si {
-		win, err := s.loadPhase(si)
-		if err != nil {
-			panic(fmt.Sprintf("trace: streaming replay of %s: loading phase %d: %v",
-				s.sh.path, s.sh.idx.segs[si].phase, err))
+	for i := range w.threads {
+		if lt := &w.threads[i]; len(lt.ops) > 0 {
+			w.deliver(lt)
 		}
-		s.win = win
-		s.winSeg = si
-		s.loads++
-		ops := s.sh.idx.segs[si].accesses // loadPhase checked the count
-		if ops > s.maxWindowOps {
-			s.maxWindowOps = ops
-		}
-		mWindowLoads.Inc()
-		mWindowOps.Add(ops)
-		mWindowOpsMax.SetMax(int64(ops))
-		if obs.TracingEnabled() {
-			obs.Event("trace", "window-load", 0, map[string]any{
-				"path": s.sh.path, "phase": s.sh.idx.segs[si].phase, "ops": ops,
-			})
-		}
-	}
-	if uint(tid) < uint(len(s.win)) {
-		return s.win[tid]
 	}
 	return nil
 }
 
-// streamBody defers the segment load to the moment the engine actually
-// runs the thread, keeping program construction allocation-free.
+// deliver hands lt's chunk to its body's queue; a synchronous window
+// has no bodies, so it refills the chunk in place.
+func (w *window) deliver(lt *loadThread) {
+	if lt.q == nil {
+		lt.ops = lt.ops[:0]
+		return
+	}
+	lt.q <- lt.ops
+	lt.ops = nil
+}
+
+// verifyPhase decodes segment si synchronously and discards its
+// operations: the checks a replay of the segment would make, without
+// the replay.
+func (s *StreamReplay) verifyPhase(si int) error {
+	w := s.newWindow(si, false)
+	err := s.decodePhase(w)
+	for i := range w.threads {
+		s.recycle(w.threads[i].ops)
+	}
+	return err
+}
+
+// load is a queued window's loader goroutine. It records a verified
+// load in the window statistics, recycles the chunks a failure left
+// half-filled, and publishes the verdict by closing done and every
+// queue; on failure the bodies drain what was queued, then fail.
+func (s *StreamReplay) load(w *window) {
+	if w.err = s.decodePhase(w); w.err == nil {
+		s.loaded(w.si)
+	}
+	for i := range w.threads {
+		s.recycle(w.threads[i].ops)
+	}
+	close(w.done)
+	for i := range w.threads {
+		close(w.threads[i].q)
+	}
+}
+
+// loaded records a verified load of segment si.
+func (s *StreamReplay) loaded(si int) {
+	seg := &s.sh.idx.segs[si]
+	s.mu.Lock()
+	s.loads++
+	s.maxWindowOps = max(s.maxWindowOps, seg.accesses)
+	s.mu.Unlock()
+	mWindowLoads.Inc()
+	mWindowOps.Add(seg.accesses)
+	mWindowOpsMax.SetMax(int64(seg.accesses))
+	if obs.TracingEnabled() {
+		obs.Event("trace", "window-load", 0, map[string]any{
+			"path": s.sh.path, "phase": seg.phase, "ops": seg.accesses,
+		})
+	}
+}
+
+// acquire returns segment si's window, starting its loader unless the
+// segment is resident. The engine runs phases in order and finishes
+// every body of a phase before the next starts, so loaders start
+// strictly in phase order and each segment loads once per run.
+func (s *StreamReplay) acquire(si int) *window {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.win == nil || s.win.si != si || s.win.left == 0 {
+		s.win = s.newWindow(si, true)
+		go s.load(s.win)
+	}
+	return s.win
+}
+
+// release marks one body of w's phase finished with it.
+func (s *StreamReplay) release(w *window) {
+	s.mu.Lock()
+	w.left--
+	s.mu.Unlock()
+}
+
+// streamBody replays thread tid's operations of segment si as the
+// phase loader delivers them. It returns only once the loader has
+// verified the whole segment, and panics with the loader's failure, so
+// every body of a failing phase fails the same way; Run re-raises it as
+// an *exec.BodyPanic.
 func (s *StreamReplay) streamBody(si int, tid mem.ThreadID) exec.Body {
 	return func(t *exec.T) {
-		bodyFor(s.acquire(si, tid))(t)
+		w := s.acquire(si)
+		defer s.release(w)
+		lt := w.thread(tid)
+		if lt != nil {
+			for {
+				ops, ok := lt.next(t)
+				if !ok {
+					break
+				}
+				replayOps(t, ops)
+				s.recycle(ops)
+			}
+		}
+		<-w.done
+		if w.err != nil {
+			panic(fmt.Sprintf("trace: streaming replay of %s: loading phase %d: %v",
+				s.sh.path, s.sh.idx.segs[si].phase, w.err))
+		}
+		if lt != nil {
+			if n := lt.trailing(); n > 0 {
+				t.Compute(int(n))
+			}
+		}
 	}
+}
+
+// next returns the thread's next chunk, false once the loader has
+// finished. Before waiting on an empty queue it flushes t, so the
+// engine never waits on operations the body already holds.
+func (lt *loadThread) next(t *exec.T) ([]replayOp, bool) {
+	select {
+	case ops, ok := <-lt.q:
+		return ops, ok
+	default:
+	}
+	t.Flush()
+	ops, ok := <-lt.q
+	return ops, ok
 }
 
 // Program reconstructs the full program; the result is structurally
@@ -654,9 +841,10 @@ func (s *StreamReplay) Phases() []StreamPhase {
 	return out
 }
 
-// WindowStats reports how many segment loads the replay performed and
-// the largest operation count ever resident — the evidence that memory
-// stayed bounded by the largest phase rather than the whole trace.
+// WindowStats reports how many verified segment loads the replay
+// performed and the operation count of the largest — the evidence that
+// memory stayed bounded by the largest phase rather than the whole
+// trace.
 func (s *StreamReplay) WindowStats() (loads int, maxOps uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -676,7 +864,7 @@ func ValidateStream(path string) error {
 		return err
 	}
 	for si := range s.sh.idx.segs {
-		if _, err := s.loadPhase(si); err != nil {
+		if err := s.verifyPhase(si); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/exec/progen"
 	"repro/internal/heap"
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -71,14 +72,15 @@ func recordIndexed(t *testing.T, dir string, i int, inSegment bool) (string, str
 	return path, canonicalReport(prof.Report()) + fmt.Sprintf("runtime %d cycles\n", res.TotalCycles)
 }
 
-// fullReplayReport replays the whole trace in memory under sched.
-func fullReplayReport(t *testing.T, path, sched string) string {
+// fullReplayReport replays the whole trace in memory under sched on the
+// machine m (the zero Model is the canonical one traces record on).
+func fullReplayReport(t *testing.T, path, sched string, m machine.Model) string {
 	t.Helper()
 	rp, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Machine: m, Engine: exec.Config{Sched: sched}})
 	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("full replay prepare: %v", err)
 	}
@@ -87,14 +89,14 @@ func fullReplayReport(t *testing.T, path, sched string) string {
 }
 
 // streamReplayReport replays the trace phase-by-phase through the
-// windowed streaming replayer under sched.
-func streamReplayReport(t *testing.T, path, sched string) string {
+// windowed streaming replayer under sched on the machine m.
+func streamReplayReport(t *testing.T, path, sched string, m machine.Model) string {
 	t.Helper()
 	sr, err := trace.OpenStream(path)
 	if err != nil {
 		t.Fatalf("stream replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: sr.Cores, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: sr.Cores, Machine: m, Engine: exec.Config{Sched: sched}})
 	if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("stream replay prepare: %v", err)
 	}
@@ -107,10 +109,14 @@ func streamReplayReport(t *testing.T, path, sched string) string {
 // out-of-core) replay of the recorded indexed trace must produce a
 // detection report and runtime byte-identical to the full in-memory
 // replay — and to the recorded run itself — under both engine
-// schedulers. ≥200 cases in -short, ≥2000 nightly; cases grow from
-// trivially small, so the first failing index is already near-minimal.
+// schedulers. Every third case replays on the numa2x24 machine instead
+// of the recording's, so the engine consumes records in an order other
+// than the file's and the phase loader's queues skew. ≥200 cases in
+// -short, ≥2000 nightly; cases grow from trivially small, so the first
+// failing index is already near-minimal.
 func TestStreamedReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
+	numa, _ := machine.Preset("numa2x24")
 	for i := 0; i < streamEquivCases(); i++ {
 		// Even cases touch in-segment addresses (recorded == replay holds
 		// and is asserted); odd cases touch raw foreign addresses, where
@@ -118,26 +124,56 @@ func TestStreamedReplayEquivalence(t *testing.T) {
 		// baseline there, but full and streamed replay must still agree.
 		inSegment := i%2 == 0
 		path, recorded := recordIndexed(t, dir, i, inSegment)
+		var m machine.Model
+		if i%3 == 2 {
+			m = numa
+		}
 
-		full := fullReplayReport(t, path, exec.SchedHeap)
-		if inSegment && full != recorded {
+		full := fullReplayReport(t, path, exec.SchedHeap, m)
+		if inSegment && m.Name == "" && full != recorded {
 			t.Fatalf("case %d (seed %#x): full replay differs from recorded run\n--- recorded ---\n%s\n--- full ---\n%s",
 				i, streamEquivSeed, recorded, full)
 		}
-		stream := streamReplayReport(t, path, exec.SchedHeap)
+		stream := streamReplayReport(t, path, exec.SchedHeap, m)
 		if stream != full {
-			t.Fatalf("case %d (seed %#x): streamed replay differs from full replay (heap sched)\n--- full ---\n%s\n--- stream ---\n%s",
-				i, streamEquivSeed, full, stream)
+			t.Fatalf("case %d (seed %#x, machine %q): streamed replay differs from full replay (heap sched)\n--- full ---\n%s\n--- stream ---\n%s",
+				i, streamEquivSeed, m.Name, full, stream)
 		}
-		fullCal := fullReplayReport(t, path, exec.SchedCalendar)
-		streamCal := streamReplayReport(t, path, exec.SchedCalendar)
+		fullCal := fullReplayReport(t, path, exec.SchedCalendar, m)
+		streamCal := streamReplayReport(t, path, exec.SchedCalendar, m)
 		if streamCal != fullCal {
-			t.Fatalf("case %d (seed %#x): streamed replay differs from full replay (calendar sched)\n--- full ---\n%s\n--- stream ---\n%s",
-				i, streamEquivSeed, fullCal, streamCal)
+			t.Fatalf("case %d (seed %#x, machine %q): streamed replay differs from full replay (calendar sched)\n--- full ---\n%s\n--- stream ---\n%s",
+				i, streamEquivSeed, m.Name, fullCal, streamCal)
 		}
 		// The trace files accumulate in dir; drop each case's file once
 		// proven so the nightly 2000-case run stays light on disk.
 		os.Remove(path)
+	}
+
+	// A synthetic trace writes each thread's records in one run, so 16
+	// threads of many chunks each arrive at their bodies in file order,
+	// thread after thread — the opposite of the engine's interleaving.
+	path := filepath.Join(dir, "synth.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := trace.NewIndexedEncoder(f)
+	if err := trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: 1 << 18, Threads: 16, Phases: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []machine.Model{{}, numa} {
+		full := fullReplayReport(t, path, exec.SchedSorted, m)
+		if stream := streamReplayReport(t, path, exec.SchedSorted, m); stream != full {
+			t.Fatalf("synthetic trace (machine %q): streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
+				m.Name, full, stream)
+		}
 	}
 }
 
