@@ -15,10 +15,16 @@
 // are significantly higher than that of other accesses").
 //
 // Every experiment in the reproduction spends most of its cycles inside
-// Access, so the directory is a sharded open-addressed table (dir.go)
-// rather than a Go map, per-line state (sharer set, invalidation count,
-// contention count, pending-transfer queue) lives inline in the entry,
-// and the steady state of an access allocates nothing.
+// Access, and every run builds a fresh simulator, so both the access path
+// and the simulator's footprint are kept small. The directory is a paged
+// table indexed by line number (dir.go) rather than a Go map, and its
+// pages hold no pointers: the per-line entry keeps the MESI state, the
+// sharers of cores 0-63, the invalidation and contention counts, and the
+// slot of its in-flight transfer queue. The queues themselves live in a
+// per-simulator table while transfers are in flight, and sharers above
+// core 63 in a spill table that exists only on machines of more than 64
+// cores. The private and shared caches store only line keys, in recency
+// order (setassoc.go). The steady state of an access allocates nothing.
 package cache
 
 import (
@@ -116,18 +122,20 @@ func (s lineState) String() string {
 
 // dirHot is the per-line state every access reads: which cores hold a
 // copy and in what state, when ownership can next transfer, and whether
-// transfers are in flight. It lives in the directory's dense hot array
-// (dir.go), parallel to the key array; everything only coherence events
-// touch is banished to dirCold so the hot slots pack tight.
+// transfers are in flight. It lives in the directory page's hot array
+// (dir.go); everything only coherence events touch is banished to dirCold
+// so the hot slots pack tight.
 type dirHot struct {
-	sharers sharerSet
+	// sharers is the inline word of the line's sharer set (cores 0-63);
+	// dirTable.sharers adds the spilled words of larger machines.
+	sharers uint64
 	// availableAt is the earliest time the line's ownership can next be
 	// transferred; steals arriving earlier stall (Hold semantics).
 	availableAt uint64
 	owner       int32 // valid when state == modified
 	state       lineState
-	// pend mirrors "the cold pending queue is non-empty", so the access
-	// fast path never touches the cold array.
+	// pend mirrors "the cold entry's queue is set", so the access fast
+	// path never touches the cold array.
 	pend bool
 }
 
@@ -136,19 +144,24 @@ type dirHot struct {
 type dirCold struct {
 	// invals is the ground-truth count of invalidation events on the line.
 	invals uint64
-	// pending holds in-flight transfers in completion-time order: a steal
-	// is granted at its effective time, and until then the current owner
-	// keeps servicing its own accesses from L1. This is what bounds the
-	// false-sharing ping-pong rate on real machines: owners batch cheap
-	// accesses while a remote request is in flight.
-	pending []pendingTransfer
-	// pendHead indexes the first live element of pending; the queue pops
-	// by advancing it and resets to reuse the backing array, so the
-	// steady state allocates nothing.
-	pendHead int32
 	// contention is the number of in-window contention-tracker events on
 	// the line (maintained by noteContention/evictContention).
 	contention int32
+	// queue is 1 + the index in Sim.queues of the line's in-flight
+	// transfers while it has any, and 0 otherwise.
+	queue int32
+}
+
+// transferQueue holds one line's in-flight transfers in completion-time
+// order: a steal is granted at its effective time, and until then the
+// current owner keeps servicing its own accesses from L1. This is what
+// bounds the false-sharing ping-pong rate on real machines: owners batch
+// cheap accesses while a remote request is in flight. The queue pops by
+// advancing head; a drained queue is recycled, backing array and all, for
+// the next line, so the steady state allocates nothing.
+type transferQueue struct {
+	items []pendingTransfer
+	head  int
 }
 
 // pendingTransfer is one in-flight ownership change.
@@ -193,6 +206,13 @@ type Sim struct {
 	l3     *setAssoc
 	dir    *dirTable
 	stats  Stats
+	// queues holds the transfer queues of the lines with transfers in
+	// flight, each indexed from its line's dirCold.queue; freeQueues lists
+	// the drained slots. Few lines have transfers in flight at once, so
+	// the queues stay out of the directory pages and pages hold no
+	// pointers.
+	queues     []transferQueue
+	freeQueues []int32
 	// contention tracks cores active in recent coherence events for the
 	// interconnect-queueing latency term.
 	contention contentionTracker
@@ -242,7 +262,7 @@ type dirHint struct {
 // distinct lines sees every transfer slow down.
 //
 // The per-line in-window counts live in the directory entries themselves
-// (dirEntry.contention), so tracking an event costs two ring operations
+// (dirCold.contention), so tracking an event costs two ring operations
 // and no map traffic.
 type contentionTracker struct {
 	window uint64
@@ -440,17 +460,20 @@ func (s *Sim) Access(core int, addr mem.Addr, write bool, now uint64) uint32 {
 	priv := false
 	if h.state == modified {
 		priv = int(h.owner) == core
-	} else if h.state == shared {
-		priv = !write && h.sharers.get(core)
+	} else if h.state == shared && !write {
+		// Cores above 63 are in the directory's spill table.
+		if core < 64 {
+			priv = h.sharers&(1<<uint(core)) != 0
+		} else {
+			priv = s.dir.sharers(line, h).get(core)
+		}
 	}
 	if priv {
 		var lat uint32
-		// First-way probe inlined: touch swaps hits to way 0, so a bursty
-		// re-access matches here without the full touch call.
+		// First-way probe inlined: way 0 holds the set's most recent line,
+		// so a bursty re-access matches here and leaves the set as it is.
 		l1 := s.l1[core]
-		if base := l1.setFor(line) * l1.ways; l1.keys[base] == line+1 {
-			l1.clock++
-			l1.lru[base] = l1.clock
+		if l1.keys[l1.setFor(line)*l1.ways] == line+1 {
 			s.stats.L1Hits++
 			lat = s.cfg.Lat.L1Hit
 		} else if l1.touch(line) {
@@ -497,7 +520,8 @@ func (s *Sim) read(core int, line uint64, e *dirHot, c *dirCold, now uint64) uin
 		s.stats.RemoteTransfers++
 		return s.enqueueTransfer(e, c, line, core, true, now)
 	case shared:
-		if e.sharers.get(core) {
+		sharers := s.dir.sharers(line, e)
+		if sharers.get(core) {
 			if s.l1[core].touch(line) {
 				s.stats.L1Hits++
 				return s.cfg.Lat.L1Hit
@@ -507,7 +531,7 @@ func (s *Sim) read(core int, line uint64, e *dirHot, c *dirCold, now uint64) uin
 		// Another core shares it cleanly. Under MESIF the Forward-state
 		// holder serves the miss cache-to-cache at the Forward latency;
 		// under MESI the line comes from the L3 (or memory on LLC miss).
-		e.sharers.set(core)
+		sharers.set(core)
 		s.fill(core, line)
 		if s.mesif {
 			s.stats.Forwards++
@@ -516,7 +540,7 @@ func (s *Sim) read(core int, line uint64, e *dirHot, c *dirCold, now uint64) uin
 		return s.llcFetch(core, line)
 	default: // invalid: no cached copies anywhere
 		e.state = shared
-		e.sharers.set(core)
+		s.dir.sharers(line, e).set(core)
 		s.fill(core, line)
 		return s.llcFetch(core, line)
 	}
@@ -541,20 +565,21 @@ func (s *Sim) write(core int, line uint64, e *dirHot, c *dirCold, now uint64) ui
 		s.stats.RemoteTransfers++
 		return s.enqueueTransfer(e, c, line, core, false, now)
 	case shared:
-		others := e.sharers.countExcept(core)
-		holds := e.sharers.get(core)
+		sharers := s.dir.sharers(line, e)
+		others := sharers.countExcept(core)
+		holds := sharers.get(core)
 		if others > 0 {
 			// Upgrade: invalidate every other sharer.
 			s.recordInvalidation(c, others)
-			e.sharers.forEach(func(c int) {
+			sharers.forEach(func(c int) {
 				if c != core {
 					s.evictRemote(c, line)
 				}
 			})
 			e.state = modified
 			e.owner = int32(core)
-			e.sharers.clear()
-			e.sharers.set(core)
+			sharers.clear()
+			sharers.set(core)
 			s.fill(core, line)
 			lat := s.cfg.Lat.Upgrade + uint32(others-1)*s.cfg.Lat.PerSharer +
 				s.noteContention(now, line, c)
@@ -571,13 +596,13 @@ func (s *Sim) write(core int, line uint64, e *dirHot, c *dirCold, now uint64) ui
 			}
 			return s.privateFill(core, line)
 		}
-		e.sharers.set(core)
+		sharers.set(core)
 		s.fill(core, line)
 		return s.llcFetch(core, line)
 	default: // invalid
 		e.state = modified
 		e.owner = int32(core)
-		e.sharers.set(core)
+		s.dir.sharers(line, e).set(core)
 		s.fill(core, line)
 		return s.llcFetch(core, line)
 	}
@@ -659,32 +684,40 @@ func (s *Sim) enqueueTransfer(e *dirHot, c *dirCold, line uint64, core int, read
 	}
 	end := start + uint64(remote) + uint64(s.noteContention(now, line, c))
 	e.availableAt = end + uint64(s.cfg.Lat.Hold)
-	// Drained queue: rewind so the backing array is reused.
-	if n := int(c.pendHead); n > 0 && n == len(c.pending) {
-		c.pending = c.pending[:0]
-		c.pendHead = 0
+	if c.queue == 0 {
+		if n := len(s.freeQueues); n > 0 {
+			c.queue = s.freeQueues[n-1]
+			s.freeQueues = s.freeQueues[:n-1]
+		} else {
+			s.queues = append(s.queues, transferQueue{})
+			c.queue = int32(len(s.queues))
+		}
 	}
-	c.pending = append(c.pending, pendingTransfer{core: int32(core), read: read, effectiveAt: end})
+	q := &s.queues[c.queue-1]
+	q.items = append(q.items, pendingTransfer{core: int32(core), read: read, effectiveAt: end})
 	e.pend = true
 	return uint32(end - now)
 }
 
 // commitPending applies every in-flight transfer that has completed by
-// time now, in completion order, and refreshes the hot pend mirror.
+// time now, in completion order. A drained queue returns to the free
+// list, and the line's queue and pend flag clear.
 func (s *Sim) commitPending(e *dirHot, c *dirCold, line uint64, now uint64) {
-	for int(c.pendHead) < len(c.pending) && c.pending[c.pendHead].effectiveAt <= now {
-		p := c.pending[c.pendHead]
-		c.pendHead++
+	q := &s.queues[c.queue-1]
+	for q.head < len(q.items) && q.items[q.head].effectiveAt <= now {
+		p := q.items[q.head]
+		q.head++
 		dst := int(p.core)
+		sharers := s.dir.sharers(line, e)
 		if p.read {
 			// Downgrade: the previous owner keeps a clean shared copy,
 			// the reader joins the sharer set, and the write-back leaves
 			// a copy in the LLC.
 			if e.state == modified {
-				e.sharers.set(int(e.owner))
+				sharers.set(int(e.owner))
 			}
 			e.state = shared
-			e.sharers.set(dst)
+			sharers.set(dst)
 			s.fill(dst, line)
 			s.l3.insert(line)
 			continue
@@ -694,18 +727,23 @@ func (s *Sim) commitPending(e *dirHot, c *dirCold, line uint64, now uint64) {
 		if e.state == modified && int(e.owner) != dst {
 			s.evictRemote(int(e.owner), line)
 		}
-		e.sharers.forEach(func(c int) {
+		sharers.forEach(func(c int) {
 			if c != dst {
 				s.evictRemote(c, line)
 			}
 		})
 		e.state = modified
 		e.owner = p.core
-		e.sharers.clear()
-		e.sharers.set(dst)
+		sharers.clear()
+		sharers.set(dst)
 		s.fill(dst, line)
 	}
-	e.pend = int(c.pendHead) < len(c.pending)
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+		s.freeQueues = append(s.freeQueues, c.queue)
+		c.queue = 0
+		e.pend = false
+	}
 }
 
 // directoryState exposes a line's MESI state for tests.
@@ -718,5 +756,5 @@ func (s *Sim) directoryState(line uint64) (lineState, int, int) {
 	if e.state == modified {
 		owner = int(e.owner)
 	}
-	return e.state, owner, e.sharers.count()
+	return e.state, owner, s.dir.sharers(line, e).count()
 }

@@ -5,6 +5,12 @@ import "math/bits"
 // setAssoc is a set-associative cache of line indices with LRU replacement.
 // It tracks only presence (tags), not data — the simulator needs to know
 // where a line can be found, not its contents.
+//
+// Each set keeps its keys in recency order, most recent first, with its
+// empty ways at the tail: a hit or a fill moves the line to the front,
+// eviction takes the last way, and a removal closes the gap. The order is
+// the whole LRU state, so no recency stamps are stored, and a re-touch of
+// a set's most recent line (the common, bursty case) writes nothing.
 type setAssoc struct {
 	sets int
 	ways int
@@ -16,26 +22,17 @@ type setAssoc struct {
 	// simulators are built per experiment cell, and skipping an explicit
 	// sentinel fill measurably cuts cell setup cost.
 	keys []uint64
-	// lru[set*ways+way] holds a recency stamp; larger is more recent.
-	lru   []uint64
-	clock uint64
 }
 
 func newSetAssoc(sets, ways int) *setAssoc {
 	if sets <= 0 || ways <= 0 {
 		panic("cache: set-associative structure needs positive sets and ways")
 	}
-	// One backing allocation serves both arrays: simulators are built per
-	// experiment cell, and halving the allocation count (and zeroing
-	// passes) measurably cuts cell setup cost.
-	n := sets * ways
-	backing := make([]uint64, 2*n)
 	c := &setAssoc{
 		sets: sets,
 		ways: ways,
 		mask: -1,
-		keys: backing[:n:n],
-		lru:  backing[n:],
+		keys: make([]uint64, sets*ways),
 	}
 	if sets&(sets-1) == 0 {
 		c.mask = sets - 1
@@ -50,69 +47,66 @@ func (c *setAssoc) setFor(line uint64) int {
 	return int(line % uint64(c.sets))
 }
 
-// touch reports whether line is present, refreshing its LRU stamp if so.
-// A hit found in a later way is swapped to the set's first way so bursty
-// re-touches match on the first comparison; replacement semantics are
-// unaffected, since recency lives in the stamps, not the positions.
-func (c *setAssoc) touch(line uint64) bool {
+// set returns the ways of line's set, most recently used first.
+func (c *setAssoc) set(line uint64) []uint64 {
 	base := c.setFor(line) * c.ways
-	keys := c.keys[base : base+c.ways]
+	return c.keys[base : base+c.ways : base+c.ways]
+}
+
+// toFront moves the key in way w to the front of keys, shifting the ways
+// before it back by one.
+func toFront(keys []uint64, w int) {
+	key := keys[w]
+	for ; w > 0; w-- {
+		keys[w] = keys[w-1]
+	}
+	keys[0] = key
+}
+
+// touch reports whether line is present, making it its set's most
+// recently used line if so.
+func (c *setAssoc) touch(line uint64) bool {
+	keys := c.set(line)
 	key := line + 1
-	for w := range keys {
-		if keys[w] == key {
-			c.clock++
-			if w != 0 {
-				lru := c.lru[base : base+c.ways]
-				keys[0], keys[w] = keys[w], keys[0]
-				lru[0], lru[w] = lru[w], lru[0]
-				c.lru[base] = c.clock
-				return true
-			}
-			c.lru[base+w] = c.clock
+	for w, k := range keys {
+		if k == key {
+			toFront(keys, w)
 			return true
+		}
+		if k == 0 {
+			return false
 		}
 	}
 	return false
 }
 
-// insert adds line, evicting the LRU way of its set when full. Inserting a
-// line that is already present just refreshes it.
+// insert makes line its set's most recently used line, evicting the least
+// recently used one when the set is full. Inserting a line that is already
+// present just refreshes it.
 func (c *setAssoc) insert(line uint64) {
-	base := c.setFor(line) * c.ways
+	keys := c.set(line)
 	key := line + 1
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.keys[i] == key {
-			c.clock++
-			c.lru[i] = c.clock
-			return
-		}
-		if c.keys[i] == 0 {
-			victim = i
-			// An empty way always wins over evicting a resident line.
-			c.clock++
-			c.keys[i] = key
-			c.lru[i] = c.clock
-			return
-		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
-		}
+	// Stop at the line itself, at the first empty way (no resident line
+	// follows one), or at the last way, whose line is the LRU victim.
+	w := 0
+	for w < len(keys)-1 && keys[w] != key && keys[w] != 0 {
+		w++
 	}
-	c.clock++
-	c.keys[victim] = key
-	c.lru[victim] = c.clock
+	keys[w] = key
+	toFront(keys, w)
 }
 
 // remove drops line if present (coherence invalidation or write-back).
 func (c *setAssoc) remove(line uint64) {
-	base := c.setFor(line) * c.ways
+	keys := c.set(line)
 	key := line + 1
-	for w := 0; w < c.ways; w++ {
-		if c.keys[base+w] == key {
-			c.keys[base+w] = 0
-			c.lru[base+w] = 0
+	for w, k := range keys {
+		if k == key {
+			copy(keys[w:], keys[w+1:])
+			keys[len(keys)-1] = 0
+			return
+		}
+		if k == 0 {
 			return
 		}
 	}

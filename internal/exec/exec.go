@@ -237,7 +237,9 @@ type Config struct {
 	// end.
 	ThreadJoinCycles uint64
 	// OpBuffer is the size of each thread's operation buffer; generation
-	// runs ahead of simulation by at most one buffer.
+	// runs ahead of simulation by at most one buffer. Buffer boundaries
+	// never change the schedule, so the size trades only memory against
+	// hand-off overhead.
 	OpBuffer int
 	// Sched selects the thread scheduler: SchedSorted (the default, also
 	// selected by the empty string), SchedHeap or SchedCalendar. Every
@@ -259,7 +261,7 @@ func DefaultConfig() Config {
 	return Config{
 		ThreadCreateCycles: 2500,
 		ThreadJoinCycles:   800,
-		OpBuffer:           4096,
+		OpBuffer:           512,
 	}
 }
 

@@ -117,7 +117,9 @@ func TestPhaseShardedReplayMatchesLocal(t *testing.T) {
 // a worker is killed mid-sweep while holding a phase shard, the
 // coordinator requeues that shard on the surviving worker, and the
 // merged report is still byte-identical to the local reference — a
-// worker death must never surface as a changed (or missing) shard.
+// worker death must never surface as a changed (or missing) shard. The
+// survivor holds its first reply until the dying worker has taken its
+// second shard, so the survivor cannot drain the queue first.
 func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 	name := writeShardTrace(t)
 	plan, cells := shardPlan(t, name, 4)
@@ -135,13 +137,14 @@ func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := gateEnv + "=" + filepath.Join(t.TempDir(), "gate")
 	spawn := func(i int) (io.ReadWriteCloser, error) {
 		if i == 0 {
 			// Worker 0 serves one shard, then dies holding a second.
 			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=1"}, os.Stderr)
+				[]string{workerEnv + "=die-after", dieAfterEnv + "=1", gate}, os.Stderr)
 		}
-		return SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve"}, os.Stderr)
+		return SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve", gate}, os.Stderr)
 	}
 	res, stats, err := RunCells(Config{Procs: 2, Spawn: spawn}, cells)
 	if err != nil {

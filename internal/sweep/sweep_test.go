@@ -20,10 +20,13 @@ import (
 // workerEnv selects plain serving; dieAfterEnv makes the worker exit(1)
 // after serving that many cells — the fault-injection "kill" (from the
 // coordinator's perspective an abrupt self-kill and an external SIGKILL
-// are the same event: the pipe breaks mid-sweep).
+// are the same event: the pipe breaks mid-sweep). gateEnv names a file
+// that orders two workers: a dying worker creates it just before it
+// exits, and a serving worker holds its first reply until it exists.
 const (
 	workerEnv   = "SWEEP_TEST_WORKER"
 	dieAfterEnv = "SWEEP_TEST_DIE_AFTER"
+	gateEnv     = "SWEEP_TEST_GATE"
 )
 
 func TestMain(m *testing.M) {
@@ -31,7 +34,11 @@ func TestMain(m *testing.M) {
 	case "":
 		os.Exit(m.Run())
 	case "serve":
-		if err := Serve(os.Stdin, os.Stdout); err != nil {
+		var w io.Writer = os.Stdout
+		if gate := os.Getenv(gateEnv); gate != "" {
+			w = &gatedWriter{w: os.Stdout, gate: gate}
+		}
+		if err := Serve(os.Stdin, w); err != nil {
 			fmt.Fprintf(os.Stderr, "test worker: %v\n", err)
 			os.Exit(1)
 		}
@@ -57,6 +64,10 @@ func serveThenDie(n int) {
 			os.Exit(1)
 		}
 		if served >= n {
+			if gate := os.Getenv(gateEnv); gate != "" {
+				// Should the write fail, the gated worker waits out its cap.
+				_ = os.WriteFile(gate, nil, 0o644)
+			}
 			os.Exit(1) // dies holding an assigned cell
 		}
 		res, err := harness.RunCell(*m.Cell)
@@ -68,6 +79,28 @@ func serveThenDie(n int) {
 		}
 		bw.Flush()
 	}
+}
+
+// gatedWriter passes a serving worker's handshake through, then holds
+// its first reply until the gate file exists — or a minute has passed,
+// so that a broken ordering fails the test's assertions, not its clock.
+type gatedWriter struct {
+	w      io.Writer
+	gate   string
+	writes int
+}
+
+func (g *gatedWriter) Write(b []byte) (int, error) {
+	// Serve writes its handshake with one flush, so the second write
+	// starts the first reply.
+	if g.writes++; g.writes == 2 {
+		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if _, err := os.Stat(g.gate); err == nil {
+				break
+			}
+		}
+	}
+	return g.w.Write(b)
 }
 
 // spawnSelf reexecutes the test binary as a worker with extra env.
