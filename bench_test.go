@@ -13,7 +13,6 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/workload"
 )
@@ -173,28 +172,6 @@ func BenchmarkRunAll(b *testing.B) {
 			b.Fatal("sweep produced no metrics")
 		}
 		b.ReportMetric(float64(r.CellsRun()), "cells/op")
-	}
-}
-
-// BenchmarkExecSchedRunAll is the harness-level wall-clock comparison
-// of the engine schedulers: the identical full evaluation (which is
-// byte-identical by the cross-scheduler equivalence suite) run under
-// the heap and the calendar queue. The delta between the two legs is
-// the scheduler's share of end-to-end sweep time — the number the
-// BENCH_harness.json trajectory tracks via `fsbench -sched`.
-func BenchmarkExecSchedRunAll(b *testing.B) {
-	batchGC(b)
-	for _, sched := range exec.SchedulerNames() {
-		b.Run(sched, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.Sched = sched
-				res := harness.RunAll(cfg)
-				if len(res.Metrics()) == 0 {
-					b.Fatal("sweep produced no metrics")
-				}
-			}
-		})
 	}
 }
 

@@ -134,11 +134,12 @@ func New(cfg Config) *System {
 		cfg.Cache = cache.ConfigFor(model)
 	}
 	if cfg.Engine.OpBuffer == 0 {
-		// Zero-value engine costs get the defaults; the scheduler choice
-		// rides along untouched (Sched alone does not imply custom costs).
-		sched := cfg.Engine.Sched
+		// Zero-value engine costs get the defaults; the engine-loop
+		// choice rides along untouched (Unbatched alone does not imply
+		// custom costs).
+		unbatched := cfg.Engine.Unbatched
 		cfg.Engine = exec.DefaultConfig()
-		cfg.Engine.Sched = sched
+		cfg.Engine.Unbatched = unbatched
 	}
 	if cfg.Heap.Size == 0 {
 		cfg.Heap = heap.DefaultConfig()

@@ -81,10 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	threads := fs.Int("threads", 16, "worker threads per parallel phase")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	sched := fs.String("sched", "",
-		"engine thread scheduler: sorted (default), heap or calendar; reports are byte-identical either way")
 	machineName := fs.String("machine", "",
-		"machine-model preset to simulate (topology, line size, protocol); empty = opteron48. Unlike -sched this changes results")
+		"machine-model preset to simulate (topology, line size, protocol); empty = opteron48")
 	period := fs.Uint64("period", 0, "sampling period in instructions (0 = calibrated default)")
 	words := fs.Bool("words", false, "print word-level access detail for each instance")
 	candidates := fs.Bool("candidates", false, "also print non-significant candidates")
@@ -131,11 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if !exec.ValidScheduler(*sched) {
-		fmt.Fprintf(stderr, "cheetah: unknown scheduler %q; available: %s\n",
-			*sched, strings.Join(exec.SchedulerNames(), ", "))
-		return 2
-	}
 	if _, ok := machine.Preset(*machineName); !ok {
 		fmt.Fprintf(stderr, "cheetah: unknown machine preset %q; available: %s\n",
 			*machineName, strings.Join(machine.Names(), ", "))
@@ -177,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "usage: cheetah -replay-stream <trace> takes no workload argument")
 			return 2
 		}
-		return runReplayStream(*replayStream, cfg, rec, *sched, *machineName, *words, *candidates, stdout, stderr)
+		return runReplayStream(*replayStream, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if *importPerf != "" || *importIBS != "" {
@@ -198,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Fall through to profile the freshly imported trace; the
 		// recording options are spent (re-recording the replay onto the
 		// file being replayed would truncate it mid-read).
-		return runReplay(*replay, cfg, recordOptions{}, *sched, *machineName, *words, *candidates, stdout, stderr)
+		return runReplay(*replay, cfg, recordOptions{}, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if *replay != "" {
@@ -206,7 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "usage: cheetah -replay <trace> takes no workload argument")
 			return 2
 		}
-		return runReplay(*replay, cfg, rec, *sched, *machineName, *words, *candidates, stdout, stderr)
+		return runReplay(*replay, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if fs.NArg() != 1 {
@@ -220,7 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// semantics as -replay (recorded core count, friendly errors).
 		// -record still applies, re-recording the replayed run — which
 		// also converts between framings.
-		return runReplay(strings.TrimPrefix(name, workload.TracePrefix), cfg, rec, *sched, *machineName, *words, *candidates, stdout, stderr)
+		return runReplay(strings.TrimPrefix(name, workload.TracePrefix), cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 	w, ok := workload.ByName(name)
 	if !ok {
@@ -229,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ccfg := cheetah.Config{Engine: exec.Config{Sched: *sched}}
+	var ccfg cheetah.Config
 	if m, ok := machine.Preset(*machineName); ok && *machineName != "" {
 		ccfg.Machine = m
 	}
@@ -370,12 +363,12 @@ func noteMachine(notes []string) string {
 }
 
 // replayConfig builds the system configuration for a replay: the
-// recorded core count, the selected scheduler, and the machine model —
-// the -machine flag when given, else the trace's own `machine=` note.
+// recorded core count and the machine model — the -machine flag when
+// given, else the trace's own `machine=` note.
 // An unknown noted preset (a trace from a newer build) fails rather
 // than silently replaying on the wrong machine.
-func replayConfig(cores int, sched, machineSel string, notes []string) (cheetah.Config, error) {
-	ccfg := cheetah.Config{Cores: cores, Engine: exec.Config{Sched: sched}}
+func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config, error) {
+	ccfg := cheetah.Config{Cores: cores}
 	name := machineSel
 	if name == "" {
 		name = noteMachine(notes)
@@ -394,15 +387,15 @@ func replayConfig(cores int, sched, machineSel string, notes []string) (cheetah.
 // runReplay reconstructs a program from a trace file and profiles it on
 // a machine with the recorded core count, optionally re-recording it
 // (which converts between framings and full/sampled fidelity). The
-// replayed program runs under the selected scheduler like any workload,
-// and on the recorded machine model unless -machine overrides it.
-func runReplay(path string, cfg pmu.Config, rec recordOptions, sched, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
+// replayed program runs on the recorded machine model unless -machine
+// overrides it.
+func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
 	rp, err := trace.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "cheetah: reading trace: %v\n", err)
 		return 1
 	}
-	ccfg, err := replayConfig(rp.Cores, sched, machineSel, rp.Notes)
+	ccfg, err := replayConfig(rp.Cores, machineSel, rp.Notes)
 	if err != nil {
 		fmt.Fprintf(stderr, "cheetah: %v\n", err)
 		return 1
@@ -425,13 +418,13 @@ func runReplay(path string, cfg pmu.Config, rec recordOptions, sched, machineSel
 // records load from disk only when the engine reaches the phase, so
 // peak memory is bounded by the largest phase. The report (and exit
 // behaviour) match runReplay on the same trace byte for byte.
-func runReplayStream(path string, cfg pmu.Config, rec recordOptions, sched, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
+func runReplayStream(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
 	sr, err := trace.OpenStream(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "cheetah: opening indexed trace: %v\n", err)
 		return 1
 	}
-	ccfg, err := replayConfig(sr.Cores, sched, machineSel, sr.Notes)
+	ccfg, err := replayConfig(sr.Cores, machineSel, sr.Notes)
 	if err != nil {
 		fmt.Fprintf(stderr, "cheetah: %v\n", err)
 		return 1

@@ -32,32 +32,6 @@ func TestRunProfilesWorkload(t *testing.T) {
 	}
 }
 
-// TestRunSchedFlag: an invalid -sched is diagnosed before any work,
-// and the calendar scheduler prints the byte-identical report the heap
-// prints — the CLI edge of the cross-scheduler equivalence guarantee.
-func TestRunSchedFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-sched", "lifo", "figure1"}, &out, &errOut); code != 2 {
-		t.Fatalf("-sched lifo: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown scheduler") {
-		t.Errorf("stderr missing scheduler diagnosis:\n%s", errOut.String())
-	}
-
-	args := []string{"-threads", "4", "-scale", "0.1", "figure1"}
-	var heapOut, calOut, errs strings.Builder
-	if code := run(append([]string{"-sched", "heap"}, args...), &heapOut, &errs); code != 0 {
-		t.Fatalf("heap run: exit %d, stderr:\n%s", code, errs.String())
-	}
-	if code := run(append([]string{"-sched", "calendar"}, args...), &calOut, &errs); code != 0 {
-		t.Fatalf("calendar run: exit %d, stderr:\n%s", code, errs.String())
-	}
-	if heapOut.String() != calOut.String() {
-		t.Errorf("report differs across schedulers:\nheap:\n%s\ncalendar:\n%s",
-			heapOut.String(), calOut.String())
-	}
-}
-
 func TestRunRejectsUnknownWorkload(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"no_such_workload"}, &out, &errOut); code != 2 {
@@ -245,8 +219,8 @@ const perfFixture = "../../internal/trace/import/testdata/perf-mem.script"
 
 // TestRunImportPerf: -import-perf converts a perf script dump into a
 // native trace, -replay profiles it, and the imported trace replays
-// byte-identically across invocations and schedulers (the acceptance
-// bar for real-PMU imports).
+// byte-identically across invocations (the acceptance bar for real-PMU
+// imports).
 func TestRunImportPerf(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "imported.trace")
 	var out, errOut strings.Builder
@@ -261,7 +235,7 @@ func TestRunImportPerf(t *testing.T) {
 		t.Fatalf("imported trace not written: %v", err)
 	}
 
-	var rep1, rep2, repCal, errs strings.Builder
+	var rep1, rep2, errs strings.Builder
 	if code := run([]string{"-replay", path}, &rep1, &errs); code != 0 {
 		t.Fatalf("replay exit code %d, stderr:\n%s", code, errs.String())
 	}
@@ -273,12 +247,6 @@ func TestRunImportPerf(t *testing.T) {
 	}
 	if rep1.String() != rep2.String() {
 		t.Error("imported trace replays non-deterministically")
-	}
-	if code := run([]string{"-sched", "calendar", "-replay", path}, &repCal, &errs); code != 0 {
-		t.Fatalf("calendar replay exit code %d", code)
-	}
-	if rep1.String() != repCal.String() {
-		t.Error("imported trace replay differs across schedulers")
 	}
 }
 

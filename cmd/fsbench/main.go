@@ -5,7 +5,7 @@
 //
 //	fsbench -experiment fig1|fig4|fig5|fig7|table1|compare|ablation|all
 //	        [-scale 1.0] [-threads 16] [-workers 0] [-app linear_regression]
-//	        [-bench-out BENCH_harness.json] [-replay-mode auto|full|stream]
+//	        [-bench-out BENCH_harness.json]
 //	        [-workers-procs 0] [-cache-dir DIR] [-cache-max-bytes N] [-listen ADDR]
 //	fsbench -replay-shards N -app trace:PATH [-workers 0] [-workers-procs 0]
 //	fsbench -worker [-connect ADDR]
@@ -42,12 +42,10 @@
 // pass `trace:<path>` wherever an application name is accepted, e.g.
 // `fsbench -experiment fig5 -app trace:run.trace`. Cells of trace
 // workloads are identified by the trace file's content hash, so cached
-// results never go stale when the file is rewritten. -replay-mode
-// selects how trace cells load their file: auto (default) streams
-// indexed traces phase-by-phase under bounded memory and fully decodes
-// the rest, full always loads the whole trace, stream requires an
-// index; reports are byte-identical in every mode, so the mode is not
-// part of a cell's cache identity. -replay-shards N splits one indexed
+// results never go stale when the file is rewritten. Trace cells stream
+// indexed traces phase by phase under bounded memory and fully decode
+// the rest; reports are byte-identical either way. -replay-shards N
+// splits one indexed
 // trace into N contiguous phase ranges and replays them as independent
 // `trace:<path>@lo-hi` cells — locally on the -workers pool, or across
 // worker processes with -workers-procs/-listen — printing the merged
@@ -68,7 +66,6 @@ import (
 	"time"
 
 	"repro/internal/atomicfile"
-	engine "repro/internal/exec"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -90,10 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	threads := fs.Int("threads", 16, "worker threads per parallel phase")
 	workers := fs.Int("workers", 0, "max concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	sched := fs.String("sched", "",
-		"engine thread scheduler: sorted (default), heap or calendar; results are byte-identical either way")
 	machineName := fs.String("machine", "",
-		"machine-model preset every cell simulates (topology, line size, protocol); empty = opteron48. Unlike -sched this changes results")
+		"machine-model preset every cell simulates (topology, line size, protocol); empty = opteron48")
 	app := fs.String("app", "linear_regression", "application for fig5 (case study report)")
 	benchOut := fs.String("bench-out", "",
 		"path for the machine-readable bench trajectory entry (with -experiment all)")
@@ -113,8 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"evict least-recently-used -cache-dir entries over this size (0 = unbounded; the running sweep's entries are never evicted)")
 	cellTimeout := fs.Duration("cell-timeout", 0,
 		"with a sharded sweep: requeue a cell whose worker sends no reply within this duration (0 = wait forever)")
-	replayMode := fs.String("replay-mode", workload.ReplayAuto,
-		"trace replay mode: auto (stream indexed traces), full, or stream; reports are byte-identical in every mode")
 	replayShards := fs.Int("replay-shards", 0,
 		"with -app trace:PATH: split the indexed trace into this many phase-range shards and print the merged per-shard report")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -136,14 +129,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// every mode — coordinator, worker, serial — benefits alike.
 	debug.SetGCPercent(400)
 
-	// The replay mode is process-wide: it must be set before any trace
-	// cell builds, including in worker mode (the coordinator forwards the
-	// flag to spawned workers so every process loads traces the same way).
-	if err := workload.SetTraceReplayMode(*replayMode); err != nil {
-		fmt.Fprintf(stderr, "fsbench: %v\n", err)
-		return 2
-	}
-
 	// Worker mode: serve cells until the coordinator closes the stream.
 	// Nothing else may write to stdout — it is the wire.
 	if *worker {
@@ -164,8 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// not just decoding: workload Build cannot return errors (it panics,
 	// inside a harness worker), so a bad path, corrupt file or
 	// unrestorable layout is diagnosed here instead. ValidateTraceName
-	// rehearses the same load path Build will take under the selected
-	// replay mode (streamed or full).
+	// rehearses the same load path (streamed or full) Build will take.
 	if workload.IsTraceName(*app) {
 		if err := workload.ValidateTraceName(*app); err != nil {
 			fmt.Fprintf(stderr, "fsbench: %v\n", err)
@@ -173,11 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if !engine.ValidScheduler(*sched) {
-		fmt.Fprintf(stderr, "fsbench: unknown scheduler %q; available: %s\n",
-			*sched, strings.Join(engine.SchedulerNames(), ", "))
-		return 2
-	}
 	if _, ok := machine.Preset(*machineName); !ok {
 		fmt.Fprintf(stderr, "fsbench: unknown machine preset %q; available: %s\n",
 			*machineName, strings.Join(machine.Names(), ", "))
@@ -196,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fsbench: serving metrics and pprof on http://%s\n", obsAddr)
 	}
 
-	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Sched: *sched, Machine: *machineName}
+	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Machine: *machineName}
 	sharded := *workersProcs > 0 || *listenAddr != ""
 	if sharded && *experiment != "all" && *replayShards == 0 {
 		fmt.Fprintf(stderr, "fsbench: -workers-procs/-listen shard the full sweep; use -experiment all or -replay-shards\n")
@@ -236,7 +215,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		return runShardedReplay(cfg, *app, *replayShards, *workers, *workersProcs,
-			*listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, *replayMode, stdout, stderr)
+			*listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, stdout, stderr)
 	}
 
 	switch *experiment {
@@ -249,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		)
 		start := time.Now()
 		if sharded {
-			stats, code := runSharded(cfg, *workersProcs, *listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, *replayMode, &res, stderr)
+			stats, code := runSharded(cfg, *workersProcs, *listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, &res, stderr)
 			if code != 0 {
 				return code
 			}
@@ -273,10 +252,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		elapsed := time.Since(start)
 		fmt.Fprint(stdout, res.Format())
 		if *benchOut != "" || *benchGate != "" {
-			schedName := *sched
-			if schedName == "" {
-				schedName = engine.SchedSorted
-			}
 			presetName := *machineName
 			if presetName == "" {
 				presetName = machine.DefaultName
@@ -290,10 +265,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				WallSeconds: elapsed.Seconds(),
 				Scale:       *scale,
 				Threads:     *threads,
-				Sched:       schedName,
 				Machine:     presetName,
 				TraceFormat: trace.BinaryVersion,
-				ReplayMode:  *replayMode,
 				// The per-cell access counts over the sweep's wall clock:
 				// simulation throughput, not report content.
 				Accesses:       accesses,
@@ -352,11 +325,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // sweepConfig assembles the multi-process coordinator configuration:
 // procs spawned subprocess workers (this binary re-executed with
-// -worker and the process-wide replay mode forwarded, so every worker
-// loads traces the same way), plus any remote workers that dial
-// listenAddr, with an optional on-disk result cache and per-cell
-// timeout.
-func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, replayMode string, stderr io.Writer) (sweep.Config, error) {
+// -worker), plus any remote workers that dial listenAddr, with an
+// optional on-disk result cache and per-cell timeout.
+func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, stderr io.Writer) (sweep.Config, error) {
 	sc := sweep.Config{Harness: cfg, Procs: procs, CellTimeout: cellTimeout, Log: stderr, ProgressEvery: progressEvery}
 	if procs > 0 {
 		self, err := os.Executable()
@@ -364,7 +335,7 @@ func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cac
 			return sc, fmt.Errorf("resolving own binary for workers: %v", err)
 		}
 		sc.Spawn = func(int) (io.ReadWriteCloser, error) {
-			return sweep.SpawnWorkerProc(self, []string{"-worker", "-replay-mode", replayMode}, nil, stderr)
+			return sweep.SpawnWorkerProc(self, []string{"-worker"}, nil, stderr)
 		}
 	}
 	if listenAddr != "" {
@@ -388,8 +359,8 @@ func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cac
 
 // runSharded runs the full sweep through the multi-process coordinator.
 // The merged *harness.Results lands in *res.
-func runSharded(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, replayMode string, res **harness.Results, stderr io.Writer) (sweep.Stats, int) {
-	sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, replayMode, stderr)
+func runSharded(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, res **harness.Results, stderr io.Writer) (sweep.Stats, int) {
+	sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "fsbench: %v\n", err)
 		return sweep.Stats{}, 1
@@ -410,7 +381,7 @@ func runSharded(cfg harness.Config, procs int, listenAddr, cacheDir string, cach
 // -listen is set — and print the merged per-shard report. The report is
 // a pure function of the plan and the deterministic per-cell results,
 // so the bytes are identical at any worker count, in-process or not.
-func runShardedReplay(cfg harness.Config, app string, shards, localWorkers, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, replayMode string, stdout, stderr io.Writer) int {
+func runShardedReplay(cfg harness.Config, app string, shards, localWorkers, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, stdout, stderr io.Writer) int {
 	plan, err := harness.TraceShardPlan(app, shards, cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "fsbench: %v\n", err)
@@ -418,7 +389,7 @@ func runShardedReplay(cfg harness.Config, app string, shards, localWorkers, proc
 	}
 	var results map[string]harness.CellResult
 	if procs > 0 || listenAddr != "" {
-		sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, replayMode, stderr)
+		sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "fsbench: %v\n", err)
 			return 1

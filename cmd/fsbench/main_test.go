@@ -210,32 +210,6 @@ func TestShardedFlagValidation(t *testing.T) {
 	}
 }
 
-// TestSchedFlag: -sched validates its value up front and a calendar-
-// scheduled experiment prints byte-identical output to the default
-// heap-scheduled one (the CLI edge of the equivalence guarantee).
-func TestSchedFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-sched", "fifo"}, &out, &errOut); code != 2 {
-		t.Fatalf("-sched fifo: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown scheduler") {
-		t.Errorf("stderr missing scheduler diagnosis:\n%s", errOut.String())
-	}
-
-	args := []string{"-experiment", "fig1", "-scale", "0.05", "-threads", "4"}
-	var heapOut, calOut, errs strings.Builder
-	if code := run(append([]string{"-sched", "heap"}, args...), &heapOut, &errs); code != 0 {
-		t.Fatalf("heap fig1: exit %d, stderr:\n%s", code, errs.String())
-	}
-	if code := run(append([]string{"-sched", "calendar"}, args...), &calOut, &errs); code != 0 {
-		t.Fatalf("calendar fig1: exit %d, stderr:\n%s", code, errs.String())
-	}
-	if heapOut.String() != calOut.String() {
-		t.Errorf("fig1 output differs across schedulers:\nheap:\n%s\ncalendar:\n%s",
-			heapOut.String(), calOut.String())
-	}
-}
-
 // TestWorkerModeOnClosedStdin: `fsbench -worker` under `go test` reads
 // EOF from stdin immediately; it must emit its hello frame and exit 0 —
 // the behavior a coordinator relies on when it closes a worker's pipe.
@@ -300,7 +274,7 @@ func TestCacheMaxBytesFlagValidation(t *testing.T) {
 // TestImportedTraceSmoke is fsbench's imported-trace smoke workload: a
 // real perf script fixture imports to a native trace, sweeps through
 // the fig5 case study as a `trace:` pseudo-workload, and prints
-// byte-identical output across repeated runs and schedulers.
+// byte-identical output across repeated runs.
 func TestImportedTraceSmoke(t *testing.T) {
 	src, err := os.Open("../../internal/trace/import/testdata/perf-mem.script")
 	if err != nil {
@@ -320,7 +294,7 @@ func TestImportedTraceSmoke(t *testing.T) {
 	}
 
 	args := []string{"-experiment", "fig5", "-app", "trace:" + path}
-	var first, second, calendar, errOut strings.Builder
+	var first, second, errOut strings.Builder
 	if code := run(args, &first, &errOut); code != 0 {
 		t.Fatalf("fig5 on imported trace: exit %d, stderr:\n%s", code, errOut.String())
 	}
@@ -332,12 +306,6 @@ func TestImportedTraceSmoke(t *testing.T) {
 	}
 	if first.String() != second.String() {
 		t.Error("imported-trace fig5 output is not reproducible")
-	}
-	if code := run(append([]string{"-sched", "calendar"}, args...), &calendar, &errOut); code != 0 {
-		t.Fatalf("calendar run: exit %d", code)
-	}
-	if first.String() != calendar.String() {
-		t.Error("imported-trace fig5 output differs across schedulers")
 	}
 }
 

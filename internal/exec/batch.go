@@ -45,72 +45,13 @@ func (e *Engine) accessPace(id mem.ThreadID) (instrPace, cyclePace uint64, ok bo
 	return instrPace, cyclePace, true
 }
 
-// The batched drivers: one per concrete scheduler type, with identical
-// bodies, so Min/NextKey/FixMin/PopMin bind directly instead of through
-// the interface. Each scheduler round runs the minimum thread through a
-// whole timeslice (runSlice) rather than a single op.
-
-func (e *Engine) driveSorted(q *sortedQueue) {
-	for q.Len() > 0 {
-		th := q.Min()
-		vt, id := q.NextKey()
-		if e.runSlice(th, vt, id) {
-			q.FixMin()
-		} else {
-			q.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-func (e *Engine) driveHeap(h *threadHeap) {
-	for h.Len() > 0 {
-		th := h.Min()
-		vt, id := h.NextKey()
-		if e.runSlice(th, vt, id) {
-			h.FixMin()
-		} else {
-			h.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-func (e *Engine) driveCalendar(q *calendarQueue) {
-	for q.Len() > 0 {
-		th := q.Min()
-		vt, id := q.NextKey()
-		if e.runSlice(th, vt, id) {
-			q.FixMin()
-		} else {
-			q.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
-// driveSched is the interface-dispatch fallback for scheduler types the
-// engine does not know concretely.
-func (e *Engine) driveSched(s Scheduler) {
-	for s.Len() > 0 {
-		th := s.Min()
-		vt, id := s.NextKey()
-		if e.runSlice(th, vt, id) {
-			s.FixMin()
-		} else {
-			s.PopMin()
-			e.finishThread(th)
-		}
-	}
-}
-
 // runSlice runs th in place while its (vtime, id) key remains the
-// scheduler minimum: (limVt, limID) is the second-earliest key, and th
+// run-queue minimum: (limVt, limID) is the second-earliest key, and th
 // keeps executing until its vtime passes limVt — or reaches it holding
 // the larger id. This produces exactly the per-op reference schedule
-// (there the running thread re-wins every tie-break round and runs one
-// op at a time); batching the stretch amortizes scheduler traffic and
-// keeps thread state in registers.
+// (there every op goes to the least (vtime, id), so the running thread
+// wins op after op); batching the stretch amortizes run-queue traffic
+// and keeps thread state in registers.
 //
 // Compute ops additionally run ahead *past* the bound: they touch no
 // machine or probe state — only this thread's own clock and instruction

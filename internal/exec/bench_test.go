@@ -10,10 +10,9 @@ import (
 // benchMachine answers accesses with a small deterministic
 // address-dependent latency. The variance keeps thread clocks diffusing
 // past each other, so the engine's leader changes on almost every
-// operation — the scheduler-heaviest regime, which is exactly what
-// these benchmarks compare across implementations. (A real cache
-// simulator would add its own large constant cost to every access and
-// drown the scheduler signal.)
+// operation — the run-queue-heaviest regime, which is exactly what these
+// benchmarks measure. (A real cache simulator would add its own large
+// constant cost to every access and drown the run-queue signal.)
 type benchMachine struct{ cores int }
 
 func (m *benchMachine) Access(core int, addr mem.Addr, write bool, now uint64) uint32 {
@@ -24,8 +23,8 @@ func (m *benchMachine) Cores() int { return m.cores }
 // benchProgram builds one parallel phase of `threads` bodies, each
 // issuing opsPerThread interleaved stores/loads over a private stripe
 // plus short computes — per-thread streams long enough to amortize
-// startup, with occasional long computes so far-future reinsertion
-// (the calendar's spill path) is part of the measured mix.
+// startup, with occasional long computes so far-future reinsertion is
+// part of the measured mix.
 func benchProgram(threads, opsPerThread int) Program {
 	bodies := make([]Body, threads)
 	for i := range bodies {
@@ -47,28 +46,23 @@ func benchProgram(threads, opsPerThread int) Program {
 	return Program{Name: "sched-bench", Phases: []Phase{ParallelPhase("p", bodies...)}}
 }
 
-// BenchmarkExecSched compares the schedulers on the engine's hot loop
-// at increasing thread counts. The per-op simulated throughput lands in
-// the simops/s metric; the acceptance bar is the calendar queue beating
-// the heap at 8+ threads.
+// BenchmarkExecSched measures the engine's hot loop and run queue at
+// increasing thread counts. The per-op simulated throughput lands in
+// the simops/s metric.
 func BenchmarkExecSched(b *testing.B) {
 	const opsPerThread = 20000
 	for _, threads := range []int{2, 8, 16, 32} {
-		for _, sched := range SchedulerNames() {
-			b.Run(fmt.Sprintf("threads=%d/%s", threads, sched), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Sched = sched
-				var ops uint64
-				for i := 0; i < b.N; i++ {
-					e := New(&benchMachine{cores: threads + 1}, cfg)
-					res := e.Run(benchProgram(threads, opsPerThread))
-					for _, th := range res.Threads {
-						ops += th.MemAccesses
-					}
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			var ops uint64
+			for i := 0; i < b.N; i++ {
+				e := New(&benchMachine{cores: threads + 1}, DefaultConfig())
+				res := e.Run(benchProgram(threads, opsPerThread))
+				for _, th := range res.Threads {
+					ops += th.MemAccesses
 				}
-				b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "simops/s")
+		})
 	}
 }
 
@@ -90,15 +84,11 @@ func BenchmarkExecSchedTies(b *testing.B) {
 			bodies[i] = body
 		}
 		prog := Program{Name: "ties", Phases: []Phase{ParallelPhase("p", bodies...)}}
-		for _, sched := range SchedulerNames() {
-			b.Run(fmt.Sprintf("threads=%d/%s", threads, sched), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Sched = sched
-				for i := 0; i < b.N; i++ {
-					e := New(&fixedMachine{cores: threads + 1, latency: 5}, cfg)
-					e.Run(prog)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := New(&fixedMachine{cores: threads + 1, latency: 5}, DefaultConfig())
+				e.Run(prog)
+			}
+		})
 	}
 }

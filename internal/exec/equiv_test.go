@@ -41,11 +41,10 @@ func (r *clockRecorder) Access(a mem.Access, instrs uint64) uint64 {
 func (r *clockRecorder) ThreadEnd(th exec.ThreadInfo) { r.threads = append(r.threads, th) }
 
 // equivEngineConfig is the engine configuration every suite run shares,
-// apart from the dimension under test.
-func equivEngineConfig(sched string, unbatched bool) exec.Config {
+// apart from the engine loop under test.
+func equivEngineConfig(unbatched bool) exec.Config {
 	cfg := exec.DefaultConfig()
 	cfg.OpBuffer = 64 // small buffers exercise refill boundaries
-	cfg.Sched = sched
 	cfg.Unbatched = unbatched
 	return cfg
 }
@@ -59,10 +58,10 @@ func runWith(cfg exec.Config, prog exec.Program, probes ...exec.Probe) (exec.Res
 	return e.Run(prog), rec
 }
 
-// runUnder executes prog under the named scheduler with the batched
-// runner (the production configuration).
-func runUnder(sched string, prog exec.Program) (exec.Result, *clockRecorder) {
-	return runWith(equivEngineConfig(sched, false), prog)
+// runBatched executes prog with the batched runner (the production
+// configuration).
+func runBatched(prog exec.Program) (exec.Result, *clockRecorder) {
+	return runWith(equivEngineConfig(false), prog)
 }
 
 // mustMatch fails the case unless two runs produced the identical
@@ -92,24 +91,6 @@ func mustMatch(t *testing.T, i int, refName, gotName string,
 	}
 }
 
-// TestSchedulerEquivalence is the engine half of the cross-scheduler
-// equivalence suite: every randomized program must produce an identical
-// execution under the sorted (default), heap and calendar schedulers.
-// ≥200 cases in -short, ≥2000 nightly; cases grow from trivially small,
-// so the first failing index is already near-minimal (reproduce from
-// equivSeed and the index).
-func TestSchedulerEquivalence(t *testing.T) {
-	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
-	for i := 0; i < equivCases(); i++ {
-		cfg := progen.Config{Seed: equivSeed, Case: i, Addrs: addrs, MaxThreads: 12}
-		refRes, refRec := runUnder(exec.SchedSorted, progen.Generate(cfg))
-		for _, sched := range []string{exec.SchedHeap, exec.SchedCalendar} {
-			res, rec := runUnder(sched, progen.Generate(cfg))
-			mustMatch(t, i, exec.SchedSorted, sched, refRes, res, refRec, rec)
-		}
-	}
-}
-
 // equivPMU returns a fresh sampling probe for the paced half of the
 // batched/unbatched suite: an AccessPacer makes the batched runner's
 // compute run-ahead earn its keep (probe calls must happen at exactly
@@ -120,69 +101,65 @@ func equivPMU() *pmu.PMU {
 		pmu.HandlerFunc(func(mem.Access, uint64) {}))
 }
 
-// TestBatchedUnbatchedEquivalence proves the batched timeslice runner
-// against its per-op reference loop: every randomized program must
-// produce the identical execution batched and unbatched, under all
-// three schedulers, both free-running and paced by a sampling PMU.
-// The unbatched loop (Config.Unbatched) is the oracle the batched
-// hot path is measured against. ≥200 cases in -short, ≥2000 nightly.
+// TestBatchedUnbatchedEquivalence proves the batched timeslice runner on
+// the sorted run queue against the per-op reference loop: every
+// randomized program must produce the identical execution batched and
+// unbatched, both free-running and paced by a sampling PMU. The
+// unbatched loop (Config.Unbatched) picks each op's thread by a linear
+// scan, so it is an oracle for the run queue as well as for runSlice.
+// ≥200 cases in -short, ≥2000 nightly; cases grow from trivially small,
+// so the first failing index is already near-minimal (reproduce from
+// equivSeed and the index).
 func TestBatchedUnbatchedEquivalence(t *testing.T) {
 	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
 	for i := 0; i < equivCases(); i++ {
 		cfg := progen.Config{Seed: equivSeed + 2, Case: i, Addrs: addrs, MaxThreads: 12}
-		refRes, refRec := runUnder(exec.SchedSorted, progen.Generate(cfg))
-		pacedRes, pacedRec := runWith(equivEngineConfig(exec.SchedSorted, false),
-			progen.Generate(cfg), equivPMU())
-		for _, sched := range exec.SchedulerNames() {
-			res, rec := runWith(equivEngineConfig(sched, true), progen.Generate(cfg))
-			mustMatch(t, i, "batched/"+exec.SchedSorted, "unbatched/"+sched,
-				refRes, res, refRec, rec)
+		refRes, refRec := runBatched(progen.Generate(cfg))
+		res, rec := runWith(equivEngineConfig(true), progen.Generate(cfg))
+		mustMatch(t, i, "batched", "unbatched", refRes, res, refRec, rec)
 
-			res, rec = runWith(equivEngineConfig(sched, true), progen.Generate(cfg), equivPMU())
-			mustMatch(t, i, "paced batched/"+exec.SchedSorted, "paced unbatched/"+sched,
-				pacedRes, res, pacedRec, rec)
-		}
+		refRes, refRec = runWith(equivEngineConfig(false), progen.Generate(cfg), equivPMU())
+		res, rec = runWith(equivEngineConfig(true), progen.Generate(cfg), equivPMU())
+		mustMatch(t, i, "paced batched", "paced unbatched", refRes, res, refRec, rec)
 	}
 }
 
 // TestFlushedUnflushedEquivalence proves T.Flush invisible to the
 // schedule: every randomized program whose bodies flush their buffers at
 // seeded pseudo-random points must produce the identical execution as
-// its unflushed twin, under all three schedulers, both free-running and
-// paced by a sampling PMU. Streamed trace replay flushes whenever a body
-// waits on its phase loader, so this is what keeps its reports exact.
-// ≥200 cases in -short, ≥2000 nightly.
+// its unflushed twin, both free-running and paced by a sampling PMU.
+// Streamed trace replay flushes whenever a body waits on its phase
+// loader, so this is what keeps its reports exact. ≥200 cases in
+// -short, ≥2000 nightly.
 func TestFlushedUnflushedEquivalence(t *testing.T) {
 	addrs := []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}
 	for i := 0; i < equivCases(); i++ {
 		cfg := progen.Config{Seed: equivSeed + 3, Case: i, Addrs: addrs, MaxThreads: 12}
 		flushed := cfg
 		flushed.Flushes = true
-		for _, sched := range exec.SchedulerNames() {
-			refRes, refRec := runUnder(sched, progen.Generate(cfg))
-			res, rec := runUnder(sched, progen.Generate(flushed))
-			mustMatch(t, i, "unflushed/"+sched, "flushed/"+sched, refRes, res, refRec, rec)
+		refRes, refRec := runBatched(progen.Generate(cfg))
+		res, rec := runBatched(progen.Generate(flushed))
+		mustMatch(t, i, "unflushed", "flushed", refRes, res, refRec, rec)
 
-			cfgSched := equivEngineConfig(sched, false)
-			refRes, refRec = runWith(cfgSched, progen.Generate(cfg), equivPMU())
-			res, rec = runWith(cfgSched, progen.Generate(flushed), equivPMU())
-			mustMatch(t, i, "paced unflushed/"+sched, "paced flushed/"+sched, refRes, res, refRec, rec)
-		}
+		batched := equivEngineConfig(false)
+		refRes, refRec = runWith(batched, progen.Generate(cfg), equivPMU())
+		res, rec = runWith(batched, progen.Generate(flushed), equivPMU())
+		mustMatch(t, i, "paced unflushed", "paced flushed", refRes, res, refRec, rec)
 	}
 }
 
-// TestSchedulerEquivalenceSelfCheck guards the suite itself: a run must
-// be deterministic against a re-run of the same scheduler, otherwise
-// "heap == calendar" could pass vacuously on noise.
+// TestSchedulerEquivalenceSelfCheck guards the suites themselves: a run
+// must be deterministic against a re-run on the same engine loop,
+// otherwise "batched == unbatched" could pass vacuously on noise.
 func TestSchedulerEquivalenceSelfCheck(t *testing.T) {
 	addrs := []mem.Addr{0x1000, 0x2040}
 	for i := 0; i < 25; i++ {
 		cfg := progen.Config{Seed: equivSeed + 1, Case: i, Addrs: addrs}
-		for _, sched := range exec.SchedulerNames() {
-			a, ra := runUnder(sched, progen.Generate(cfg))
-			b, rb := runUnder(sched, progen.Generate(cfg))
+		for _, unbatched := range []bool{false, true} {
+			a, ra := runWith(equivEngineConfig(unbatched), progen.Generate(cfg))
+			b, rb := runWith(equivEngineConfig(unbatched), progen.Generate(cfg))
 			if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(ra.accesses, rb.accesses) {
-				t.Fatalf("case %d: %s scheduler not deterministic across reruns", i, sched)
+				t.Fatalf("case %d: unbatched=%v engine not deterministic across reruns", i, unbatched)
 			}
 		}
 	}

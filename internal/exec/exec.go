@@ -241,18 +241,12 @@ type Config struct {
 	// never change the schedule, so the size trades only memory against
 	// hand-off overhead.
 	OpBuffer int
-	// Sched selects the thread scheduler: SchedSorted (the default, also
-	// selected by the empty string), SchedHeap or SchedCalendar. Every
-	// scheduler
-	// produces the identical deterministic schedule — the (vtime, id)
-	// order is total — so Sched trades only engine time; the
-	// cross-scheduler equivalence suite enforces byte-identical results.
-	Sched string
-	// Unbatched selects the per-op reference loop instead of the batched
-	// timeslice runner (see runSlice). Both produce byte-identical
-	// results — TestBatchedUnbatchedEquivalence enforces it — so the flag
-	// trades only engine time; it exists as the oracle for that suite and
-	// for bisecting hot-path regressions.
+	// Unbatched selects the per-op reference loop (simulateRef) instead
+	// of the batched timeslice runner on the sorted run queue (see
+	// runSlice). Both produce byte-identical results —
+	// TestBatchedUnbatchedEquivalence enforces it — so the flag trades
+	// only engine time; it exists as the oracle for that suite and for
+	// bisecting hot-path regressions.
 	Unbatched bool
 }
 
@@ -408,76 +402,74 @@ func (e *Engine) coreFor(i int) int {
 	return 1 + i%(c-1)
 }
 
-// simulate interleaves runnable threads in minimum-virtual-time order
-// using the configured Scheduler.
+// simulate interleaves the phase's threads in (vtime, id) order: on the
+// sorted run queue, a timeslice per round (runSlice), or one op at a
+// time through the reference loop when Config.Unbatched is set.
 func (e *Engine) simulate(threads []*thread) {
-	s := newSchedulerFor(e.cfg.Sched, len(threads))
+	if e.cfg.Unbatched {
+		e.simulateRef(threads)
+		return
+	}
+	q := newSortedQueue(len(threads))
 	for _, th := range threads {
-		th.startGen()
-		if th.refill() {
-			s.Push(th)
+		if e.startThread(th) {
+			q.Push(th)
+		}
+	}
+	for q.Len() > 0 {
+		th := q.Min()
+		vt, id := q.NextKey()
+		if e.runSlice(th, vt, id) {
+			q.FixMin()
 		} else {
+			q.PopMin()
 			e.finishThread(th)
 		}
 	}
-	if e.cfg.Unbatched {
-		e.simulateRef(s)
-		return
-	}
-	// Dispatch on the concrete scheduler type so the per-slice scheduler
-	// calls bind directly (Go's gcshape generics would share one
-	// dictionary-based instantiation across pointer types and keep the
-	// calls indirect).
-	switch s := s.(type) {
-	case *sortedQueue:
-		e.driveSorted(s)
-	case *threadHeap:
-		e.driveHeap(s)
-	case *calendarQueue:
-		e.driveCalendar(s)
-	default:
-		e.driveSched(s)
-	}
 }
 
-// simulateRef is the per-op reference loop, kept as the oracle the
-// batched-vs-unbatched equivalence suite checks runSlice against.
-func (e *Engine) simulateRef(s Scheduler) {
-	for s.Len() > 0 {
-		// Run the earliest thread in place until it ceases to be the
-		// earliest, to amortize scheduler traffic over compute-heavy
-		// stretches; see the Scheduler docs for the run-in-place contract
-		// each implementation exploits. The schedule is identical either
-		// way — the (vtime, id) order is total. The first op always runs
-		// (Min holds the true (vtime, id) minimum, id tie-break included);
-		// after that the bound is strict: at vtime == limit the thread
-		// must re-enter the scheduler so the id tie-break — not whichever
-		// thread happens to be running — orders the tied work. This keeps
-		// the schedule invariant under compute-op granularity (a single
-		// Compute(n) versus any split summing to n), which trace replay
-		// relies on: recorded traces preserve only instruction deltas, not
-		// the original compute-op boundaries.
-		th := s.Min()
-		limit := s.NextVtime()
-		alive := true
-		for {
-			op := th.buf[th.pos]
-			th.pos++
-			e.apply(th, op)
-			if th.pos == len(th.buf) {
-				if !th.refill() {
-					alive = false
-					break
-				}
-			}
-			if th.vtime >= limit {
-				break
+// startThread launches th's generator and takes its first op buffer. A
+// body that issues no operation finishes at once, and startThread
+// reports false.
+func (e *Engine) startThread(th *thread) bool {
+	th.startGen()
+	if th.refill() {
+		return true
+	}
+	e.finishThread(th)
+	return false
+}
+
+// simulateRef is the per-op reference loop, the oracle the batched
+// equivalence suites check runSlice and the sorted queue against. It
+// shares no scheduling code with them: before every op it scans the
+// runnable threads for the least (vtime, id) and runs that thread's
+// next op. The key is total, so the order of runnable is irrelevant,
+// and choosing per op makes the schedule independent of compute-op
+// granularity (one Compute(n) or any split summing to n), which trace
+// replay relies on: traces keep instruction deltas, not op boundaries.
+func (e *Engine) simulateRef(threads []*thread) {
+	runnable := make([]*thread, 0, len(threads))
+	for _, th := range threads {
+		if e.startThread(th) {
+			runnable = append(runnable, th)
+		}
+	}
+	for len(runnable) > 0 {
+		mi := 0
+		for i, th := range runnable {
+			if m := runnable[mi]; th.vtime < m.vtime || (th.vtime == m.vtime && th.id < m.id) {
+				mi = i
 			}
 		}
-		if alive {
-			s.FixMin()
-		} else {
-			s.PopMin()
+		th := runnable[mi]
+		op := th.buf[th.pos]
+		th.pos++
+		e.apply(th, op)
+		if th.pos == len(th.buf) && !th.refill() {
+			last := len(runnable) - 1
+			runnable[mi] = runnable[last]
+			runnable = runnable[:last]
 			e.finishThread(th)
 		}
 	}

@@ -320,31 +320,6 @@ func TestMoreThreadsThanCores(t *testing.T) {
 	}
 }
 
-func TestThreadHeapOrdering(t *testing.T) {
-	h := newThreadHeap(8)
-	vt := []uint64{50, 10, 30, 10, 90, 20}
-	for i, v := range vt {
-		h.Push(&thread{id: mem.ThreadID(i), vtime: v})
-	}
-	var got []uint64
-	var ids []mem.ThreadID
-	for h.Len() > 0 {
-		th := h.PopMin()
-		got = append(got, th.vtime)
-		ids = append(ids, th.id)
-	}
-	want := []uint64{10, 10, 20, 30, 50, 90}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
-	// Ties broken by id: vtime 10 entries are threads 1 and 3.
-	if ids[0] != 1 || ids[1] != 3 {
-		t.Errorf("tie-break order = %v, want thread 1 before 3", ids[:2])
-	}
-}
-
 func TestSerialPhaseWithMultipleBodiesPanics(t *testing.T) {
 	m := &fixedMachine{cores: 2, latency: 1}
 	e := New(m, Config{OpBuffer: 8})

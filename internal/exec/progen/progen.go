@@ -1,5 +1,6 @@
-// Package progen generates randomized fork-join programs for the
-// cross-scheduler equivalence suite: seeded, reproducible, and
+// Package progen generates randomized fork-join programs for the engine
+// equivalence suites (batched vs per-op, flushed vs unflushed, and the
+// root report suite): seeded, reproducible, and
 // shrink-friendly — the Case index scales every size knob, so case 0 is
 // a single thread issuing a handful of operations and later cases grow
 // toward paper-shaped programs (multiple serial/parallel/pooled phases,
@@ -11,7 +12,8 @@
 // consulting the generator at simulation time, so a program is safe to
 // run any number of times (and concurrently from its goroutine-per-
 // thread bodies) with identical behavior — the property the equivalence
-// suite runs under both schedulers and byte-compares.
+// suites rely on when they run one program on two engine loops and
+// byte-compare.
 package progen
 
 import (
@@ -167,8 +169,8 @@ func genOps(rng *rand.Rand, addrs []mem.Addr, n int) []genOp {
 			ops[i] = genOp{kind: 'N', addr: addr, size: uint8(1 << rng.Intn(2))}
 		default:
 			// Compute gaps: mostly short, sometimes zero (no clock
-			// advance at all), rarely enormous (far-future wakeup —
-			// calendar spill territory).
+			// advance at all), rarely enormous (a far-future wakeup
+			// that sends the thread to the back of the run queue).
 			var c int
 			switch rng.Intn(8) {
 			case 0:

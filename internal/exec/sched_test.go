@@ -9,88 +9,85 @@ import (
 	"repro/internal/mem"
 )
 
-// newSchedulers builds one instance of every Scheduler implementation,
-// keyed by name, so ordering tests run identically against each.
-func newSchedulers(capacity int) map[string]Scheduler {
-	m := make(map[string]Scheduler)
-	for _, name := range SchedulerNames() {
-		m[name] = newSchedulerFor(name, capacity)
-	}
-	return m
+// Scheduler is the run-queue contract the engine's batched loop relies
+// on: a priority queue of runnable threads keyed by (vtime, id). The
+// minimum thread stays in the queue while it runs; only Min's vtime may
+// change between calls. sortedQueue is the engine's implementation and
+// refSched the naive model TestSchedulerMatchesReference checks it
+// against.
+type Scheduler interface {
+	// Push inserts a runnable thread keyed by its current (vtime, id).
+	Push(th *thread)
+	// Len reports how many threads are scheduled.
+	Len() int
+	// Min returns the thread with the smallest (vtime, id) key without
+	// removing it.
+	Min() *thread
+	// NextVtime returns the vtime of the second-earliest thread, or
+	// ^uint64(0) when Min is alone.
+	NextVtime() uint64
+	// NextKey returns the full (vtime, id) key of the second-earliest
+	// thread, or (^uint64(0), maxThreadID) when Min is alone.
+	NextKey() (uint64, mem.ThreadID)
+	// FixMin restores order after Min's vtime has increased in place.
+	FixMin()
+	// PopMin removes and returns the earliest thread.
+	PopMin() *thread
 }
 
-func TestSchedulerNames(t *testing.T) {
-	for _, name := range SchedulerNames() {
-		if !ValidScheduler(name) {
-			t.Errorf("ValidScheduler(%q) = false for a listed scheduler", name)
-		}
-		if s := newSchedulerFor(name, 4); s == nil || s.Len() != 0 {
-			t.Errorf("newSchedulerFor(%q) = %v", name, s)
-		}
-	}
-	if !ValidScheduler("") {
-		t.Error("ValidScheduler(\"\") = false; empty must mean the default")
-	}
-	if ValidScheduler("fifo") {
-		t.Error("ValidScheduler(\"fifo\") = true")
-	}
-}
-
-// TestSchedulerOrdering: every implementation pops in (vtime, id) order,
-// ids breaking ties.
+// TestSchedulerOrdering: the run queue pops in (vtime, id) order, ids
+// breaking ties.
 func TestSchedulerOrdering(t *testing.T) {
 	vt := []uint64{50, 10, 30, 10, 90, 20, 10}
-	for name, s := range newSchedulers(len(vt)) {
-		t.Run(name, func(t *testing.T) {
-			for i, v := range vt {
-				s.Push(&thread{id: mem.ThreadID(i), vtime: v})
-			}
-			var got []uint64
-			var ids []mem.ThreadID
-			for s.Len() > 0 {
-				th := s.PopMin()
-				got = append(got, th.vtime)
-				ids = append(ids, th.id)
-			}
-			want := []uint64{10, 10, 10, 20, 30, 50, 90}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pop order %v, want %v", got, want)
-			}
-			// The three vtime-10 entries are threads 1, 3, 6 — id order.
-			if ids[0] != 1 || ids[1] != 3 || ids[2] != 6 {
-				t.Errorf("tie-break order = %v, want ids 1,3,6 first", ids[:3])
-			}
-		})
-	}
+	t.Run("sorted", func(t *testing.T) {
+		s := newSortedQueue(len(vt))
+		for i, v := range vt {
+			s.Push(&thread{id: mem.ThreadID(i), vtime: v})
+		}
+		var got []uint64
+		var ids []mem.ThreadID
+		for s.Len() > 0 {
+			th := s.PopMin()
+			got = append(got, th.vtime)
+			ids = append(ids, th.id)
+		}
+		want := []uint64{10, 10, 10, 20, 30, 50, 90}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pop order %v, want %v", got, want)
+		}
+		// The three vtime-10 entries are threads 1, 3, 6 — id order.
+		if ids[0] != 1 || ids[1] != 3 || ids[2] != 6 {
+			t.Errorf("tie-break order = %v, want ids 1,3,6 first", ids[:3])
+		}
+	})
 }
 
-// TestSchedulerFarFuture drives keys far past the calendar horizon so
-// the spill list and its re-seeding are exercised: pops must still come
-// out in ascending vtime order under every implementation.
+// TestSchedulerFarFuture pushes keys spread from 0 to 2^40, around and
+// far past a 512-cycle horizon in 8-cycle steps: pops must still come
+// out in ascending vtime order, Min agreeing with PopMin.
 func TestSchedulerFarFuture(t *testing.T) {
-	vts := []uint64{calHorizon, 1, 10 * calHorizon, calHorizon - 1, 1 << 40,
-		3 * calHorizon, 0, 10*calHorizon + calWidth, 1<<40 + 1, calHorizon + 1}
-	for name, s := range newSchedulers(len(vts)) {
-		t.Run(name, func(t *testing.T) {
-			for i, v := range vts {
-				s.Push(&thread{id: mem.ThreadID(i), vtime: v})
+	vts := []uint64{512, 1, 10 * 512, 512 - 1, 1 << 40,
+		3 * 512, 0, 10*512 + 8, 1<<40 + 1, 512 + 1}
+	t.Run("sorted", func(t *testing.T) {
+		s := newSortedQueue(len(vts))
+		for i, v := range vts {
+			s.Push(&thread{id: mem.ThreadID(i), vtime: v})
+		}
+		var got []uint64
+		for s.Len() > 0 {
+			min := s.Min()
+			popped := s.PopMin()
+			if min != popped {
+				t.Fatalf("Min returned thread %d, PopMin thread %d", min.id, popped.id)
 			}
-			var got []uint64
-			for s.Len() > 0 {
-				min := s.Min()
-				popped := s.PopMin()
-				if min != popped {
-					t.Fatalf("Min returned thread %d, PopMin thread %d", min.id, popped.id)
-				}
-				got = append(got, popped.vtime)
-			}
-			want := []uint64{0, 1, calHorizon - 1, calHorizon, calHorizon + 1,
-				3 * calHorizon, 10 * calHorizon, 10*calHorizon + calWidth, 1 << 40, 1<<40 + 1}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pop order %v, want %v", got, want)
-			}
-		})
-	}
+			got = append(got, popped.vtime)
+		}
+		want := []uint64{0, 1, 512 - 1, 512, 512 + 1,
+			3 * 512, 10 * 512, 10*512 + 8, 1 << 40, 1<<40 + 1}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pop order %v, want %v", got, want)
+		}
+	})
 }
 
 // schedOp is one scripted operation for the model-check test.
@@ -148,29 +145,45 @@ func (r *refSched) PopMin() *thread {
 	return th
 }
 
-// TestSchedulerMatchesReference model-checks every implementation
-// against the naive reference over randomized scripts of pushes,
-// in-place advances (FixMin) and pops, with vtime deltas chosen to hit
-// the calendar queue's in-window, spill, re-seed and rebase paths.
+// modelCheckSeeds is the model check's size: at least 200 scripts in
+// -short, at least 2000 in the full run.
+func modelCheckSeeds() int64 {
+	if testing.Short() {
+		return 200
+	}
+	return 2000
+}
+
+// TestSchedulerMatchesReference model-checks the sorted run queue
+// against the naive reference over seeded scripts of pushes, in-place
+// advances (FixMin) and pops, comparing every Min, NextKey and pop. It
+// is the queue's only direct oracle. Even seeds draw vtimes and advances
+// from 0–4, zero included, so exact vtime ties dominate and only the id
+// orders threads; odd seeds spread vtimes over 2048 cycles and advances
+// over 1024, so threads overtake each other by long strides.
 func TestSchedulerMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= modelCheckSeeds(); seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			ties := seed%2 == 0
 			script := make([]schedOp, 0, 600)
 			alive := 0
 			for len(script) < cap(script) {
 				r := rng.Intn(10)
 				switch {
 				case alive == 0 || r < 3:
-					// Deltas span sub-bucket to way-past-horizon; small
-					// absolute vtimes early make out-of-order phase-start
-					// pushes (the rebase path) likely.
-					script = append(script, schedOp{push: true,
-						vt: uint64(rng.Intn(4 * calHorizon))})
+					vt := uint64(rng.Intn(2048))
+					if ties {
+						vt = uint64(rng.Intn(5))
+					}
+					script = append(script, schedOp{push: true, vt: vt})
 					alive++
 				case r < 8:
-					script = append(script, schedOp{
-						adv: 1 + uint64(rng.Intn(2*calHorizon))})
+					adv := 1 + uint64(rng.Intn(1024))
+					if ties {
+						adv = uint64(rng.Intn(5))
+					}
+					script = append(script, schedOp{adv: adv})
 				default:
 					script = append(script, schedOp{pop: true})
 					alive--
@@ -212,65 +225,49 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			}
 
 			want := runScript(&refSched{})
-			for _, name := range SchedulerNames() {
-				got := runScript(newSchedulerFor(name, 8))
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s diverges from reference:\n got %+v\nwant %+v", name, got, want)
-				}
+			if got := runScript(newSortedQueue(8)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sorted queue diverges from reference:\n got %+v\nwant %+v", got, want)
 			}
 		})
 	}
 }
 
-// runBoth executes prog under every scheduler on the given machine
-// builder and returns the recorded access stream and result per
-// scheduler name.
-func runBoth(t *testing.T, cfg Config, mkMachine func() Machine, prog Program) map[string]struct {
+// engineRun is one engine run's observable outcome.
+type engineRun struct {
 	res Result
 	acc []mem.Access
-} {
-	t.Helper()
-	out := make(map[string]struct {
-		res Result
-		acc []mem.Access
-	})
-	for _, name := range SchedulerNames() {
-		c := cfg
-		c.Sched = name
-		rec := &recorder{}
-		e := New(mkMachine(), c, rec)
-		res := e.Run(prog)
-		out[name] = struct {
-			res Result
-			acc []mem.Access
-		}{res, rec.accesses}
-	}
-	return out
 }
 
-// assertSchedulersAgree fails unless every scheduler produced the
-// identical result and access stream.
-func assertSchedulersAgree(t *testing.T, runs map[string]struct {
-	res Result
-	acc []mem.Access
-}) {
+// runLoops executes prog on the batched loop and on the per-op
+// reference loop (Config.Unbatched), each on a fresh machine, and
+// returns both runs.
+func runLoops(cfg Config, mkMachine func() Machine, prog Program) (batched, unbatched engineRun) {
+	run := func(unbatched bool) engineRun {
+		c := cfg
+		c.Unbatched = unbatched
+		rec := &recorder{}
+		res := New(mkMachine(), c, rec).Run(prog)
+		return engineRun{res, rec.accesses}
+	}
+	return run(false), run(true)
+}
+
+// assertLoopsAgree fails unless the batched and unbatched runs produced
+// the identical result and access stream.
+func assertLoopsAgree(t *testing.T, batched, unbatched engineRun) {
 	t.Helper()
-	base := runs[SchedHeap]
-	for name, r := range runs {
-		if !reflect.DeepEqual(r.res, base.res) {
-			t.Errorf("%s result diverges from heap:\n%+v\nvs\n%+v", name, r.res, base.res)
-		}
-		if !reflect.DeepEqual(r.acc, base.acc) {
-			t.Errorf("%s access stream diverges from heap (%d vs %d accesses)",
-				name, len(r.acc), len(base.acc))
-		}
+	if !reflect.DeepEqual(batched.res, unbatched.res) {
+		t.Errorf("batched result diverges from unbatched:\n%+v\nvs\n%+v", batched.res, unbatched.res)
+	}
+	if !reflect.DeepEqual(batched.acc, unbatched.acc) {
+		t.Errorf("batched access stream diverges from unbatched (%d vs %d accesses)",
+			len(batched.acc), len(unbatched.acc))
 	}
 }
 
 // TestSingleThreadPhases: phases that never have a second runnable
 // thread — a serial phase and a one-body parallel phase — must behave
-// identically under every scheduler (the NextVtime == max sentinel
-// path).
+// identically batched and unbatched (the NextKey == max sentinel path).
 func TestSingleThreadPhases(t *testing.T) {
 	prog := Program{
 		Name: "single",
@@ -286,20 +283,20 @@ func TestSingleThreadPhases(t *testing.T) {
 			}),
 		},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4, ThreadCreateCycles: 100, ThreadJoinCycles: 10},
+	batched, unbatched := runLoops(Config{OpBuffer: 4, ThreadCreateCycles: 100, ThreadJoinCycles: 10},
 		func() Machine { return &fixedMachine{cores: 4, latency: 7} }, prog)
-	assertSchedulersAgree(t, runs)
+	assertLoopsAgree(t, batched, unbatched)
 	// Serial: 40 compute + 2 accesses * 7. Parallel: thread 0 of a phase
 	// pays no creation stagger, so 7 + 9, plus one join.
 	want := uint64(40 + 7 + 7 + 7 + 9 + 10)
-	if got := runs[SchedHeap].res.TotalCycles; got != want {
+	if got := batched.res.TotalCycles; got != want {
 		t.Errorf("TotalCycles = %d, want %d", got, want)
 	}
 }
 
 // TestZeroLatencyOps: a machine that answers every access in zero
 // cycles keeps thread clocks frozen, so a running thread only yields
-// when its body ends. Both schedulers must agree on that degenerate
+// when its body ends. Both engine loops must agree on that degenerate
 // schedule (each thread's whole stream runs back-to-back, in id order).
 func TestZeroLatencyOps(t *testing.T) {
 	body := func(base mem.Addr) Body {
@@ -313,10 +310,10 @@ func TestZeroLatencyOps(t *testing.T) {
 		Name:   "zerolat",
 		Phases: []Phase{ParallelPhase("p", body(0x1000), body(0x2000), body(0x3000))},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4},
+	batched, unbatched := runLoops(Config{OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 4, latency: 0} }, prog)
-	assertSchedulersAgree(t, runs)
-	acc := runs[SchedHeap].acc
+	assertLoopsAgree(t, batched, unbatched)
+	acc := batched.acc
 	if len(acc) != 30 {
 		t.Fatalf("got %d accesses, want 30", len(acc))
 	}
@@ -333,7 +330,7 @@ func TestZeroLatencyOps(t *testing.T) {
 
 // TestVtimeTiesAcrossThreads: four threads with identical bodies and no
 // creation stagger stay tied on vtime for the whole run; the id
-// tie-break must serialize them identically under every scheduler.
+// tie-break must serialize them identically batched and unbatched.
 func TestVtimeTiesAcrossThreads(t *testing.T) {
 	body := func(tt *T) {
 		for i := 0; i < 8; i++ {
@@ -345,10 +342,10 @@ func TestVtimeTiesAcrossThreads(t *testing.T) {
 		Name:   "ties",
 		Phases: []Phase{ParallelPhase("p", body, body, body, body)},
 	}
-	runs := runBoth(t, Config{OpBuffer: 4},
+	batched, unbatched := runLoops(Config{OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 8, latency: 5} }, prog)
-	assertSchedulersAgree(t, runs)
-	acc := runs[SchedHeap].acc
+	assertLoopsAgree(t, batched, unbatched)
+	acc := batched.acc
 	if len(acc) != 32 {
 		t.Fatalf("got %d accesses, want 32", len(acc))
 	}
@@ -356,8 +353,7 @@ func TestVtimeTiesAcrossThreads(t *testing.T) {
 	// stays tied for the whole run), so each consecutive group of four
 	// accesses must contain every thread exactly once at the round's
 	// vtime. The order within a round is the engine's deterministic
-	// tie-resolution — pinned by assertSchedulersAgree, not re-derived
-	// here.
+	// tie-resolution — pinned by assertLoopsAgree, not re-derived here.
 	for round := 0; round < len(acc)/4; round++ {
 		seen := map[mem.ThreadID]bool{}
 		for i := round * 4; i < (round+1)*4; i++ {
@@ -374,7 +370,7 @@ func TestVtimeTiesAcrossThreads(t *testing.T) {
 }
 
 // TestPooledPhasesAcrossSchedulers: pooled phases re-enter threads with
-// clocks mid-flight; both schedulers must agree across phase
+// clocks mid-flight; both engine loops must agree across phase
 // boundaries.
 func TestPooledPhasesAcrossSchedulers(t *testing.T) {
 	mk := func(step int) Body {
@@ -393,7 +389,7 @@ func TestPooledPhasesAcrossSchedulers(t *testing.T) {
 			PooledPhase("p2", mk(2), mk(4), mk(6)),
 		},
 	}
-	runs := runBoth(t, Config{ThreadCreateCycles: 50, ThreadJoinCycles: 20, OpBuffer: 4},
+	batched, unbatched := runLoops(Config{ThreadCreateCycles: 50, ThreadJoinCycles: 20, OpBuffer: 4},
 		func() Machine { return &fixedMachine{cores: 4, latency: 9} }, prog)
-	assertSchedulersAgree(t, runs)
+	assertLoopsAgree(t, batched, unbatched)
 }

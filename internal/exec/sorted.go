@@ -13,16 +13,26 @@ type sortedItem struct {
 	idx int32
 }
 
+// maxThreadID is the NextKey id sentinel when Min is alone: no real
+// thread id compares at or above it.
+const maxThreadID = mem.ThreadID(1<<31 - 1)
+
 func (a sortedItem) less(b sortedItem) bool {
 	return a.vt < b.vt || (a.vt == b.vt && a.id < b.id)
 }
 
-// sortedQueue is the default Scheduler: every runnable thread in a ring
+// sortedQueue is the engine's run queue: every runnable thread in a ring
 // buffer sorted descending by (vtime, id), minimum at the logical tail.
-// The layout is chosen for the engine's actual call pattern — Min,
-// NextKey and PopMin are plain loads off the tail, and FixMin (the
-// per-slice reschedule) re-places only the advanced thread. Two regimes
-// dominate:
+// The id tie-break makes the key total, so the schedule is fully
+// deterministic.
+//
+// The engine runs the minimum thread in place: it peeks Min, runs it
+// until its clock passes the second-earliest key (NextKey), then calls
+// FixMin to restore order, or PopMin once its body has finished. Only
+// Min's vtime may change between calls. The layout is chosen for that
+// call pattern — Min, NextKey and PopMin are plain loads off the tail,
+// and FixMin (the per-slice reschedule) re-places only the advanced
+// thread. Two regimes dominate:
 //
 //   - lockstep: every thread clock tied, the minimum leapfrogging the
 //     whole queue each slice. The advanced item belongs at the front,
@@ -30,11 +40,12 @@ func (a sortedItem) less(b sortedItem) bool {
 //     write (the vacated tail slot falls out of the window).
 //   - near-lockstep: clocks clustered within one memory latency, the
 //     advanced item landing a slot or two from the tail — a one- or
-//     two-step insertion walk, versus the heap's fixed ~2·log n.
+//     two-step insertion walk, where a binary heap pays a fixed
+//     ~2·log n.
 //
 // The trade-off is an O(n) worst-case walk when one thread lands
-// mid-queue; for heavily oversubscribed phases SchedHeap remains
-// available.
+// mid-queue; measured end to end, a binary heap did not beat it even
+// at 256 threads.
 type sortedQueue struct {
 	// buf is the ring storage; its length is a power of two. The live
 	// window is the size items starting at head, descending by (vt, id):

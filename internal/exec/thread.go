@@ -197,122 +197,3 @@ func (th *thread) refill() bool {
 	th.pos = 0
 	return len(buf) > 0 || th.refill()
 }
-
-// heapItem is one heap slot. The sort key (vtime, id) is stored inline so
-// comparisons during sifts do not chase thread pointers; vt is a snapshot
-// of th.vtime, refreshed by FixMin for the only thread whose clock moves
-// (the running root).
-type heapItem struct {
-	vt uint64
-	id mem.ThreadID
-	th *thread
-}
-
-// threadHeap is the binary min-heap Scheduler: threads ordered by
-// (vtime, id), the id tie-break making interleavings fully
-// deterministic. It exploits the run-in-place contract directly — the
-// root stays in the heap while it runs, so FixMin is a single siftDown
-// (the second-earliest thread is always a root child), half the heap
-// work of a pop/push pair.
-type threadHeap struct {
-	items []heapItem
-}
-
-func newThreadHeap(capacity int) *threadHeap {
-	return &threadHeap{items: make([]heapItem, 0, capacity)}
-}
-
-func (h *threadHeap) Len() int     { return len(h.items) }
-func (h *threadHeap) Min() *thread { return h.items[0].th }
-
-// NextVtime returns the virtual time of the second-earliest thread, or
-// the maximum time when the root is alone. In a binary min-heap ordered
-// primarily by vtime, the minimum non-root vtime is at a root child.
-func (h *threadHeap) NextVtime() uint64 {
-	switch len(h.items) {
-	case 1:
-		return ^uint64(0)
-	case 2:
-		return h.items[1].vt
-	default:
-		v := h.items[1].vt
-		if w := h.items[2].vt; w < v {
-			v = w
-		}
-		return v
-	}
-}
-
-// NextKey returns the full (vtime, id) key of the second-earliest
-// thread — the smaller-keyed root child — or the sentinel maximum when
-// the root is alone.
-func (h *threadHeap) NextKey() (uint64, mem.ThreadID) {
-	switch len(h.items) {
-	case 1:
-		return ^uint64(0), maxThreadID
-	case 2:
-		return h.items[1].vt, h.items[1].id
-	default:
-		it := h.items[1]
-		if h.items[2].less(it) {
-			it = h.items[2]
-		}
-		return it.vt, it.id
-	}
-}
-
-// FixMin restores heap order after the root thread's vtime has increased.
-func (h *threadHeap) FixMin() {
-	h.items[0].vt = h.items[0].th.vtime
-	h.siftDown(0)
-}
-
-func (a heapItem) less(b heapItem) bool {
-	if a.vt != b.vt {
-		return a.vt < b.vt
-	}
-	return a.id < b.id
-}
-
-func (h *threadHeap) Push(th *thread) {
-	h.items = append(h.items, heapItem{vt: th.vtime, id: th.id, th: th})
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.items[i].less(h.items[parent]) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *threadHeap) PopMin() *thread {
-	top := h.items[0].th
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.siftDown(0)
-	}
-	return top
-}
-
-func (h *threadHeap) siftDown(i int) {
-	n := len(h.items)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && h.items[left].less(h.items[smallest]) {
-			smallest = left
-		}
-		if right < n && h.items[right].less(h.items[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-}

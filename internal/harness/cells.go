@@ -48,10 +48,6 @@ type Cell struct {
 	Scale    float64    `json:"scale"`
 	Fixed    bool       `json:"fixed,omitempty"`
 	PMU      pmu.Config `json:"pmu"`
-	// Sched is the engine scheduler the cell runs under; empty means the
-	// default sorted scheduler (and is the canonical spelling for it, so
-	// default-scheduler cells keep scheduler-free IDs and cache entries).
-	Sched string `json:"sched,omitempty"`
 	// Machine is the machine-model preset the cell simulates; empty means
 	// the canonical opteron48 (and is the canonical spelling for it, so
 	// default-machine cells keep machine-free IDs and cache entries).
@@ -91,16 +87,6 @@ func traceHashFor(name string) string {
 		return ""
 	}
 	return TraceContentHash(workload.TracePath(name))
-}
-
-// canonSched canonicalizes a scheduler name for cell identity: the
-// default sorted scheduler is spelled "" so that runs which don't care
-// about the scheduler (the overwhelming majority) share one identity.
-func canonSched(s string) string {
-	if s == exec.SchedSorted {
-		return ""
-	}
-	return s
 }
 
 // canonMachine canonicalizes a machine-preset name for cell identity: the
@@ -157,9 +143,6 @@ func (c Cell) Validate() error {
 			return fmt.Errorf("harness: cell PMU %s %d out of range", f.name, f.v)
 		}
 	}
-	if !exec.ValidScheduler(c.Sched) {
-		return fmt.Errorf("harness: unknown cell scheduler %q", c.Sched)
-	}
 	if _, ok := machine.Preset(c.Machine); !ok {
 		return fmt.Errorf("harness: unknown cell machine %q", c.Machine)
 	}
@@ -191,12 +174,9 @@ func (c Cell) ID() string {
 		"," + strconv.FormatUint(c.PMU.Jitter, 10) +
 		"," + strconv.FormatUint(c.PMU.HandlerCycles, 10) +
 		"," + strconv.FormatUint(c.PMU.SetupCycles, 10)
-	// Canonically-default (heap) cells keep their historical IDs, so
-	// pre-scheduler result caches stay warm; likewise non-trace cells
-	// (every registered workload) keep their pre-hash IDs.
-	if s := canonSched(c.Sched); s != "" {
-		id += "|d" + s
-	}
+	// Default-machine cells keep their pre-machine-model IDs, so their
+	// result caches stay warm; likewise non-trace cells (every
+	// registered workload) keep their pre-hash IDs.
 	if m := canonMachine(c.Machine); m != "" {
 		id += "|m" + m
 	}
@@ -217,7 +197,6 @@ func (c Cell) key() cellKey {
 		scale:     c.Scale,
 		fixed:     c.Fixed,
 		pmu:       c.PMU,
-		sched:     canonSched(c.Sched),
 		machine:   canonMachine(c.Machine),
 		traceHash: c.TraceHash,
 	}
@@ -245,7 +224,6 @@ func cellOf(k cellKey) Cell {
 		Scale:     k.scale,
 		Fixed:     k.fixed,
 		PMU:       k.pmu,
-		Sched:     k.sched,
 		Machine:   k.machine,
 		TraceHash: k.traceHash,
 	}

@@ -67,6 +67,56 @@ func TestCellJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCellIdentityPinned pins the identity of three cells — a default
+// profiled cell, a numa2x24 cell and a trace cell — to literal strings.
+// A cell's ID keys the sweep cache and its JSON rides the wire, so a
+// change to either orphans every cached result and every running
+// worker; the literals are the values the identity had before the
+// scheduler field left it.
+func TestCellIdentityPinned(t *testing.T) {
+	t.Parallel()
+	const sample = "../../examples/tracereplay/sample.trace"
+	cases := []struct {
+		cell     Cell
+		id, wire string
+	}{
+		{
+			cell: Cell{Kind: KindProfiled, Workload: "linear_regression", Threads: 16, Cores: 48, Scale: 1, PMU: DetectionPMU()},
+			id:   "profiled|linear_regression|t16|c48|s1|ffalse|pmu64,0,24,4,0",
+			wire: `{"kind":"profiled","workload":"linear_regression","threads":16,"cores":48,"scale":1,"pmu":{"Period":64,"Mode":0,"Jitter":24,"HandlerCycles":4,"SetupCycles":0}}`,
+		},
+		{
+			cell: Cell{Kind: KindNative, Workload: "histogram", Threads: 16, Cores: 48, Scale: 0.5, Machine: "numa2x24"},
+			id:   "native|histogram|t16|c48|s0.5|ffalse|pmu0,0,0,0,0|mnuma2x24",
+			wire: `{"kind":"native","workload":"histogram","threads":16,"cores":48,"scale":0.5,"pmu":{"Period":0,"Mode":0,"Jitter":0,"HandlerCycles":0,"SetupCycles":0},"machine":"numa2x24"}`,
+		},
+		{
+			cell: Cell{Kind: KindProfiled, Workload: "trace:" + sample, Threads: 16, Cores: 48, Scale: 1, PMU: DetectionPMU(),
+				TraceHash: TraceContentHash(sample)},
+			id: "profiled|trace:" + sample + "|t16|c48|s1|ffalse|pmu64,0,24,4,0" +
+				"|th80666eaf24b09f8231f6d47032fe0009002eb9bd83bf0621245cdf855ae0bcb4",
+		},
+	}
+	for _, c := range cases {
+		if err := c.cell.Validate(); err != nil {
+			t.Errorf("%s: %v", c.id, err)
+		}
+		if got := c.cell.ID(); got != c.id {
+			t.Errorf("ID() = %q, want %q", got, c.id)
+		}
+		if c.wire == "" {
+			continue
+		}
+		b, err := json.Marshal(c.cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.wire {
+			t.Errorf("JSON = %s, want %s", b, c.wire)
+		}
+	}
+}
+
 // TestCellValidateBounds: decoded cells are external input; every field
 // must be range-checked.
 func TestCellValidateBounds(t *testing.T) {

@@ -51,35 +51,6 @@ func TestParallelHarnessMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCalendarSchedulerMatchesHeap is the harness layer of the
-// cross-scheduler equivalence suite: a full sweep run under the
-// calendar scheduler must print byte-identical tables and figures to
-// the heap-scheduled sweep. Both use private runners, so each genuinely
-// executes its cells under its scheduler.
-func TestCalendarSchedulerMatchesHeap(t *testing.T) {
-	t.Parallel()
-	c := Config{Scale: 0.1, Threads: 8, Workers: -1}
-	if testing.Short() {
-		c.Scale = 0.04
-	}
-
-	heapCfg := c
-	heapCfg.Sched = "heap"
-	calCfg := c
-	calCfg.Sched = "calendar"
-
-	heapRes := RunAll(heapCfg)
-	calRes := RunAll(calCfg)
-
-	hf, cf := heapRes.Format(), calRes.Format()
-	if hf != cf {
-		t.Errorf("calendar Format() diverges from heap:\n%s", firstDiff(hf, cf))
-	}
-	if !reflect.DeepEqual(heapRes.Metrics(), calRes.Metrics()) {
-		t.Errorf("metrics diverge:\nheap:     %v\ncalendar: %v", heapRes.Metrics(), calRes.Metrics())
-	}
-}
-
 // TestSharedCellsAreExecutedOnce checks the runner's memoization: a full
 // sweep requests the same native baselines from several experiments, so
 // distinct executed cells must number well below total requests.

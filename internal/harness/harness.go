@@ -40,16 +40,9 @@ type Config struct {
 	// simulator is deterministic and cells share no state — so Workers
 	// trades only wall-clock time and caching.
 	Workers int
-	// Sched selects the engine's thread scheduler for every cell
-	// (exec.SchedSorted, exec.SchedHeap or exec.SchedCalendar; empty =
-	// sorted). Schedulers
-	// produce byte-identical results — the cross-scheduler equivalence
-	// suite proves it — so, like Workers, Sched trades only wall-clock
-	// time.
-	Sched string
 	// Machine selects the machine-model preset every cell simulates
 	// (machine.Names; empty = the canonical opteron48). Unlike Workers
-	// and Sched this changes results: the model is part of cell identity.
+	// this changes results: the model is part of cell identity.
 	Machine string
 }
 

@@ -154,21 +154,14 @@ type BenchEntry struct {
 	// Scale and Threads record the sweep configuration.
 	Scale   float64 `json:"scale"`
 	Threads int     `json:"threads"`
-	// Sched is the engine scheduler the sweep ran under ("sorted" when
-	// unset), so scheduler wall-clock comparisons land in the trajectory.
-	Sched string `json:"sched"`
 	// Machine is the machine-model preset the sweep simulated
-	// ("opteron48" when unset). Unlike Sched it changes the results, not
-	// just the wall clock, so trajectory comparisons must group by it.
+	// ("opteron48" when unset). It changes the results, not just the
+	// wall clock, so trajectory comparisons must group by it.
 	Machine string `json:"machine"`
 	// TraceFormat is the binary trace framing version the build writes
 	// (trace.BinaryVersion), so trajectory entries pin which format
 	// recorded/imported traces in that revision's artifacts use.
 	TraceFormat int `json:"trace_format"`
-	// ReplayMode is the trace replay mode the sweep ran under ("auto",
-	// "full" or "stream"), so streamed-replay timing points are
-	// distinguishable in the trajectory.
-	ReplayMode string `json:"replay_mode"`
 	// Accesses is the total simulated memory accesses behind the sweep's
 	// results. The count is summed from the per-thread records every cell
 	// result carries, so it is complete regardless of where the cells ran:
@@ -190,9 +183,11 @@ type BenchEntry struct {
 // binary trace framing version, v5 the trace replay mode, v6 the
 // accesses/sec throughput stamp, v7 the raw access count (aggregated
 // across worker processes and cache hits, where v6 stamped 0) and the
-// batched engine's throughput baseline for the CI regression gate, and
-// v8 the machine-model preset the sweep simulated.
-const BenchSchema = "cheetah-bench/v8"
+// batched engine's throughput baseline for the CI regression gate, v8
+// the machine-model preset the sweep simulated, and v9 dropped the
+// scheduler and replay mode stamps (one run queue and one trace-load
+// rule remain).
+const BenchSchema = "cheetah-bench/v9"
 
 // MarshalIndent renders the entry as indented JSON with a trailing
 // newline, the on-disk format of BENCH_harness.json.

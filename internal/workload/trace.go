@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	cheetah "repro"
 	"repro/internal/trace"
@@ -55,54 +54,17 @@ func TracePath(name string) string {
 	return path
 }
 
-// Replay modes select how trace pseudo-workloads load their file.
-const (
-	// ReplayAuto streams indexed traces and fully loads the rest.
-	ReplayAuto = "auto"
-	// ReplayFull always decodes the whole trace into memory.
-	ReplayFull = "full"
-	// ReplayStream always streams; non-indexed traces fail.
-	ReplayStream = "stream"
-)
-
-var replayMode = struct {
-	sync.Mutex
-	mode string
-}{mode: ReplayAuto}
-
-// SetTraceReplayMode selects the process-wide replay mode for trace
-// pseudo-workloads. The mode is deliberately not part of the workload
-// name: a cell's identity (and so the sweep cache key) is the same
-// whichever way the trace is loaded, because the resulting report is
-// proven byte-identical.
-func SetTraceReplayMode(mode string) error {
-	switch mode {
-	case ReplayAuto, ReplayFull, ReplayStream:
-	default:
-		return fmt.Errorf("workload: unknown replay mode %q (want %s, %s or %s)",
-			mode, ReplayAuto, ReplayFull, ReplayStream)
-	}
-	replayMode.Lock()
-	replayMode.mode = mode
-	replayMode.Unlock()
-	return nil
-}
-
-// TraceReplayMode returns the current process-wide replay mode.
-func TraceReplayMode() string {
-	replayMode.Lock()
-	defer replayMode.Unlock()
-	return replayMode.mode
-}
-
 // traceWorkload synthesizes the pseudo-workload for one trace file. The
 // replayed program's structure (threads, phases, work) comes entirely
 // from the trace, so Params.Threads, Scale and Fixed are ignored; the
 // detection report matches the recorded run's byte for byte when the
 // system's core count and the PMU configuration match the recording
-// (full traces only). Build panics on unreadable or malformed trace
-// files — the same contract as registered workloads, whose Build cannot
-// fail; callers wanting a diagnostic run ValidateTraceName first.
+// (full traces only). Ranged and indexed traces stream phase by phase;
+// the rest load in full. Either way the report is byte-identical, so
+// the load path is no part of a cell's identity. Build panics on
+// unreadable or malformed trace files — the same contract as registered
+// workloads, whose Build cannot fail; callers wanting a diagnostic run
+// ValidateTraceName first.
 func traceWorkload(name string) *Workload {
 	path, lo, hi, ranged := splitTraceName(name)
 	return &Workload{
@@ -111,10 +73,7 @@ func traceWorkload(name string) *Workload {
 		DefaultThreads: 16,
 		TotalThreads:   func(perPhase int) int { return perPhase },
 		Build: func(sys *cheetah.System, p Params) cheetah.Program {
-			mode := TraceReplayMode()
-			stream := ranged || mode == ReplayStream ||
-				(mode == ReplayAuto && trace.FileIsIndexed(path))
-			if !stream {
+			if !ranged && !trace.FileIsIndexed(path) {
 				rp, err := trace.ReadFile(path)
 				if err != nil {
 					panic(fmt.Sprintf("workload: opening trace: %v", err))
@@ -140,12 +99,10 @@ func traceWorkload(name string) *Workload {
 }
 
 // ValidateTraceName rehearses the load path Build would take for the
-// named trace workload under the current replay mode, returning the
-// error Build would panic with.
+// named trace workload, returning the error Build would panic with.
 func ValidateTraceName(name string) error {
 	path, _, _, ranged := splitTraceName(name)
-	mode := TraceReplayMode()
-	if ranged || mode == ReplayStream || (mode == ReplayAuto && trace.FileIsIndexed(path)) {
+	if ranged || trace.FileIsIndexed(path) {
 		return trace.ValidateStream(path)
 	}
 	return trace.Validate(path)

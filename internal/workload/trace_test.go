@@ -96,30 +96,3 @@ func TestSplitTraceName(t *testing.T) {
 		}
 	}
 }
-
-// TestSetTraceReplayMode: the three modes round-trip, unknown modes are
-// rejected without clobbering the current one, and the default is auto.
-func TestSetTraceReplayMode(t *testing.T) {
-	defer func() {
-		if err := SetTraceReplayMode(ReplayAuto); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if got := TraceReplayMode(); got != ReplayAuto {
-		t.Fatalf("default replay mode %q, want %q", got, ReplayAuto)
-	}
-	for _, mode := range []string{ReplayAuto, ReplayFull, ReplayStream} {
-		if err := SetTraceReplayMode(mode); err != nil {
-			t.Fatalf("SetTraceReplayMode(%q): %v", mode, err)
-		}
-		if got := TraceReplayMode(); got != mode {
-			t.Errorf("TraceReplayMode() = %q after setting %q", got, mode)
-		}
-	}
-	if err := SetTraceReplayMode("mmap"); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if got := TraceReplayMode(); got != ReplayStream {
-		t.Errorf("failed Set clobbered mode: %q", got)
-	}
-}

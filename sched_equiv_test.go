@@ -1,11 +1,10 @@
 // The report half of the engine equivalence suites: randomized programs
 // profiled end to end — heap allocation, PMU sampling, detection, word
 // classification, EQ(1)–EQ(4) assessment, formatting — must print
-// byte-identical reports under all three schedulers and under the
-// batched timeslice runner versus its per-op reference loop. The engine
-// half (per-thread clock trajectories and access streams) lives in
-// internal/exec; this level catches anything those dimensions could
-// perturb downstream of the engine.
+// byte-identical reports under the batched timeslice runner and under
+// its per-op reference loop. The engine half (per-thread clock
+// trajectories and access streams) lives in internal/exec; this level
+// catches anything the engine loop could perturb downstream of it.
 package cheetah_test
 
 import (
@@ -34,13 +33,13 @@ func reportEquivCases() int {
 	return 2000
 }
 
-// profiledReportUnder builds a fresh system with the given scheduler and
-// engine loop (batched or the unbatched reference), allocates the same
-// heap objects and globals, generates case i, and returns every byte the
-// profiler would show a user: the formatted report, per-instance word
-// detail, and the run's timing line.
-func profiledReportUnder(sched string, unbatched bool, i int, p pmu.Config) string {
-	sys := cheetah.New(cheetah.Config{Cores: 8, Engine: exec.Config{Sched: sched, Unbatched: unbatched}})
+// profiledReportUnder builds a fresh system with the given engine loop
+// (batched or the unbatched reference), allocates the same heap objects
+// and globals, generates case i, and returns every byte the profiler
+// would show a user: the formatted report, per-instance word detail,
+// and the run's timing line.
+func profiledReportUnder(unbatched bool, i int, p pmu.Config) string {
+	sys := cheetah.New(cheetah.Config{Cores: 8, Engine: exec.Config{Unbatched: unbatched}})
 	objA := sys.Heap().Malloc(0, 256, heap.Stack(heap.Frame{File: "equiv.c", Line: 10, Func: "alloc_a"}))
 	objB := sys.Heap().Malloc(1, 512, heap.Stack(heap.Frame{File: "equiv.c", Line: 20, Func: "alloc_b"}))
 	glob := sys.Globals().Define("equiv_global", 128)
@@ -62,42 +61,55 @@ func profiledReportUnder(sched string, unbatched bool, i int, p pmu.Config) stri
 	return out
 }
 
-// TestSchedulerReportEquivalence: every randomized program produces a
-// byte-identical detection report under the sorted (default), heap and
-// calendar schedulers. Cases grow from trivially small, so a first
-// failing index is near-minimal.
-func TestSchedulerReportEquivalence(t *testing.T) {
+// TestBatchedUnbatchedReportEquivalence: the batched timeslice runner
+// and its per-op reference loop print byte-identical detection reports
+// for every randomized program. This is the end-to-end half of the
+// batched-engine proof — PMU sampling, detection, word classification,
+// assessment and formatting all sit downstream of the engine hot path
+// this suite pins. Cases grow from trivially small, so a first failing
+// index is near-minimal.
+func TestBatchedUnbatchedReportEquivalence(t *testing.T) {
 	t.Parallel()
 	p := harness.DetectionPMU() // dense sampling: tiny programs still produce samples
 	for i := 0; i < reportEquivCases(); i++ {
-		ref := profiledReportUnder(exec.SchedSorted, false, i, p)
-		for _, sched := range []string{exec.SchedHeap, exec.SchedCalendar} {
-			out := profiledReportUnder(sched, false, i, p)
-			if out != ref {
-				t.Fatalf("case %d (seed %#x): reports diverge\n--- %s ---\n%s\n--- %s ---\n%s",
-					i, reportEquivSeed, exec.SchedSorted, ref, sched, out)
-			}
+		ref := profiledReportUnder(false, i, p)
+		if out := profiledReportUnder(true, i, p); out != ref {
+			t.Fatalf("case %d (seed %#x): unbatched report diverges from batched\n--- batched ---\n%s\n--- unbatched ---\n%s",
+				i, reportEquivSeed, ref, out)
 		}
 	}
 }
 
-// TestBatchedUnbatchedReportEquivalence: the batched timeslice runner
-// and its per-op reference loop print byte-identical detection reports
-// for every randomized program, under all three schedulers. This is the
-// end-to-end half of the batched-engine proof — PMU sampling, detection,
-// word classification, assessment and formatting all sit downstream of
-// the engine hot path this suite pins.
-func TestBatchedUnbatchedReportEquivalence(t *testing.T) {
-	t.Parallel()
-	p := harness.DetectionPMU()
-	for i := 0; i < reportEquivCases(); i++ {
-		ref := profiledReportUnder(exec.SchedSorted, false, i, p)
-		for _, sched := range exec.SchedulerNames() {
-			out := profiledReportUnder(sched, true, i, p)
-			if out != ref {
-				t.Fatalf("case %d (seed %#x): unbatched %s report diverges from batched %s\n--- batched ---\n%s\n--- unbatched ---\n%s",
-					i, reportEquivSeed, sched, exec.SchedSorted, ref, out)
-			}
+// paceCounter is a probe that counts AccessPace queries. Only the batched
+// loop asks probes for their pace, so the count tells which engine loop
+// ran.
+type paceCounter struct {
+	exec.BaseProbe
+	calls int
+}
+
+func (p *paceCounter) AccessPace(mem.ThreadID) (uint64, uint64) {
+	p.calls++
+	return ^uint64(0), ^uint64(0)
+}
+
+// TestNewKeepsUnbatched: cheetah.New fills a zero engine config with the
+// defaults but must keep Config.Engine.Unbatched, or the report suite
+// above compares the batched loop with itself.
+func TestNewKeepsUnbatched(t *testing.T) {
+	body := func(tt *cheetah.T) {
+		for i := 0; i < 32; i++ {
+			tt.Store(mem.Addr(0x1000 + 8*tt.Index()))
+		}
+	}
+	prog := cheetah.Program{Name: "pace", Phases: []cheetah.Phase{cheetah.ParallelPhase("p", body, body)}}
+	for _, unbatched := range []bool{false, true} {
+		sys := cheetah.New(cheetah.Config{Cores: 8, Engine: exec.Config{Unbatched: unbatched}})
+		probe := &paceCounter{}
+		sys.RunWith(prog, probe)
+		if ranBatched := probe.calls > 0; ranBatched == unbatched {
+			t.Errorf("Engine.Unbatched=%v: %d AccessPace calls (only the batched loop makes them)",
+				unbatched, probe.calls)
 		}
 	}
 }
