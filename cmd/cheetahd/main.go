@@ -119,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (harness.RunCell — never the process-wide memoizing runner), or a
 	// persistent subprocess pool so simulations live outside the
 	// daemon's heap and a crashing cell kills a worker, not the service.
+	// The pool is the one fsbench's sharded sweeps run on, with the same
+	// failure policy at its defaults: a cell whose worker dies is retried
+	// on another, and dead workers are replaced while workers keep
+	// serving cells between deaths.
 	var pool *sweep.ProcPool
 	if *workerProcs > 0 {
 		exe, err := os.Executable()

@@ -6,9 +6,9 @@
 //	fsbench -experiment fig1|fig4|fig5|fig7|table1|compare|ablation|all
 //	        [-scale 1.0] [-threads 16] [-workers 0] [-app linear_regression]
 //	        [-bench-out BENCH_harness.json]
-//	        [-workers-procs 0] [-cache-dir DIR] [-cache-max-bytes N] [-listen ADDR]
+//	        [-workers-procs 0] [-cache-dir DIR] [-cache-max-bytes N] [-cell-timeout 0]
 //	fsbench -replay-shards N -app trace:PATH [-workers 0] [-workers-procs 0]
-//	fsbench -worker [-connect ADDR]
+//	fsbench -worker
 //	fsbench ... [-metrics-addr 127.0.0.1:9137] [-span-log spans.jsonl]
 //	        [-chrome-trace trace.json] [-progress 10s]
 //
@@ -25,18 +25,20 @@
 // (headline metrics, wall-clock, cells executed, git commit, timestamp)
 // so performance and result drift can be tracked across revisions; the
 // file is written atomically (temp file + rename), so an interrupted
-// run cannot truncate it.
+// run cannot truncate it, and the line naming it goes to stderr.
 //
 // Beyond the in-process pool, -experiment all shards across OS
-// processes: -workers-procs N spawns N worker subprocesses (this binary
-// re-executed with -worker), -listen ADDR additionally accepts remote
-// workers started with `fsbench -worker -connect ADDR` on other
-// machines, and -cache-dir keeps finished cells on disk so re-sweeps
-// and crashed-sweep resumes skip completed work (-cache-max-bytes caps
-// the directory, evicting least-recently-used entries from previous
-// sweeps). Workers that die mid-sweep are replaced up to a bound, so a
-// multi-proc sweep keeps its parallelism through crashes. The merged
-// sharded report is byte-identical to the serial run — CI cmps the two.
+// processes: -workers-procs N runs the sweep's cells as one job on the
+// job queue that also schedules cheetahd's jobs, over a pool of N worker
+// subprocesses (this binary re-executed with -worker), and -cache-dir
+// keeps finished cells on disk so re-sweeps and crashed-sweep resumes
+// skip completed work (-cache-max-bytes caps the directory, evicting
+// least-recently-used entries from previous sweeps). The pool retries a
+// cell whose worker dies, or sends no reply within -cell-timeout, on
+// another worker, and replaces dead workers while they keep serving
+// cells between deaths, so a multi-proc sweep keeps its parallelism
+// through crashes. The merged sharded report is byte-identical to the
+// serial run — CI cmps the two.
 //
 // Recorded and imported memory-access traces sweep like any workload:
 // pass `trace:<path>` wherever an application name is accepted, e.g.
@@ -48,8 +50,8 @@
 // splits one indexed
 // trace into N contiguous phase ranges and replays them as independent
 // `trace:<path>@lo-hi` cells — locally on the -workers pool, or across
-// worker processes with -workers-procs/-listen — printing the merged
-// per-shard report, byte-identical at any worker count.
+// worker processes with -workers-procs — printing the merged per-shard
+// report, byte-identical at any worker count.
 package main
 
 import (
@@ -57,7 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"runtime"
@@ -95,19 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchGate := fs.String("bench-gate", "",
 		"baseline BENCH_harness.json to gate against: exit non-zero when this sweep's accesses_per_sec regresses more than 20% below it (with -experiment all)")
 	worker := fs.Bool("worker", false,
-		"run as a sweep worker serving cells on stdin/stdout (or via -connect)")
-	connect := fs.String("connect", "",
-		"with -worker: dial a coordinator at host:port instead of using stdin/stdout")
+		"run as a sweep worker serving cells on stdin/stdout")
 	workersProcs := fs.Int("workers-procs", 0,
 		"shard -experiment all across this many worker subprocesses (0 = in-process)")
-	listenAddr := fs.String("listen", "",
-		"with -experiment all: accept remote TCP sweep workers on this address")
 	cacheDir := fs.String("cache-dir", "",
 		"on-disk result cache for sharded sweeps; cached cells are never re-run")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0,
 		"evict least-recently-used -cache-dir entries over this size (0 = unbounded; the running sweep's entries are never evicted)")
 	cellTimeout := fs.Duration("cell-timeout", 0,
-		"with a sharded sweep: requeue a cell whose worker sends no reply within this duration (0 = wait forever)")
+		"with a sharded sweep: retry a cell on another worker when its worker sends no reply within this duration (0 = wait forever)")
 	replayShards := fs.Int("replay-shards", 0,
 		"with -app trace:PATH: split the indexed trace into this many phase-range shards and print the merged per-shard report")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -126,19 +123,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A sweep is a batch job: relax the GC target so the simulator spends
 	// its cycles simulating instead of collecting (worth a few percent of
 	// end-to-end wall time). Peak memory stays modest at paper scale, and
-	// every mode — coordinator, worker, serial — benefits alike.
+	// every mode — sharded, worker, serial — benefits alike.
 	debug.SetGCPercent(400)
 
-	// Worker mode: serve cells until the coordinator closes the stream.
+	// Worker mode: serve cells until the pool closes the stream.
 	// Nothing else may write to stdout — it is the wire.
 	if *worker {
-		var err error
-		if *connect != "" {
-			err = sweep.ServeTCP(*connect)
-		} else {
-			err = sweep.Serve(os.Stdin, stdout)
-		}
-		if err != nil {
+		if err := sweep.Serve(os.Stdin, stdout); err != nil {
 			fmt.Fprintf(stderr, "fsbench: worker: %v\n", err)
 			return 1
 		}
@@ -176,13 +167,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Machine: *machineName}
-	sharded := *workersProcs > 0 || *listenAddr != ""
+	sharded := *workersProcs > 0
 	if sharded && *experiment != "all" && *replayShards == 0 {
-		fmt.Fprintf(stderr, "fsbench: -workers-procs/-listen shard the full sweep; use -experiment all or -replay-shards\n")
+		fmt.Fprintf(stderr, "fsbench: -workers-procs shards the full sweep; use -experiment all or -replay-shards\n")
 		return 2
 	}
 	if *cacheDir != "" && !sharded {
-		fmt.Fprintf(stderr, "fsbench: -cache-dir requires a sharded sweep (-workers-procs or -listen)\n")
+		fmt.Fprintf(stderr, "fsbench: -cache-dir requires a sharded sweep (-workers-procs)\n")
 		return 2
 	}
 	if *cacheMaxBytes != 0 && *cacheDir == "" {
@@ -194,28 +185,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *cellTimeout != 0 && !sharded {
-		fmt.Fprintf(stderr, "fsbench: -cell-timeout requires a sharded sweep (-workers-procs or -listen)\n")
+		fmt.Fprintf(stderr, "fsbench: -cell-timeout requires a sharded sweep (-workers-procs)\n")
 		return 2
 	}
 	if *progressEvery != 0 && !sharded {
-		fmt.Fprintf(stderr, "fsbench: -progress requires a sharded sweep (-workers-procs or -listen)\n")
+		fmt.Fprintf(stderr, "fsbench: -progress requires a sharded sweep (-workers-procs)\n")
 		return 2
+	}
+
+	if *replayShards < 0 {
+		fmt.Fprintf(stderr, "fsbench: -replay-shards must be >= 1\n")
+		return 2
+	}
+	if *replayShards > 0 && !workload.IsTraceName(*app) {
+		fmt.Fprintf(stderr, "fsbench: -replay-shards requires -app trace:<path>\n")
+		return 2
+	}
+
+	// A sharded sweep runs its cells on subprocess workers: this binary
+	// re-executed with -worker.
+	var sc *sweep.Config
+	if sharded {
+		self, err := os.Executable()
+		if err != nil {
+			fmt.Fprintf(stderr, "fsbench: resolving own binary for workers: %v\n", err)
+			return 1
+		}
+		sc = &sweep.Config{Harness: cfg, Procs: *workersProcs, CellTimeout: *cellTimeout,
+			Log: stderr, ProgressEvery: *progressEvery,
+			Spawn: func(int) (io.ReadWriteCloser, error) {
+				return sweep.SpawnWorkerProc(self, []string{"-worker"}, nil, stderr)
+			}}
+		if *cacheDir != "" {
+			if sc.Cache, err = sweep.OpenCache(*cacheDir); err != nil {
+				fmt.Fprintf(stderr, "fsbench: %v\n", err)
+				return 1
+			}
+			sc.Cache.SetMaxBytes(*cacheMaxBytes)
+		}
 	}
 
 	// Phase-sharded trace replay: split one indexed trace into phase
 	// ranges, run them as independent cells (local goroutines or sweep
 	// worker processes), print the merged per-shard report.
-	if *replayShards != 0 {
-		if *replayShards < 1 {
-			fmt.Fprintf(stderr, "fsbench: -replay-shards must be >= 1\n")
-			return 2
-		}
-		if !workload.IsTraceName(*app) {
-			fmt.Fprintf(stderr, "fsbench: -replay-shards requires -app trace:<path>\n")
-			return 2
-		}
-		return runShardedReplay(cfg, *app, *replayShards, *workers, *workersProcs,
-			*listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, stdout, stderr)
+	if *replayShards > 0 {
+		return runShardedReplay(cfg, *app, *replayShards, *workers, sc, stdout, stderr)
 	}
 
 	switch *experiment {
@@ -227,10 +241,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			accesses uint64
 		)
 		start := time.Now()
-		if sharded {
-			stats, code := runSharded(cfg, *workersProcs, *listenAddr, *cacheDir, *cacheMaxBytes, *cellTimeout, *progressEvery, &res, stderr)
-			if code != 0 {
-				return code
+		if sc != nil {
+			var stats sweep.Stats
+			if res, stats, err = sweep.Run(*sc); err != nil {
+				fmt.Fprintf(stderr, "fsbench: %v\n", err)
+				return 1
 			}
 			cellsRun, workersN = stats.Executed, stats.Workers
 			// Worker processes report per-cell access counts over the wire
@@ -282,7 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					fmt.Fprintf(stderr, "fsbench: writing %s: %v\n", *benchOut, err)
 					return 1
 				}
-				fmt.Fprintf(stdout, "\nwrote bench trajectory entry to %s (%d cells, %.1fs)\n",
+				fmt.Fprintf(stderr, "fsbench: wrote bench trajectory entry to %s (%d cells, %.1fs)\n",
 					*benchOut, entry.CellsRun, entry.WallSeconds)
 			}
 			if *benchGate != "" {
@@ -323,83 +338,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepConfig assembles the multi-process coordinator configuration:
-// procs spawned subprocess workers (this binary re-executed with
-// -worker), plus any remote workers that dial listenAddr, with an
-// optional on-disk result cache and per-cell timeout.
-func sweepConfig(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, stderr io.Writer) (sweep.Config, error) {
-	sc := sweep.Config{Harness: cfg, Procs: procs, CellTimeout: cellTimeout, Log: stderr, ProgressEvery: progressEvery}
-	if procs > 0 {
-		self, err := os.Executable()
-		if err != nil {
-			return sc, fmt.Errorf("resolving own binary for workers: %v", err)
-		}
-		sc.Spawn = func(int) (io.ReadWriteCloser, error) {
-			return sweep.SpawnWorkerProc(self, []string{"-worker"}, nil, stderr)
-		}
-	}
-	if listenAddr != "" {
-		ln, err := net.Listen("tcp", listenAddr)
-		if err != nil {
-			return sc, fmt.Errorf("listening on %s: %v", listenAddr, err)
-		}
-		fmt.Fprintf(stderr, "fsbench: accepting sweep workers on %s\n", ln.Addr())
-		sc.Listener = ln
-	}
-	if cacheDir != "" {
-		cache, err := sweep.OpenCache(cacheDir)
-		if err != nil {
-			return sc, err
-		}
-		cache.SetMaxBytes(cacheMaxBytes)
-		sc.Cache = cache
-	}
-	return sc, nil
-}
-
-// runSharded runs the full sweep through the multi-process coordinator.
-// The merged *harness.Results lands in *res.
-func runSharded(cfg harness.Config, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, res **harness.Results, stderr io.Writer) (sweep.Stats, int) {
-	sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, stderr)
-	if err != nil {
-		fmt.Fprintf(stderr, "fsbench: %v\n", err)
-		return sweep.Stats{}, 1
-	}
-	out, stats, err := sweep.Run(sc)
-	if err != nil {
-		fmt.Fprintf(stderr, "fsbench: %v\n", err)
-		return stats, 1
-	}
-	*res = out
-	return stats, 0
-}
-
 // runShardedReplay implements -replay-shards: plan contiguous phase
 // ranges over the indexed trace, run each range as an independent
 // `trace:<path>@lo-hi` cell — in-process on up to localWorkers
-// goroutines, or across sweep worker processes when -workers-procs or
-// -listen is set — and print the merged per-shard report. The report is
-// a pure function of the plan and the deterministic per-cell results,
-// so the bytes are identical at any worker count, in-process or not.
-func runShardedReplay(cfg harness.Config, app string, shards, localWorkers, procs int, listenAddr, cacheDir string, cacheMaxBytes int64, cellTimeout, progressEvery time.Duration, stdout, stderr io.Writer) int {
+// goroutines, or across sweep worker processes when sc is set — and
+// print the merged per-shard report. The report is a pure function of
+// the plan and the deterministic per-cell results, so the bytes are
+// identical at any worker count, in-process or not.
+func runShardedReplay(cfg harness.Config, app string, shards, localWorkers int, sc *sweep.Config, stdout, stderr io.Writer) int {
 	plan, err := harness.TraceShardPlan(app, shards, cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "fsbench: %v\n", err)
 		return 1
 	}
 	var results map[string]harness.CellResult
-	if procs > 0 || listenAddr != "" {
-		sc, err := sweepConfig(cfg, procs, listenAddr, cacheDir, cacheMaxBytes, cellTimeout, progressEvery, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "fsbench: %v\n", err)
-			return 1
-		}
+	if sc != nil {
 		cells := make([]harness.Cell, len(plan))
 		for i := range plan {
 			cells[i] = plan[i].Cell
 		}
 		var stats sweep.Stats
-		results, stats, err = sweep.RunCells(sc, cells)
+		results, stats, err = sweep.RunCells(*sc, cells)
 		if err != nil {
 			fmt.Fprintf(stderr, "fsbench: %v\n", err)
 			return 1

@@ -141,6 +141,14 @@ func TestRunAllWritesBenchTrajectory(t *testing.T) {
 			t.Errorf("all-experiments output missing %q", want)
 		}
 	}
+	// The report alone goes to stdout, so two -bench-out sweeps print
+	// the same bytes; the line naming the written file is a diagnostic.
+	if strings.Contains(out.String(), "wrote bench trajectory entry") {
+		t.Error("stdout carries the bench trajectory line; it belongs on stderr")
+	}
+	if !strings.Contains(errOut.String(), "wrote bench trajectory entry to "+path) {
+		t.Errorf("stderr does not name the written trajectory file:\n%s", errOut.String())
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("bench trajectory not written: %v", err)
@@ -212,7 +220,7 @@ func TestShardedFlagValidation(t *testing.T) {
 
 // TestWorkerModeOnClosedStdin: `fsbench -worker` under `go test` reads
 // EOF from stdin immediately; it must emit its hello frame and exit 0 —
-// the behavior a coordinator relies on when it closes a worker's pipe.
+// the behavior a worker pool relies on when it closes a worker's pipe.
 func TestWorkerModeOnClosedStdin(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-worker"}, &out, &errOut); code != 0 {
@@ -223,7 +231,7 @@ func TestWorkerModeOnClosedStdin(t *testing.T) {
 	}
 }
 
-// TestShardedSweepCLI: the full CLI path — coordinator spawning real
+// TestShardedSweepCLI: the full CLI path — a pool spawning real
 // fsbench -worker subprocesses — must print byte-identical output to
 // the serial CLI path. The packages under internal/ already test this
 // exhaustively; this guards the flag wiring.

@@ -217,7 +217,7 @@ type Result struct {
 
 // Accesses returns the total simulated memory accesses across all
 // threads. The per-thread counts are part of the result payload, so the
-// sum survives serialization — sweep coordinators aggregate it from
+// sum survives serialization — sharded sweeps aggregate it from
 // worker-produced and cached results alike for throughput accounting.
 func (r Result) Accesses() uint64 {
 	var n uint64

@@ -35,6 +35,15 @@ type Scheduler interface {
 	PopMin() *thread
 }
 
+// NextVtime is the test-side view of the second-earliest key's vtime;
+// the engine itself reads the full key through NextKey.
+func (q *sortedQueue) NextVtime() uint64 {
+	if q.size < 2 {
+		return ^uint64(0)
+	}
+	return q.buf[q.idx(q.size-2)].vt
+}
+
 // TestSchedulerOrdering: the run queue pops in (vtime, id) order, ids
 // breaking ties.
 func TestSchedulerOrdering(t *testing.T) {

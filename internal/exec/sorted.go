@@ -76,13 +76,6 @@ func (q *sortedQueue) idx(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 func (q *sortedQueue) Len() int     { return q.size }
 func (q *sortedQueue) Min() *thread { return q.ths[q.buf[q.idx(q.size-1)].idx] }
 
-func (q *sortedQueue) NextVtime() uint64 {
-	if q.size < 2 {
-		return ^uint64(0)
-	}
-	return q.buf[q.idx(q.size-2)].vt
-}
-
 func (q *sortedQueue) NextKey() (uint64, mem.ThreadID) {
 	if q.size < 2 {
 		return ^uint64(0), maxThreadID

@@ -19,8 +19,8 @@ import (
 )
 
 // This file is the harness's sharding surface: everything a
-// multi-process sweep coordinator (internal/sweep) needs to plan, farm
-// out and merge an evaluation. A Cell is the portable form of a cellKey,
+// multi-process sweep (internal/sweep) needs to plan, farm out and
+// merge an evaluation. A Cell is the portable form of a cellKey,
 // a CellResult the portable form of a cellOut; EnumerateCells plans a
 // sweep without simulating anything, RunCell executes one cell in a
 // worker process, and Runner.Preload injects finished results so
@@ -58,7 +58,7 @@ type Cell struct {
 	// bytes, not its path, so the hash joins the identity: rewriting a
 	// trace in place orphans its old cache entries instead of serving
 	// stale results, and a worker whose copy of the file diverges from
-	// the coordinator's refuses the cell instead of merging a mismatched
+	// the planner's refuses the cell instead of merging a mismatched
 	// report.
 	TraceHash string `json:"trace_hash,omitempty"`
 }
@@ -161,8 +161,8 @@ func (c Cell) Validate() error {
 }
 
 // ID returns the cell's canonical string form: an injective encoding of
-// every field, stable across processes. Sweep coordinators sort by it
-// and content-address cache entries with its hash.
+// every field, stable across processes. Sweeps key results by it and
+// content-address cache entries with its hash.
 func (c Cell) ID() string {
 	id := c.Kind + "|" + c.Workload +
 		"|t" + strconv.Itoa(c.Threads) +
@@ -390,14 +390,13 @@ func RunCell(c Cell) (res CellResult, err error) {
 	if _, ok := workload.ByName(c.Workload); !ok {
 		return CellResult{}, fmt.Errorf("harness: unknown workload %q", c.Workload)
 	}
-	// A trace cell's identity includes the coordinator's content hash;
-	// if this machine's copy of the file differs (a divergent replica on
-	// a remote shard, or the file was rewritten mid-sweep), running it
-	// would merge a report for different data under the coordinator's
-	// cell ID.
+	// A trace cell's identity includes the planner's content hash; if
+	// the worker's copy of the file differs (it was rewritten
+	// mid-sweep), running it would merge a report for different data
+	// under the planned cell ID.
 	if c.TraceHash != "" {
 		if local := traceHashFor(c.Workload); local != c.TraceHash {
-			return CellResult{}, fmt.Errorf("harness: cell %s: local trace content hash %.12s does not match the coordinator's %.12s",
+			return CellResult{}, fmt.Errorf("harness: cell %s: local trace content hash %.12s does not match the planned %.12s",
 				c.ID(), local, c.TraceHash)
 		}
 	}

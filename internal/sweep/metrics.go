@@ -2,35 +2,26 @@ package sweep
 
 import "repro/internal/obs"
 
-// Sweep observability: the coordinator's cell lifecycle
-// (enqueue→assign→result, with requeue/timeout/respawn detours) and
-// worker population, aggregated process-wide. Everything here is
-// touched per cell or per worker event — never per simulated access —
-// so the cost is invisible next to cell execution.
+// Worker-pool observability: the worker population and the detours a
+// cell takes when its worker dies or stalls, aggregated process-wide
+// over every ProcPool. Cell outcomes (executed, cached, deduped) are the
+// job queue's to count. Everything here is touched per cell or per
+// worker event — never per simulated access — so the cost is invisible
+// next to cell execution.
 var (
-	mCellsEnqueued = obs.GetCounter("cheetah_sweep_cells_enqueued_total",
-		"Cells queued for worker execution (cache misses).")
-	mCellsCached = obs.GetCounter("cheetah_sweep_cells_cached_total",
-		"Cells satisfied from the on-disk result cache.")
-	mCellsCompleted = obs.GetCounter("cheetah_sweep_cells_completed_total",
-		"Cells completed by workers.")
 	mCellsRequeued = obs.GetCounter("cheetah_sweep_cells_requeued_total",
-		"Cell assignments requeued after a worker death or cell error.")
+		"Cell assignments retried on another worker after their worker died or timed out.")
 	mCellTimeouts = obs.GetCounter("cheetah_sweep_cell_timeouts_total",
 		"Cell assignments abandoned for exceeding the cell timeout.")
-	mCellsLateDropped = obs.GetCounter("cheetah_sweep_cells_late_dropped_total",
-		"Stale replies (results or errors) dropped because a requeued copy already completed the cell.")
 	mWorkersSpawned = obs.GetCounter("cheetah_sweep_workers_spawned_total",
 		"Workers that completed the hello handshake.")
 	mWorkersLost = obs.GetCounter("cheetah_sweep_workers_lost_total",
 		"Workers retired by transport failure, protocol violation, or timeout.")
 	mWorkersRespawned = obs.GetCounter("cheetah_sweep_workers_respawned_total",
-		"Replacement local workers spawned after mid-sweep deaths.")
+		"Replacement workers spawned after deaths.")
 	mWorkersLive = obs.GetGauge("cheetah_sweep_workers_live",
 		"Workers currently past their handshake and serving cells.")
-	mQueueDepth = obs.GetGauge("cheetah_sweep_queue_depth",
-		"Cells not yet finished in the running sweep.")
 	mCellSeconds = obs.GetHistogram("cheetah_sweep_cell_seconds",
-		"Wall-clock seconds per remote cell execution (assignment to reply).",
+		"Wall-clock seconds per cell executed on a pool worker (assignment to reply).",
 		obs.DurationBuckets)
 )

@@ -2,65 +2,124 @@ package sweep
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 )
 
-// ProcPool executes cells on a fixed set of persistent worker
+// ProcPool executes cells on a fixed number of persistent worker
 // transports speaking the sweep wire protocol — typically subprocesses
-// via SpawnWorkerProc, so a daemon's simulations run outside its own
-// heap and a crashed cell kills a worker, not the service. Its Exec
-// method plugs straight into QueueConfig.Exec. Unlike the coordinator,
-// which owns a sweep's whole lifecycle, the pool is a passive executor:
-// callers bring their own retry and accounting policy (the JobQueue's).
+// via SpawnWorkerProc, so simulations run outside the caller's heap and
+// a crashed cell kills a worker, not the caller. Its Exec method plugs
+// into QueueConfig.Exec; it is the one executor behind fsbench's sharded
+// sweeps (RunCells) and cheetahd's -worker-procs.
+//
+// The pool owns the one worker-failure policy, read from Config:
+//   - a worker whose transport fails, or that sends no reply within
+//     CellTimeout, is retired (its transport closed) and the cell is
+//     retried on another worker, up to MaxAttempts workers per cell; a
+//     worker found dead before the cell reached it costs no attempt;
+//   - a retired worker is replaced by a fresh spawn while no more than
+//     MaxRespawns workers have died in a row with no cell served
+//     between the deaths;
+//   - once no worker is live and none can be spawned, every waiting
+//     and later Exec fails with an error that names the lost workers.
+//
+// A cell-level error reply fails its cell at once: the worker survived,
+// and a deterministic cell fails the same way on any worker.
 type ProcPool struct {
-	spawn func(i int) (io.ReadWriteCloser, error)
+	cfg Config
 
-	// free holds idle workers; it is never closed (in-flight Execs
-	// return workers to it at any time). done signals Close to waiters.
+	startOnce sync.Once
+	startErr  error
+
+	// free holds idle workers, at most Procs of them; it is never
+	// closed (in-flight Execs return workers to it at any time). stop is
+	// closed once, by Close or when the last worker is lost for good,
+	// and stopErr says which.
 	free chan *poolWorker
-	done chan struct{}
+	stop chan struct{}
 
 	mu       sync.Mutex
-	closed   bool
+	stopErr  error
+	workers  map[*poolWorker]bool // live workers, idle or busy
+	spawning int                  // respawns in progress, counted as live
 	nspawned int
-	workers  map[*poolWorker]bool
+	// deaths counts workers lost since a cell was last served: the
+	// quantity MaxRespawns bounds.
+	deaths int
+	counts poolStats
+}
+
+// poolStats is the pool's lifetime accounting.
+type poolStats struct {
+	workers  int // workers that completed the handshake
+	respawns int // replacements spawned after deaths
+	retries  int // cells reassigned after their worker died
+	lost     int // workers retired dead
+	live     int // workers currently live
 }
 
 // poolWorker is one live transport plus its buffered framing state.
 type poolWorker struct {
+	id  int
 	t   io.ReadWriteCloser
 	br  *bufio.Reader
 	bw  *bufio.Writer
 	seq uint64
 }
 
-// NewProcPool spawns n workers and verifies each one's hello
-// handshake. Failure to bring up any worker fails construction; a pool
-// that starts degraded would silently serve with less parallelism than
-// the operator asked for.
+// NewProcPool spawns n workers and verifies each one's hello handshake,
+// under the default failure policy (see Config). Failure to bring up
+// any worker fails construction; a pool that starts degraded would
+// silently serve with less parallelism than the operator asked for.
 func NewProcPool(n int, spawn func(i int) (io.ReadWriteCloser, error)) (*ProcPool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sweep: pool needs at least one worker")
 	}
-	p := &ProcPool{
-		spawn:   spawn,
-		free:    make(chan *poolWorker, n+1),
-		done:    make(chan struct{}),
-		workers: map[*poolWorker]bool{},
-	}
-	for i := 0; i < n; i++ {
-		w, err := p.spawnWorker()
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		p.free <- w
+	p := newProcPool(Config{Procs: n, Spawn: spawn})
+	if err := p.start(); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// newProcPool builds a pool that spawns its cfg.Procs workers on the
+// first Exec, under cfg's failure policy.
+func newProcPool(cfg Config) *ProcPool {
+	if cfg.MaxAttempts <= 0 {
+		cfg.MaxAttempts = 3
+	}
+	if cfg.MaxRespawns == 0 {
+		cfg.MaxRespawns = 2 * cfg.Procs
+	}
+	return &ProcPool{
+		cfg:     cfg,
+		free:    make(chan *poolWorker, cfg.Procs),
+		stop:    make(chan struct{}),
+		workers: map[*poolWorker]bool{},
+	}
+}
+
+// start spawns the initial workers, once.
+func (p *ProcPool) start() error {
+	p.startOnce.Do(func() {
+		for i := 0; i < p.cfg.Procs; i++ {
+			w, err := p.spawnWorker()
+			if err != nil {
+				p.Close()
+				p.startErr = err
+				return
+			}
+			p.free <- w
+		}
+	})
+	return p.startErr
 }
 
 // spawnWorker brings up one worker through its handshake.
@@ -69,11 +128,11 @@ func (p *ProcPool) spawnWorker() (*poolWorker, error) {
 	i := p.nspawned
 	p.nspawned++
 	p.mu.Unlock()
-	t, err := p.spawn(i)
+	t, err := p.cfg.Spawn(i)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: spawning pool worker %d: %w", i, err)
 	}
-	w := &poolWorker{t: t, br: bufio.NewReader(t), bw: bufio.NewWriter(t)}
+	w := &poolWorker{id: i, t: t, br: bufio.NewReader(t), bw: bufio.NewWriter(t)}
 	hello, err := ReadMessage(w.br)
 	if err != nil {
 		t.Close()
@@ -85,87 +144,157 @@ func (p *ProcPool) spawnWorker() (*poolWorker, error) {
 			i, hello.Type, hello.Proto, ProtoVersion)
 	}
 	p.mu.Lock()
-	if p.closed {
+	if err := p.stopErr; err != nil {
 		p.mu.Unlock()
 		t.Close()
-		return nil, fmt.Errorf("sweep: pool closed")
+		return nil, err
 	}
 	p.workers[w] = true
+	p.counts.workers++
 	p.mu.Unlock()
+	mWorkersSpawned.Inc()
+	mWorkersLive.Add(1)
+	obs.Event("sweep", "worker-up", w.id, nil)
 	return w, nil
 }
 
-// retire removes a dead worker and closes its transport.
-func (p *ProcPool) retire(w *poolWorker) {
-	p.mu.Lock()
-	delete(p.workers, w)
-	p.mu.Unlock()
-	w.t.Close()
-}
-
-// Exec runs one cell on the next free worker. A transport failure
-// retires the worker, spawns a replacement, and retries the cell once
-// on it — one worker crash costs one retry, not a failed job. A
+// Exec runs one cell on the next free worker. A worker that dies
+// holding the cell, or times out, is retired and the cell retried on
+// another, up to MaxAttempts workers; a worker found dead when the cell
+// is handed to it is retired without costing the cell an attempt. A
 // cell-level MsgError comes back as an error with the worker intact.
 func (p *ProcPool) Exec(cell harness.Cell) (harness.CellResult, error) {
-	for attempt := 0; ; attempt++ {
+	if err := p.start(); err != nil {
+		return harness.CellResult{}, err
+	}
+	var err error
+	for attempts := 0; attempts < p.cfg.MaxAttempts; {
 		var w *poolWorker
 		select {
 		case w = <-p.free:
-		case <-p.done:
-			return harness.CellResult{}, fmt.Errorf("sweep: pool closed")
+		case <-p.stop:
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return harness.CellResult{}, p.stopErr
 		}
-		res, err, dead := p.execOn(w, cell)
+		if err = p.assign(w, cell); err != nil {
+			p.retire(w, err)
+			continue
+		}
+		if attempts++; attempts > 1 {
+			p.mu.Lock()
+			p.counts.retries++
+			p.mu.Unlock()
+			mCellsRequeued.Inc()
+			p.logf("sweep: retrying %s on worker %d (%v)", cell.ID(), w.id, err)
+		}
+		var res harness.CellResult
+		var dead bool
+		res, err, dead = p.await(w, cell)
 		if !dead {
 			p.release(w)
 			return res, err
 		}
-		p.retire(w)
-		replacement, serr := p.spawnWorker()
-		if serr == nil {
-			p.release(replacement)
-		}
-		if attempt > 0 || serr != nil {
-			if serr != nil {
-				err = fmt.Errorf("%w (and respawning its worker failed: %v)", err, serr)
-			}
-			return harness.CellResult{}, err
-		}
+		p.retire(w, err)
 	}
+	return harness.CellResult{}, fmt.Errorf("sweep: cell %s failed on %d workers, last: %w",
+		cell.ID(), p.cfg.MaxAttempts, err)
 }
 
-// release returns a worker to the idle set — or shuts it down if the
-// pool closed while the worker was out serving a cell.
+// release returns a worker that served a cell to the idle set — or
+// closes it if the pool stopped while the worker was out serving.
 func (p *ProcPool) release(w *poolWorker) {
 	p.mu.Lock()
-	closed := p.closed
+	p.deaths = 0
+	closed := p.stopErr != nil
 	p.mu.Unlock()
 	if closed {
-		p.shutdownWorker(w)
+		w.t.Close()
 		return
 	}
 	p.free <- w
 }
 
-// shutdownWorker asks one worker to exit and closes its transport.
-func (p *ProcPool) shutdownWorker(w *poolWorker) {
-	if err := WriteMessage(w.bw, &Message{Type: MsgShutdown}); err == nil {
-		w.bw.Flush()
-	}
+// retire closes a dead worker's transport and replaces it while the
+// respawn budget lasts. When that leaves no live worker, the pool is
+// gone: every waiting and later Exec fails with the cause.
+func (p *ProcPool) retire(w *poolWorker, cause error) {
 	w.t.Close()
+	p.mu.Lock()
+	if !p.workers[w] {
+		p.mu.Unlock()
+		return // Close already took it
+	}
+	delete(p.workers, w)
+	p.deaths++
+	p.counts.lost++
+	p.mu.Unlock()
+	mWorkersLost.Inc()
+	mWorkersLive.Add(-1)
+	obs.Event("sweep", "worker-down", w.id, nil)
+	p.logf("sweep: worker %d lost: %v", w.id, cause)
+	for {
+		p.mu.Lock()
+		if p.stopErr != nil || p.cfg.MaxRespawns < 0 || p.deaths > p.cfg.MaxRespawns {
+			if len(p.workers) == 0 && p.spawning == 0 && p.stopErr == nil {
+				p.stopErr = fmt.Errorf("sweep: all pool workers are gone: %d lost, worker %d last; "+
+					"%d deaths in a row with no cell served spent the respawn budget of %d; last cause: %v",
+					p.counts.lost, w.id, p.deaths, p.cfg.MaxRespawns, cause)
+				close(p.stop)
+			}
+			p.mu.Unlock()
+			return
+		}
+		// A spawn in progress counts as live, so a concurrent retire
+		// does not declare the pool gone while a replacement is coming.
+		p.spawning++
+		p.mu.Unlock()
+		nw, err := p.spawnWorker()
+		p.mu.Lock()
+		p.spawning--
+		if err == nil {
+			p.counts.respawns++
+		} else {
+			p.deaths++
+		}
+		deaths := p.deaths
+		p.mu.Unlock()
+		if err == nil {
+			mWorkersRespawned.Inc()
+			p.logf("sweep: respawned worker %d (deaths in a row: %d of %d)", nw.id, deaths, p.cfg.MaxRespawns)
+			p.free <- nw // cannot block: live workers never exceed Procs
+			return
+		}
+		p.logf("sweep: %v", err)
+		cause = err
+	}
 }
 
-// execOn runs one assignment on w. dead reports that the transport is
-// unusable (as opposed to a clean cell-level error).
-func (p *ProcPool) execOn(w *poolWorker, cell harness.Cell) (res harness.CellResult, err error, dead bool) {
+// assign sends one run frame to w. An error means the worker's
+// transport was already unusable: the worker died before the cell
+// reached it.
+func (p *ProcPool) assign(w *poolWorker, cell harness.Cell) error {
 	w.seq++
 	if err := WriteMessage(w.bw, &Message{Type: MsgRun, Seq: w.seq, Cell: &cell}); err != nil {
-		return harness.CellResult{}, fmt.Errorf("sweep: pool assignment: %w", err), true
+		return fmt.Errorf("sweep: pool assignment: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
-		return harness.CellResult{}, fmt.Errorf("sweep: pool assignment: %w", err), true
+		return fmt.Errorf("sweep: pool assignment: %w", err)
 	}
-	m, err := ReadMessage(w.br)
+	return nil
+}
+
+// await reads w's reply to the cell just assigned. dead reports that
+// the worker died holding the cell or timed out (as opposed to a clean
+// cell-level error).
+func (p *ProcPool) await(w *poolWorker, cell harness.Cell) (res harness.CellResult, err error, dead bool) {
+	start := time.Now()
+	defer func() {
+		if obs.TracingEnabled() {
+			obs.Span("sweep", "cell", start, time.Now(), w.id, map[string]any{"cell": cell.ID(), "ok": err == nil})
+		}
+	}()
+	m, err := p.readReply(w)
 	if err != nil {
 		return harness.CellResult{}, fmt.Errorf("sweep: pool reply: %w", err), true
 	}
@@ -176,28 +305,61 @@ func (p *ProcPool) execOn(w *poolWorker, cell harness.Cell) (res harness.CellRes
 	if m.Type == MsgError {
 		return harness.CellResult{}, fmt.Errorf("sweep: cell failed on pool worker: %s", m.Error), false
 	}
+	mCellSeconds.Observe(time.Since(start).Seconds())
 	return *m.Result, nil, false
 }
 
-// Close shuts every idle worker down cleanly and fails waiting and
-// future Exec calls. Workers out serving a cell finish their
-// assignment and are shut down when released.
+// readReply reads one reply frame under the cell timeout, if any. When
+// the timeout fires, the worker's transport is closed, which unblocks
+// the read; the reply counts as lost even if it raced the close, so a
+// late reply is never counted.
+func (p *ProcPool) readReply(w *poolWorker) (*Message, error) {
+	if p.cfg.CellTimeout <= 0 {
+		return ReadMessage(w.br)
+	}
+	timer := time.AfterFunc(p.cfg.CellTimeout, func() { w.t.Close() })
+	m, err := ReadMessage(w.br)
+	if !timer.Stop() {
+		mCellTimeouts.Inc()
+		obs.Event("sweep", "cell-timeout", w.id, nil)
+		return nil, fmt.Errorf("no reply within the %v cell timeout", p.cfg.CellTimeout)
+	}
+	return m, err
+}
+
+// Close fails waiting and future Exec calls and closes every worker's
+// transport, busy ones included, so no worker outlives the pool: a
+// worker sees EOF on its stdin and exits, and closing a subprocess
+// transport reaps the process, killing it if it lingers.
 func (p *ProcPool) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
+	workers := p.workers
 	p.workers = map[*poolWorker]bool{}
-	p.mu.Unlock()
-	close(p.done)
-	for {
-		select {
-		case w := <-p.free:
-			p.shutdownWorker(w)
-		default:
-			return nil
-		}
+	if p.stopErr == nil {
+		p.stopErr = errors.New("sweep: pool closed")
+		close(p.stop)
 	}
+	p.mu.Unlock()
+	mWorkersLive.Add(-int64(len(workers)))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.t.Close()
+		}()
+	}
+	wg.Wait()
+	return nil
 }
+
+// stats returns a snapshot of the pool's accounting.
+func (p *ProcPool) stats() poolStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.counts
+	s.live = len(p.workers)
+	return s
+}
+
+func (p *ProcPool) logf(format string, args ...any) { logf(p.cfg.Log, format, args...) }

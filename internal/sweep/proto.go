@@ -1,11 +1,12 @@
-// Package sweep shards harness experiment cells across OS processes. A
-// coordinator enumerates the cells of a sweep, farms the uncached ones
-// out to worker processes over a length-prefixed JSON wire protocol
-// (stdin/stdout pipes for local subprocesses, TCP for remote shards),
-// caches finished cells content-addressed on disk, and merges the
-// results through harness.Runner.Preload into the exact rows and report
-// text the in-process runner produces — byte-identical at any worker
-// count, which the package's tests and a CI cmp step enforce.
+// Package sweep runs harness experiment cells in worker processes. A
+// JobQueue schedules cells — deduping identical ones and serving the
+// content-addressed on-disk cache — onto an executor, and a ProcPool
+// executes them on worker subprocesses over a length-prefixed JSON wire
+// protocol on stdin/stdout pipes. The cheetahd gateway runs its jobs on
+// that queue; a sharded sweep (Run, RunCells) is one job on a private
+// queue, merged through harness.Runner.Preload into the exact rows and
+// report text the in-process runner produces — byte-identical at any
+// worker count, which the package's tests and a CI cmp step enforce.
 package sweep
 
 import (
@@ -18,8 +19,8 @@ import (
 	"repro/internal/harness"
 )
 
-// ProtoVersion is exchanged in the hello message; coordinator and
-// workers must agree exactly, since cell payloads are schema-less JSON.
+// ProtoVersion is exchanged in the hello message; pool and workers
+// must agree exactly, since cell payloads are schema-less JSON.
 const ProtoVersion = "cheetah-sweep/v1"
 
 // MaxFrame bounds one wire frame (and one cache file). Real cell
@@ -35,13 +36,12 @@ const maxFrameDigits = 8
 const (
 	// MsgHello is the first frame a worker sends: its protocol version.
 	MsgHello = "hello"
-	// MsgRun assigns one cell (coordinator -> worker).
+	// MsgRun assigns one cell (pool -> worker).
 	MsgRun = "run"
-	// MsgResult returns a finished cell (worker -> coordinator).
+	// MsgResult returns a finished cell (worker -> pool).
 	MsgResult = "result"
-	// MsgError reports a cell-level failure (worker -> coordinator);
-	// the worker stays alive and the coordinator decides whether to
-	// retry elsewhere.
+	// MsgError reports a cell-level failure (worker -> pool); the
+	// worker stays alive and the cell fails.
 	MsgError = "error"
 	// MsgShutdown asks a worker to exit cleanly.
 	MsgShutdown = "shutdown"

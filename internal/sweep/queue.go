@@ -12,18 +12,18 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the job-queue layer behind the cheetahd gateway: many
+// This file is the job-queue layer, the one cell scheduler: many
 // concurrent detection jobs — each a set of harness cells — multiplexed
-// onto one bounded executor pool. Where the coordinator in this package
-// drives ONE sweep to completion and exits, the JobQueue is built for a
-// long-lived process: admission is bounded (a full queue rejects rather
-// than buffering without limit), concurrency is budgeted per tenant so
-// one client cannot starve the rest, identical cells running at the
-// same moment collapse to a single execution (singleflight), and
-// finished cells land in the shared content-addressed cache so later
-// jobs are served from disk. Determinism carries over untouched: a
-// cell's result depends only on its identity, so deduping and caching
-// can never change a job's bytes.
+// onto one bounded executor. The cheetahd gateway keeps one queue for
+// its life; a sharded sweep (RunCells) submits its cells as one job to
+// a private queue over a ProcPool. Admission is bounded (a full queue
+// rejects rather than buffering without limit), concurrency is budgeted
+// per tenant so one client cannot starve the rest, identical cells
+// running at the same moment collapse to a single execution
+// (singleflight), and finished cells land in the shared
+// content-addressed cache so later jobs are served from disk.
+// Determinism carries over untouched: a cell's result depends only on
+// its identity, so deduping and caching can never change a job's bytes.
 
 // Admission errors. Callers (the HTTP gateway) map these to 429 and 503.
 var (
@@ -319,8 +319,8 @@ func (q *JobQueue) Submit(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("sweep: invalid cell in job: %w", err)
 		}
 	}
-	// Collapse duplicates within the job, same identity rule as the
-	// coordinator: one result per distinct cell ID.
+	// Collapse duplicates within the job: one result per distinct cell
+	// ID.
 	seen := make(map[string]bool, len(spec.Cells))
 	cells := make([]harness.Cell, 0, len(spec.Cells))
 	for _, c := range spec.Cells {
@@ -534,7 +534,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	q.mu.Unlock()
 	if firstErr != nil {
 		mGWJobsFailed.Inc()
-		q.logf("gateway: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), firstErr)
+		q.logf("sweep: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), firstErr)
 	} else {
 		mGWJobsCompleted.Inc()
 	}
@@ -599,14 +599,17 @@ func (q *JobQueue) cellResult(cell harness.Cell, tenantSem chan struct{}) (res h
 	mGWCellsExecuted.Inc()
 	if q.cfg.Cache != nil {
 		if perr := q.cfg.Cache.Put(cell, res); perr != nil {
-			q.logf("gateway: caching %s: %v", id, perr)
+			q.logf("sweep: caching %s: %v", id, perr)
 		}
 	}
 	return res, "executed", nil
 }
 
-func (q *JobQueue) logf(format string, args ...any) {
-	if q.cfg.Log != nil {
-		fmt.Fprintf(q.cfg.Log, format+"\n", args...)
+func (q *JobQueue) logf(format string, args ...any) { logf(q.cfg.Log, format, args...) }
+
+// logf writes one diagnostic line to w, if there is a w.
+func logf(w io.Writer, format string, args ...any) {
+	if w != nil {
+		fmt.Fprintf(w, format+"\n", args...)
 	}
 }

@@ -114,12 +114,12 @@ func TestPhaseShardedReplayMatchesLocal(t *testing.T) {
 }
 
 // TestPhaseShardWorkerKillRequeues is the shard-level fault injection:
-// a worker is killed mid-sweep while holding a phase shard, the
-// coordinator requeues that shard on the surviving worker, and the
-// merged report is still byte-identical to the local reference — a
-// worker death must never surface as a changed (or missing) shard. The
-// survivor holds its first reply until the dying worker has taken its
-// second shard, so the survivor cannot drain the queue first.
+// a worker is killed mid-sweep while holding a phase shard, the pool
+// retries that shard on another worker, and the merged report is still
+// byte-identical to the local reference — a worker death must never
+// surface as a changed (or missing) shard. The survivor holds its first
+// reply until the dying worker has taken its second shard, so the
+// survivor cannot drain the queue first.
 func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 	name := writeShardTrace(t)
 	plan, cells := shardPlan(t, name, 4)

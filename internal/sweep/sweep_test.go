@@ -19,10 +19,12 @@ import (
 // subprocess: TestMain intercepts the re-exec before any test runs.
 // workerEnv selects plain serving; dieAfterEnv makes the worker exit(1)
 // after serving that many cells — the fault-injection "kill" (from the
-// coordinator's perspective an abrupt self-kill and an external SIGKILL
-// are the same event: the pipe breaks mid-sweep). gateEnv names a file
-// that orders two workers: a dying worker creates it just before it
-// exits, and a serving worker holds its first reply until it exists.
+// pool's perspective an abrupt self-kill and an external SIGKILL are
+// the same event: the pipe breaks mid-sweep); "stall" takes a cell and
+// never answers. gateEnv names a file that orders two workers: a dying
+// worker creates it just before it exits, and a serving worker holds
+// its first reply until it exists. A stalling worker creates it once it
+// holds its cell.
 const (
 	workerEnv   = "SWEEP_TEST_WORKER"
 	dieAfterEnv = "SWEEP_TEST_DIE_AFTER"
@@ -46,6 +48,8 @@ func TestMain(m *testing.M) {
 	case "die-after":
 		n, _ := strconv.Atoi(os.Getenv(dieAfterEnv))
 		serveThenDie(n)
+	case "stall":
+		stallUntilEOF(os.Getenv(gateEnv))
 	}
 }
 
@@ -113,6 +117,20 @@ func spawnSelf(t *testing.T, extraEnv ...string) func(int) (io.ReadWriteCloser, 
 	return func(int) (io.ReadWriteCloser, error) {
 		return SpawnWorkerProc(exe, nil, append([]string{workerEnv + "=serve"}, extraEnv...), os.Stderr)
 	}
+}
+
+// fakeCell builds a syntactically valid cell for tests whose executor
+// never runs it.
+func fakeCell(name string) harness.Cell {
+	return harness.Cell{Kind: harness.KindNative, Workload: name, Threads: 1, Cores: 1, Scale: 1}
+}
+
+// pipeWorker spawns an in-process worker over a net.Pipe — the real
+// wire protocol without subprocess overhead.
+func pipeWorker(int) (io.ReadWriteCloser, error) {
+	coordSide, workerSide := net.Pipe()
+	go Serve(workerSide, workerSide)
+	return coordSide, nil
 }
 
 func testConfig(t *testing.T) harness.Config {
@@ -194,9 +212,8 @@ func TestSweepResumesFromCache(t *testing.T) {
 }
 
 // TestWorkerDeathRetries is the fault-injection case: one of two
-// workers dies mid-sweep with cells in flight; the coordinator must
-// requeue its work onto the survivor and still merge the identical
-// report.
+// workers dies mid-sweep with a cell in flight; the pool must retry it
+// on another worker and still merge the identical report.
 func TestWorkerDeathRetries(t *testing.T) {
 	c := testConfig(t)
 	serialCfg := c
@@ -228,9 +245,9 @@ func TestWorkerDeathRetries(t *testing.T) {
 }
 
 // stallingWorker handshakes, then swallows every assignment without
-// ever replying — a hung remote shard. It keeps reading so it notices
-// the coordinator abandoning it (the transport closing) and exits,
-// like a remote worker whose connection is torn down.
+// ever replying — a wedged worker. It keeps reading so it notices the
+// pool abandoning it (the transport closing) and exits, like a worker
+// subprocess whose stdin is closed.
 func stallingWorker(t io.ReadWriteCloser) {
 	defer t.Close()
 	bw := bufio.NewWriter(t)
@@ -246,11 +263,11 @@ func stallingWorker(t io.ReadWriteCloser) {
 	}
 }
 
-// TestCellTimeoutRequeues is the hung-shard fault injection: one of two
-// workers accepts a cell and never replies. With CellTimeout set the
-// coordinator must retire it, requeue the cell on the healthy worker,
-// and still merge the byte-identical report — without the timeout the
-// sweep would hang forever.
+// TestCellTimeoutRequeues is the hung-worker fault injection: one of
+// two workers accepts a cell and never replies. With CellTimeout set the
+// pool must retire it, retry the cell on another worker, and still
+// merge the byte-identical report — without the timeout the sweep would
+// hang forever.
 func TestCellTimeoutRequeues(t *testing.T) {
 	t.Parallel()
 	c := testConfig(t)
@@ -322,43 +339,6 @@ func TestNoSpawnableWorkersFails(t *testing.T) {
 	}
 }
 
-// TestTCPWorkers: remote shards dial a listening coordinator; the
-// merged report still matches serial. Uses in-process dialers — the
-// subprocess transport is covered above; this exercises the TCP path.
-func TestTCPWorkers(t *testing.T) {
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serialText := harness.RunAll(serialCfg).Format()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		go func() {
-			// Dial until the worker is accepted; Serve returns when the
-			// coordinator shuts the connection down.
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			Serve(conn, conn)
-		}()
-	}
-	res, stats, err := Run(Config{Harness: c, Listener: ln})
-	if err != nil {
-		t.Fatalf("TCP sweep: %v", err)
-	}
-	if stats.Executed != stats.Cells {
-		t.Errorf("stats = %+v, want all %d cells executed", stats, stats.Cells)
-	}
-	if got := res.Format(); got != serialText {
-		t.Errorf("TCP-sharded report diverges from serial:\n%s", firstDiff(serialText, got))
-	}
-}
-
 // firstDiff renders the first line where a and b disagree.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -372,9 +352,9 @@ func firstDiff(a, b string) string {
 }
 
 // TestDeadWorkersAreRespawned is the worker-loss recovery fault
-// injection: 3 of 4 subprocess workers die early in the sweep. The
-// coordinator must spawn replacements — not limp serially on the lone
-// survivor — and still merge the byte-identical report.
+// injection: 3 of 4 subprocess workers die early in the sweep. The pool
+// must spawn replacements — not limp serially on the lone survivor —
+// and still merge the byte-identical report.
 func TestDeadWorkersAreRespawned(t *testing.T) {
 	c := testConfig(t)
 	serialCfg := c
@@ -506,5 +486,45 @@ func TestSweepAccountsAccesses(t *testing.T) {
 	}
 	if stats.Accesses != want {
 		t.Errorf("warm sweep accounted %d accesses, want %d", stats.Accesses, want)
+	}
+}
+
+// TestRunCellsDuplicateCellsNoHang: a cell list containing the same
+// cell twice must complete and yield one result per distinct ID.
+// Before deduplication the completion counter included the duplicate,
+// but only one copy could ever finish — the sweep hung forever.
+func TestRunCellsDuplicateCellsNoHang(t *testing.T) {
+	t.Parallel()
+	cells := harness.EnumerateCells(testConfig(t))[:3]
+	withDup := append([]harness.Cell{cells[0]}, cells...)
+
+	type out struct {
+		results map[string]harness.CellResult
+		stats   Stats
+		err     error
+	}
+	done := make(chan out, 1)
+	go func() {
+		results, stats, err := RunCells(Config{Procs: 1, Spawn: pipeWorker}, withDup)
+		done <- out{results, stats, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("RunCells with duplicate cells: %v", o.err)
+		}
+		if o.stats.Cells != 3 {
+			t.Errorf("stats.Cells = %d, want 3 distinct", o.stats.Cells)
+		}
+		if len(o.results) != 3 {
+			t.Errorf("got %d results, want 3", len(o.results))
+		}
+		for _, c := range cells {
+			if _, ok := o.results[c.ID()]; !ok {
+				t.Errorf("no result for cell %s", c.ID())
+			}
+		}
+	case <-time.After(120 * time.Second):
+		t.Fatal("RunCells hung on a duplicated cell")
 	}
 }

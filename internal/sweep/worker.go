@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"os/exec"
 	"sync"
 	"time"
@@ -16,9 +15,9 @@ import (
 // announces itself with a hello frame, then executes run frames one at
 // a time until a shutdown frame or EOF. Cell-level failures (unknown
 // workload, missing trace file) are answered with error frames; the
-// loop keeps serving. cmd/fsbench -worker calls this on stdin/stdout or
-// a dialed TCP connection; process-level parallelism comes from the
-// coordinator spawning several workers.
+// loop keeps serving. `fsbench -worker` and `cheetahd -worker` call this
+// on stdin/stdout; process-level parallelism comes from a ProcPool
+// spawning several workers.
 func Serve(r io.Reader, w io.Writer) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
@@ -63,22 +62,11 @@ func Serve(r io.Reader, w io.Writer) error {
 	}
 }
 
-// ServeTCP dials the coordinator at addr and serves the connection —
-// the worker half of a cross-machine sweep.
-func ServeTCP(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return Serve(conn, conn)
-}
-
 // procTransport is a worker subprocess seen as a transport: writes go
 // to its stdin, reads come from its stdout, Close shuts stdin (the
 // worker's EOF) and reaps the process, killing it if it lingers. Close
-// is idempotent and safe to call concurrently — a coordinator abort and
-// the worker goroutine's deferred Close can race, and exec.Cmd.Wait
+// is idempotent and safe to call concurrently — a cell timeout, a dead
+// worker's retirement and the pool's Close can race, and exec.Cmd.Wait
 // must only ever run once.
 type procTransport struct {
 	cmd   *exec.Cmd
@@ -109,7 +97,7 @@ func (p *procTransport) Close() error {
 // SpawnWorkerProc starts `name args...` as a worker subprocess and
 // returns its stdin/stdout as a transport. extraEnv entries are
 // appended to the inherited environment; stderr passes through to the
-// given writer so worker diagnostics surface on the coordinator.
+// given writer so worker diagnostics surface in the spawning process.
 func SpawnWorkerProc(name string, args, extraEnv []string, stderr io.Writer) (io.ReadWriteCloser, error) {
 	cmd := exec.Command(name, args...)
 	cmd.Stderr = stderr

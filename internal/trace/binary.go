@@ -142,14 +142,6 @@ func NewBinaryEncoder(w io.Writer) *BinaryEncoder {
 	return newBinaryEncoder(w, BinaryVersion)
 }
 
-// NewBinaryEncoderV1 creates an encoder writing the legacy v1 framing —
-// absolute-value varints, no cross-record state. New traces should use
-// NewBinaryEncoder; v1 writing is kept so compatibility tooling and
-// tests can regenerate v1 streams.
-func NewBinaryEncoderV1(w io.Writer) *BinaryEncoder {
-	return newBinaryEncoder(w, BinaryV1)
-}
-
 func newBinaryEncoder(w io.Writer, version int) *BinaryEncoder {
 	e := &BinaryEncoder{
 		w:       bufio.NewWriterSize(w, 1<<16),
