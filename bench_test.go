@@ -6,7 +6,7 @@
 //
 // reproduces the paper's results in one sweep. The benchmarks run at a
 // reduced scale to stay fast; `go run ./cmd/fsbench` regenerates the
-// full-scale tables and the BENCH_harness.json trajectory entry.
+// full-scale tables.
 package cheetah_test
 
 import (
@@ -159,18 +159,13 @@ func BenchmarkAblationRule(b *testing.B) {
 }
 
 // BenchmarkRunAll regenerates the entire evaluation through the
-// concurrent experiment runner — the end-to-end number the bench
-// trajectory (BENCH_harness.json, via cmd/fsbench) tracks across
-// revisions. Cells shared between experiments are executed once; the
-// dedup ratio is reported alongside.
+// concurrent experiment runner. Cells shared between experiments are
+// executed once; the dedup ratio is reported alongside.
 func BenchmarkRunAll(b *testing.B) {
 	batchGC(b)
 	for i := 0; i < b.N; i++ {
 		r := harness.NewRunner(0)
-		res := harness.RunAllWith(r, benchConfig())
-		if len(res.Metrics()) == 0 {
-			b.Fatal("sweep produced no metrics")
-		}
+		harness.RunAllWith(r, benchConfig())
 		b.ReportMetric(float64(r.CellsRun()), "cells/op")
 	}
 }

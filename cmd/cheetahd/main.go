@@ -130,9 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cheetahd: %v\n", err)
 			return 1
 		}
-		pool, err = sweep.NewProcPool(*workerProcs, func(i int) (io.ReadWriteCloser, error) {
-			return sweep.SpawnWorkerProc(exe, []string{"-worker"}, nil, stderr)
-		})
+		pool, err = newWorkerPool(*workerProcs, exe, stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "cheetahd: %v\n", err)
 			return 1
@@ -179,4 +177,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// newWorkerPool starts n worker subprocesses, exe re-executed with
+// -worker. The pool logs worker losses, respawns and retries to stderr,
+// where the workers' own diagnostics go too.
+func newWorkerPool(n int, exe string, stderr io.Writer) (*sweep.ProcPool, error) {
+	return sweep.NewProcPool(n, func(int) (io.ReadWriteCloser, error) {
+		return sweep.SpawnWorkerProc(exe, []string{"-worker"}, nil, stderr)
+	}, stderr)
 }

@@ -5,7 +5,6 @@
 //
 //	fsbench -experiment fig1|fig4|fig5|fig7|table1|compare|ablation|all
 //	        [-scale 1.0] [-threads 16] [-workers 0] [-app linear_regression]
-//	        [-bench-out BENCH_harness.json]
 //	        [-workers-procs 0] [-cache-dir DIR] [-cache-max-bytes N] [-cell-timeout 0]
 //	fsbench -replay-shards N -app trace:PATH [-workers 0] [-workers-procs 0]
 //	fsbench -worker
@@ -20,12 +19,8 @@
 //
 // Each experiment prints the same rows or series the paper reports.
 // Experiment cells run concurrently on a -workers pool (0 = GOMAXPROCS, 1 = serial);
-// results are identical at any worker count. With -experiment all,
-// -bench-out additionally writes a machine-readable trajectory entry
-// (headline metrics, wall-clock, cells executed, git commit, timestamp)
-// so performance and result drift can be tracked across revisions; the
-// file is written atomically (temp file + rename), so an interrupted
-// run cannot truncate it, and the line naming it goes to stderr.
+// results are identical at any worker count. The repository's
+// benchmark is perfbench (perfbench/README.md), not this command.
 //
 // Beyond the in-process pool, -experiment all shards across OS
 // processes: -workers-procs N runs the sweep's cells as one job on the
@@ -60,18 +55,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"time"
 
-	"repro/internal/atomicfile"
 	"repro/internal/harness"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -91,10 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	machineName := fs.String("machine", "",
 		"machine-model preset every cell simulates (topology, line size, protocol); empty = opteron48")
 	app := fs.String("app", "linear_regression", "application for fig5 (case study report)")
-	benchOut := fs.String("bench-out", "",
-		"path for the machine-readable bench trajectory entry (with -experiment all)")
-	benchGate := fs.String("bench-gate", "",
-		"baseline BENCH_harness.json to gate against: exit non-zero when this sweep's accesses_per_sec regresses more than 20% below it (with -experiment all)")
 	worker := fs.Bool("worker", false,
 		"run as a sweep worker serving cells on stdin/stdout")
 	workersProcs := fs.Int("workers-procs", 0,
@@ -234,85 +221,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch *experiment {
 	case "all":
-		var (
-			res      *harness.Results
-			cellsRun int
-			workersN int
-			accesses uint64
-		)
-		start := time.Now()
+		var res *harness.Results
 		if sc != nil {
 			var stats sweep.Stats
 			if res, stats, err = sweep.Run(*sc); err != nil {
 				fmt.Fprintf(stderr, "fsbench: %v\n", err)
 				return 1
 			}
-			cellsRun, workersN = stats.Executed, stats.Workers
-			// Worker processes report per-cell access counts over the wire
-			// (and the cache preserves them), so the throughput stamp is
-			// real even when no simulation ran in this process.
-			accesses = stats.Accesses
 			fmt.Fprintf(stderr, "fsbench: sweep of %d cells: %d cached, %d executed on %d workers, %d retries, %d respawns\n",
 				stats.Cells, stats.Cached, stats.Executed, stats.Workers, stats.Retries, stats.Respawns)
 		} else {
-			r := harness.NewRunner(cfg.Workers)
-			res = harness.RunAllWith(r, cfg)
-			cellsRun = r.CellsRun()
-			accesses = r.Accesses()
-			workersN = cfg.Workers
-			if workersN <= 0 {
-				workersN = runtime.GOMAXPROCS(0)
-			}
+			res = harness.RunAll(cfg)
 		}
-		elapsed := time.Since(start)
 		fmt.Fprint(stdout, res.Format())
-		if *benchOut != "" || *benchGate != "" {
-			presetName := *machineName
-			if presetName == "" {
-				presetName = machine.DefaultName
-			}
-			entry := harness.BenchEntry{
-				Schema:      harness.BenchSchema,
-				GitCommit:   gitCommit(),
-				Timestamp:   time.Now().UTC().Format(time.RFC3339),
-				Workers:     workersN,
-				CellsRun:    cellsRun,
-				WallSeconds: elapsed.Seconds(),
-				Scale:       *scale,
-				Threads:     *threads,
-				Machine:     presetName,
-				TraceFormat: trace.BinaryVersion,
-				// The per-cell access counts over the sweep's wall clock:
-				// simulation throughput, not report content.
-				Accesses:       accesses,
-				AccessesPerSec: float64(accesses) / elapsed.Seconds(),
-				Metrics:        res.Metrics(),
-			}
-			if *benchOut != "" {
-				b, err := entry.MarshalIndent()
-				if err == nil {
-					err = writeFileAtomic(*benchOut, b)
-				}
-				if err != nil {
-					fmt.Fprintf(stderr, "fsbench: writing %s: %v\n", *benchOut, err)
-					return 1
-				}
-				fmt.Fprintf(stderr, "fsbench: wrote bench trajectory entry to %s (%d cells, %.1fs)\n",
-					*benchOut, entry.CellsRun, entry.WallSeconds)
-			}
-			if *benchGate != "" {
-				baseline, err := harness.LoadBenchBaseline(*benchGate)
-				if err != nil {
-					fmt.Fprintf(stderr, "fsbench: bench gate: %v\n", err)
-					return 1
-				}
-				verdict := harness.CheckBenchGate(baseline, entry, harness.DefaultMaxRegression)
-				fmt.Fprintf(stderr, "fsbench: bench gate: %s\n", verdict.Reason)
-				if !verdict.OK {
-					return 1
-				}
-			}
-		}
 	case "fig1":
 		fmt.Fprint(stdout, harness.FormatFigure1(harness.Figure1(cfg)))
 	case "fig4":
@@ -383,31 +304,4 @@ func runShardedReplay(cfg harness.Config, app string, shards, localWorkers int, 
 	}
 	fmt.Fprint(stdout, out)
 	return 0
-}
-
-// gitCommit resolves the source revision for the bench trajectory:
-// preferably the revision the binary was built from (embedded VCS build
-// info), falling back to the working directory's git HEAD (the
-// `go run ./cmd/fsbench` case, where no VCS info is stamped), and
-// "unknown" outside any checkout.
-func gitCommit() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
-			}
-		}
-	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-// writeFileAtomic writes data to path via a temp file in the same
-// directory plus rename, so an interrupted run can never leave a
-// truncated trajectory file behind.
-func writeFileAtomic(path string, data []byte) error {
-	return atomicfile.WriteFile(path, data, 0o644)
 }

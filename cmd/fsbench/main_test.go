@@ -1,15 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/harness"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	traceimport "repro/internal/trace/import"
@@ -86,111 +83,6 @@ func TestRunRejectsBadTraceApp(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "occupied") {
 		t.Errorf("stderr missing restore diagnosis:\n%s", errOut.String())
-	}
-}
-
-// TestWriteFileAtomic: the trajectory write must go through a temp file
-// plus rename so a crash mid-write can never truncate an existing file,
-// must replace existing content, and must leave no temp files behind.
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_harness.json")
-	if err := writeFileAtomic(path, []byte("first\n")); err != nil {
-		t.Fatalf("initial write: %v", err)
-	}
-	if err := writeFileAtomic(path, []byte("second\n")); err != nil {
-		t.Fatalf("overwrite: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "second\n" {
-		t.Errorf("content = %q, want %q", got, "second\n")
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
-		t.Errorf("mode = %v (err %v), want 0644", fi.Mode(), err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("directory has %d entries, want only the trajectory file: %v", len(entries), entries)
-	}
-	// Writing into a missing directory must fail without creating
-	// anything.
-	if err := writeFileAtomic(filepath.Join(dir, "no", "such", "dir.json"), []byte("x")); err == nil {
-		t.Error("write into missing directory succeeded")
-	}
-}
-
-func TestRunAllWritesBenchTrajectory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_harness.json")
-	var out, errOut strings.Builder
-	code := run([]string{"-experiment", "all", "-scale", "0.1", "-threads", "4",
-		"-bench-out", path}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s", code, errOut.String())
-	}
-	for _, want := range []string{"Figure 1", "Figure 4", "Table 1", "Ablation"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("all-experiments output missing %q", want)
-		}
-	}
-	// The report alone goes to stdout, so two -bench-out sweeps print
-	// the same bytes; the line naming the written file is a diagnostic.
-	if strings.Contains(out.String(), "wrote bench trajectory entry") {
-		t.Error("stdout carries the bench trajectory line; it belongs on stderr")
-	}
-	if !strings.Contains(errOut.String(), "wrote bench trajectory entry to "+path) {
-		t.Errorf("stderr does not name the written trajectory file:\n%s", errOut.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("bench trajectory not written: %v", err)
-	}
-	var entry harness.BenchEntry
-	if err := json.Unmarshal(raw, &entry); err != nil {
-		t.Fatalf("bench trajectory is not valid JSON: %v\n%s", err, raw)
-	}
-	if entry.Schema != harness.BenchSchema {
-		t.Errorf("schema = %q, want %q", entry.Schema, harness.BenchSchema)
-	}
-	if entry.CellsRun == 0 || entry.WallSeconds <= 0 || entry.Workers == 0 {
-		t.Errorf("entry missing run statistics: %+v", entry)
-	}
-	if len(entry.Metrics) == 0 {
-		t.Error("entry has no metrics")
-	}
-	if entry.GitCommit == "" {
-		t.Error("entry has no git commit stamp")
-	}
-	if entry.Timestamp == "" {
-		t.Error("entry has no timestamp")
-	} else if _, err := time.Parse(time.RFC3339, entry.Timestamp); err != nil {
-		t.Errorf("timestamp %q is not RFC3339: %v", entry.Timestamp, err)
-	}
-}
-
-// TestGitCommitStamp: inside this repo the stamp must be a hex commit
-// hash, and it must agree with git itself.
-func TestGitCommitStamp(t *testing.T) {
-	got := gitCommit()
-	if got == "unknown" {
-		t.Skip("not in a git checkout")
-	}
-	if len(got) != 40 {
-		t.Errorf("gitCommit() = %q, want a 40-hex-digit hash", got)
-	}
-	for _, r := range got {
-		if !strings.ContainsRune("0123456789abcdef", r) {
-			t.Errorf("gitCommit() = %q contains non-hex %q", got, r)
-			break
-		}
 	}
 }
 

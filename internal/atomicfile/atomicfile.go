@@ -3,7 +3,7 @@
 // commit, so readers never observe a partially-written file and an
 // interrupted writer leaves the destination untouched. It is the one
 // implementation behind every atomic write in the repo (sweep cache
-// entries, bench trajectory files, imported traces).
+// entries, imported, indexed and synthesized traces).
 package atomicfile
 
 import (

@@ -217,8 +217,7 @@ type Result struct {
 
 // Accesses returns the total simulated memory accesses across all
 // threads. The per-thread counts are part of the result payload, so the
-// sum survives serialization — sharded sweeps aggregate it from
-// worker-produced and cached results alike for throughput accounting.
+// sum survives serialization.
 func (r Result) Accesses() uint64 {
 	var n uint64
 	for _, th := range r.Threads {

@@ -438,8 +438,6 @@ func (r *Runner) Preload(c Cell, res CellResult) error {
 	if _, ok := r.cells[k]; ok {
 		return fmt.Errorf("harness: cell %s already present", c.ID())
 	}
-	r.useSeq++
-	r.cells[k] = &cell{key: k, done: done, out: out, lastUse: r.useSeq}
-	r.evictLocked()
+	r.cells[k] = &cell{key: k, done: done, out: out}
 	return nil
 }

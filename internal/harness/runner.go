@@ -86,9 +86,6 @@ type cell struct {
 	key  cellKey
 	done chan struct{}
 	out  cellOut
-	// lastUse is the runner's use-sequence number from the most recent
-	// submit of this key, the recency signal the cell budget evicts by.
-	lastUse uint64
 }
 
 // wait blocks until the cell has run and returns its output.
@@ -107,17 +104,6 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cells map[cellKey]*cell
-	// budget caps how many memoized cells the runner retains; 0 means
-	// unbounded. When an insert pushes the map past the cap, finished
-	// least-recently-used cells are evicted (in-flight cells and cells a
-	// caller already holds a pointer to are unaffected — eviction only
-	// forgets the memo, never a running job). A run-once sweep never
-	// hits the cap; a daemon submitting jobs for months must not grow
-	// without bound, which is why the shared default runner is capped.
-	budget int
-	// useSeq is a monotonic counter stamped onto cells at each submit;
-	// it orders cells by recency without reading clocks under the lock.
-	useSeq uint64
 	// traceHashes memoizes trace-file content hashes per path for this
 	// runner's lifetime. A runner already memoizes whole cells forever,
 	// so re-hashing the file on every submit could never change which
@@ -139,23 +125,11 @@ func NewRunner(workers int) *Runner {
 	}
 }
 
-// DefaultCellBudget caps the shared default runner's memo. Generous
-// enough that every cell of a full RunAll sweep (a few hundred) stays
-// resident with room to spare, small enough that a process serving
-// unbounded distinct jobs (cheetahd) cannot leak memory through the
-// package-level entry points.
-const DefaultCellBudget = 4096
-
 // defaultRunner backs the package-level experiment functions when the
 // caller does not pin a worker count: sharing one memoized runner lets
 // different experiments (and different tests of this package) reuse each
-// other's cells. It carries a cell budget because it lives as long as
-// the process does.
-var defaultRunner = sync.OnceValue(func() *Runner {
-	r := NewRunner(0)
-	r.SetCellBudget(DefaultCellBudget)
-	return r
-})
+// other's cells.
+var defaultRunner = sync.OnceValue(func() *Runner { return NewRunner(0) })
 
 // runnerFor picks the runner for a config: the shared default for
 // Workers == 0, a private runner for any other value (negative =
@@ -168,79 +142,12 @@ func runnerFor(c Config) *Runner {
 	return NewRunner(c.Workers)
 }
 
-// SetCellBudget caps the number of memoized cells the runner retains;
-// n <= 0 removes the cap. Over-budget inserts evict the finished
-// least-recently-submitted cells. Evicting a cell only drops the memo:
-// callers holding the *cell still read its result, and a later submit
-// of the same key re-executes. With a budget set, CellsRun and Accesses
-// count only the retained cells, so they undercount a long-lived
-// process's lifetime totals (the obs counters keep the true totals).
-func (r *Runner) SetCellBudget(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	r.budget = n
-	r.evictLocked()
-}
-
-// evictLocked drops finished least-recently-used cells until the memo
-// fits the budget. In-flight cells are never dropped (their done
-// channel is still open), so a burst of distinct concurrent jobs can
-// transiently exceed the budget rather than lose running work.
-func (r *Runner) evictLocked() {
-	for r.budget > 0 && len(r.cells) > r.budget {
-		var victim *cell
-		for _, c := range r.cells {
-			select {
-			case <-c.done:
-			default:
-				continue // still running
-			}
-			if victim == nil || c.lastUse < victim.lastUse {
-				victim = c
-			}
-		}
-		if victim == nil {
-			return // everything over budget is in flight
-		}
-		delete(r.cells, victim.key)
-	}
-}
-
 // CellsRun returns the number of distinct cells executed so far (shared
-// cells count once) — the denominator for the dedup ratio in the bench
-// trajectory. On a budgeted runner this is the retained count, not the
-// lifetime count.
+// cells count once).
 func (r *Runner) CellsRun() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.cells)
-}
-
-// Accesses returns the total simulated memory accesses behind this
-// runner's finished cells — executed locally or preloaded from worker
-// processes and result caches (the per-thread counts ride exec.Result,
-// so the sum is deterministic and survives the wire). Cells still in
-// flight are skipped; call after the sweep completes for the full
-// total.
-func (r *Runner) Accesses() uint64 {
-	r.mu.Lock()
-	cells := make([]*cell, 0, len(r.cells))
-	for _, c := range r.cells {
-		cells = append(cells, c)
-	}
-	r.mu.Unlock()
-	var n uint64
-	for _, c := range cells {
-		select {
-		case <-c.done:
-			n += c.out.res.Accesses()
-		default:
-		}
-	}
-	return n
 }
 
 // submit returns the memoized cell for k, launching it on the pool the
@@ -252,13 +159,11 @@ func (r *Runner) submit(k cellKey) *cell {
 		k.traceHash = r.traceHashFor(k.workload)
 	}
 	r.mu.Lock()
-	r.useSeq++
 	c, ok := r.cells[k]
 	if ok {
-		c.lastUse = r.useSeq
 		mCellsMemoized.Inc()
 	} else {
-		c = &cell{key: k, done: make(chan struct{}), lastUse: r.useSeq}
+		c = &cell{key: k, done: make(chan struct{})}
 		r.cells[k] = c
 		go func() {
 			r.sem <- struct{}{}
@@ -277,10 +182,6 @@ func (r *Runner) submit(k cellKey) *cell {
 			close(c.done)
 		}()
 	}
-	// Trim on every submit, not just inserts: cells that were in flight
-	// (and so unevictable) during an over-budget burst get collected by
-	// the next submit after they finish.
-	r.evictLocked()
 	r.mu.Unlock()
 	return c
 }
@@ -339,9 +240,6 @@ func runCell(k cellKey) cellOut {
 	case cellRule:
 		two := newTwoEntryCounter(sys)
 		own := baseline.NewOwnership()
-		// The engine result rides along even though rule rows don't use
-		// it: its per-thread access counts join the sweep's throughput
-		// accounting like every other cell's.
 		res, sim := sys.RunTraced(prog, two, own)
 		var truth uint64
 		for _, n := range sim.TotalLineInvalidations() {

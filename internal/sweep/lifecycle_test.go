@@ -101,7 +101,7 @@ func runLifecycleCase(t *testing.T, seed int64, cache *Cache) {
 		served:         map[string]int{},
 	}
 	var err error
-	c.pool, err = NewProcPool(2, c.spawn)
+	c.pool, err = NewProcPool(2, c.spawn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/harness"
@@ -41,9 +40,6 @@ func TestMachinePresetShardedMatchesSerial(t *testing.T) {
 			if got := res.Format(); got != serialText {
 				t.Errorf("sharded report under %s diverges from serial:\n%s",
 					name, firstDiff(serialText, got))
-			}
-			if got, want := res.Metrics(), serial.Metrics(); !reflect.DeepEqual(got, want) {
-				t.Errorf("metrics under %s diverge:\nserial:  %v\nsharded: %v", name, want, got)
 			}
 		})
 	}

@@ -75,14 +75,15 @@ type poolWorker struct {
 }
 
 // NewProcPool spawns n workers and verifies each one's hello handshake,
-// under the default failure policy (see Config). Failure to bring up
-// any worker fails construction; a pool that starts degraded would
-// silently serve with less parallelism than the operator asked for.
-func NewProcPool(n int, spawn func(i int) (io.ReadWriteCloser, error)) (*ProcPool, error) {
+// under the default failure policy (see Config). It logs worker losses,
+// respawns and retries to log (optional). Failure to bring up any
+// worker fails construction; a pool that starts degraded would silently
+// serve with less parallelism than the operator asked for.
+func NewProcPool(n int, spawn func(i int) (io.ReadWriteCloser, error), log io.Writer) (*ProcPool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sweep: pool needs at least one worker")
 	}
-	p := newProcPool(Config{Procs: n, Spawn: spawn})
+	p := newProcPool(Config{Procs: n, Spawn: spawn, Log: log})
 	if err := p.start(); err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func TestPoolSurvivesScatteredCrashes(t *testing.T) {
 	pool, err := NewProcPool(1, func(int) (io.ReadWriteCloser, error) {
 		spawned++
 		return flakyPipeWorker(1), nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeadIdleWorkersCostNoAttempts(t *testing.T) {
 			return poolSide, nil
 		}
 		return flakyPipeWorker(-1), nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPoolWithNoWorkerLeftFails(t *testing.T) {
 			return flakyPipeWorker(0), nil
 		}
 		return nil, fmt.Errorf("forced respawn failure")
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPoolCloseStopsBusyWorkers(t *testing.T) {
 		rwc, err := SpawnWorkerProc(exe, nil, []string{workerEnv + "=stall", gateEnv + "=" + gate}, os.Stderr)
 		worker, _ = rwc.(*procTransport)
 		return rwc, err
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

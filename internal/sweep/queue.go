@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/harness"
@@ -33,6 +34,11 @@ var (
 	// ErrShuttingDown rejects submissions after Shutdown has begun.
 	ErrShuttingDown = errors.New("sweep: job queue shutting down")
 )
+
+// errSkipped resolves the flight of a cell whose job failed before the
+// cell reached the executor. A job that joined that flight runs the cell
+// itself.
+var errSkipped = errors.New("sweep: cell skipped: its job already failed")
 
 // QueueConfig configures a JobQueue.
 type QueueConfig struct {
@@ -118,6 +124,9 @@ type Job struct {
 
 	queue *JobQueue
 	done  chan struct{}
+	// failed is set once one of the job's cells has failed; from then on
+	// the job starts no further execution.
+	failed atomic.Bool
 
 	mu      sync.Mutex
 	state   JobState
@@ -468,7 +477,9 @@ func (q *JobQueue) Shutdown(ctx context.Context) error {
 }
 
 // runJob drives one job: every cell through the singleflight/cache/
-// execute pipeline concurrently, then the terminal event.
+// execute pipeline concurrently, then the terminal event. Once a cell
+// has failed, the cells that have not reached the executor are skipped:
+// the job's result is already decided.
 func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	defer q.wg.Done()
 	start := time.Now()
@@ -489,7 +500,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 		cellWG.Add(1)
 		go func(cell harness.Cell) {
 			defer cellWG.Done()
-			res, via, err := q.cellResult(cell, tenantSem)
+			res, via, err := q.cellResult(job, cell, tenantSem)
 
 			q.mu.Lock()
 			q.pending--
@@ -500,7 +511,7 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 			resMu.Lock()
 			defer resMu.Unlock()
 			if err != nil {
-				if firstErr == nil {
+				if firstErr == nil && !errors.Is(err, errSkipped) {
 					firstErr = fmt.Errorf("cell %s: %w", cell.ID(), err)
 				}
 				return
@@ -545,20 +556,33 @@ func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
 	close(job.done)
 }
 
-// cellResult satisfies one cell: join an identical in-flight execution
-// if one exists (deduped), else serve from the cache (cached), else
-// acquire tenant and global budget and execute. via reports which path
-// won, for the job's progress events and the dedupe assertions in
-// tests.
-func (q *JobQueue) cellResult(cell harness.Cell, tenantSem chan struct{}) (res harness.CellResult, via string, err error) {
+// cellResult satisfies one cell of job: join an identical in-flight
+// execution if one exists (deduped), else serve from the cache (cached),
+// else acquire tenant and global budget and execute, unless job has
+// failed meanwhile. via reports which path won, for the job's progress
+// events and the dedupe assertions in tests.
+func (q *JobQueue) cellResult(job *Job, cell harness.Cell, tenantSem chan struct{}) (res harness.CellResult, via string, err error) {
 	id := cell.ID()
 	q.mu.Lock()
-	if f, ok := q.inflight[id]; ok {
+	for {
+		f, ok := q.inflight[id]
+		if !ok {
+			break
+		}
 		q.stats.CellsDeduped++
 		q.mu.Unlock()
-		mGWCellsDeduped.Inc()
 		<-f.done
-		return f.res, "deduped", f.err
+		if !errors.Is(f.err, errSkipped) {
+			mGWCellsDeduped.Inc()
+			if f.err != nil {
+				job.failed.Store(true)
+			}
+			return f.res, "deduped", f.err
+		}
+		// The flight's own job failed and skipped the cell: take it over,
+		// or join whoever took it over first.
+		q.mu.Lock()
+		q.stats.CellsDeduped--
 	}
 	f := &flight{done: make(chan struct{})}
 	q.inflight[id] = f
@@ -589,8 +613,14 @@ func (q *JobQueue) cellResult(cell harness.Cell, tenantSem chan struct{}) (res h
 	q.global <- struct{}{}
 	defer func() { <-q.global }()
 
+	if job.failed.Load() {
+		return harness.CellResult{}, "", errSkipped
+	}
 	res, err = q.cfg.Exec(cell)
 	if err != nil {
+		// Marked before the slots are released, so no cell of the job
+		// that waits for them starts after this failure.
+		job.failed.Store(true)
 		return harness.CellResult{}, "", err
 	}
 	q.mu.Lock()

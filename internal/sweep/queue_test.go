@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,7 +390,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, err := NewProcPool(2, func(int) (io.ReadWriteCloser, error) { return pipeWorker(0) })
+	pool, err := NewProcPool(2, func(int) (io.ReadWriteCloser, error) { return pipeWorker(0) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 			return coord, nil
 		}
 		return pipeWorker(0)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,5 +434,148 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 	}
 	if spawned != 2 {
 		t.Errorf("spawned %d workers, want 2 (original + replacement)", spawned)
+	}
+}
+
+// TestFailedJobStartsNoFurtherCells: once a cell of a job has failed,
+// the job starts no further execution, and the queue still drains. One
+// worker slot makes "after the failure" exact: no other cell can start
+// until the failed one has released the slot. Cells start in whatever
+// order the scheduler picks, so each round checks what started after
+// the failure, not how many cells ran.
+func TestFailedJobStartsNoFurtherCells(t *testing.T) {
+	t.Parallel()
+	for round := 0; round < 5; round++ {
+		var (
+			mu     sync.Mutex
+			failed bool
+			late   []string
+		)
+		exec := func(c harness.Cell) (harness.CellResult, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if failed {
+				late = append(late, c.ID())
+			}
+			if c.Workload == "bad" {
+				failed = true
+				return harness.CellResult{}, errors.New("bad cell")
+			}
+			return harness.CellResult{}, nil
+		}
+		q := NewJobQueue(QueueConfig{Workers: 1, Exec: exec})
+		cells := []harness.Cell{fakeCell("bad")}
+		for i := 0; i < 20; i++ {
+			cells = append(cells, fakeCell(fmt.Sprintf("good%d", i)))
+		}
+		j, err := q.Submit(JobSpec{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		if j.State() != JobFailed || !strings.Contains(fmt.Sprint(j.Err()), "bad cell") {
+			t.Fatalf("round %d: job state %s, err %v; want failed by the bad cell", round, j.State(), j.Err())
+		}
+		mu.Lock()
+		if len(late) > 0 {
+			t.Errorf("round %d: %d cells started after the job had failed: %v", round, len(late), late)
+		}
+		mu.Unlock()
+		if s := q.Stats(); s.QueuedCells != 0 || s.Failed != 1 {
+			t.Errorf("round %d: stats %+v, want the failed job counted and no cell queued", round, s)
+		}
+	}
+}
+
+// TestSkippedCellRunsForJoinedJob: job B joined the in-flight execution
+// of a cell that job A then skipped, because another of A's cells had
+// failed. B must still get the cell run, exactly once. Which of A's
+// cells takes the one worker slot first is the scheduler's choice, so
+// rounds repeat until A has skipped the shared cell a few times.
+func TestSkippedCellRunsForJoinedJob(t *testing.T) {
+	t.Parallel()
+	skips := 0
+	for round := 0; round < 50 && skips < 3; round++ {
+		held, hold := make(chan struct{}), make(chan struct{})
+		var mu sync.Mutex
+		runs := map[string]int{}
+		exec := func(c harness.Cell) (harness.CellResult, error) {
+			if c.Workload == "hold" {
+				close(held)
+				<-hold
+			}
+			mu.Lock()
+			runs[c.Workload]++
+			mu.Unlock()
+			if strings.HasPrefix(c.Workload, "bad") {
+				return harness.CellResult{}, errors.New("bad cell")
+			}
+			return harness.CellResult{}, nil
+		}
+		q := NewJobQueue(QueueConfig{Workers: 1, Exec: exec})
+		// hold keeps the only worker slot until A's flights and B's join
+		// are in place.
+		h, err := q.Submit(JobSpec{Tenant: "h", Cells: []harness.Cell{fakeCell("hold")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-held
+		cells := []harness.Cell{fakeCell("shared")}
+		for i := 0; i < 8; i++ {
+			cells = append(cells, fakeCell(fmt.Sprintf("bad%d", i)))
+		}
+		a, err := q.Submit(JobSpec{Tenant: "a", Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "A's flights", func() bool {
+			q.mu.Lock()
+			defer q.mu.Unlock()
+			return len(q.inflight) == 1+len(cells)
+		})
+		b, err := q.Submit(JobSpec{Tenant: "b", Cells: []harness.Cell{fakeCell("shared")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "B's join", func() bool { return q.Stats().CellsDeduped == 1 })
+		close(hold)
+		for _, j := range []*Job{h, a, b} {
+			waitJob(t, j)
+		}
+		if a.State() != JobFailed {
+			t.Fatalf("round %d: job A ended %s, want failed", round, a.State())
+		}
+		if _, ok := b.Results()[fakeCell("shared").ID()]; b.State() != JobDone || !ok {
+			t.Fatalf("round %d: job B ended %s (%v) with the shared result present = %v, want done with it",
+				round, b.State(), b.Err(), ok)
+		}
+		mu.Lock()
+		if runs["shared"] != 1 {
+			t.Errorf("round %d: shared cell ran %d times, want once", round, runs["shared"])
+		}
+		mu.Unlock()
+		past, _, cancel := b.Subscribe()
+		cancel()
+		for _, ev := range past {
+			if ev.Kind == "cell-done" && ev.Via == "executed" {
+				skips++ // A skipped the cell, so B ran it itself
+			}
+		}
+		if s := q.Stats(); s.QueuedCells != 0 || s.CellsExecuted != 2 {
+			t.Errorf("round %d: stats %+v, want hold and shared executed and no cell queued", round, s)
+		}
+	}
+	if skips == 0 {
+		t.Fatal("job A never skipped the shared cell")
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 30s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

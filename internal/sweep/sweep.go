@@ -8,8 +8,7 @@ import (
 	"repro/internal/harness"
 )
 
-// Stats summarizes what a sharded sweep actually did, for logs and the
-// bench trajectory.
+// Stats summarizes what a sharded sweep actually did, for its logs.
 type Stats struct {
 	// Cells is the total number of distinct cells the sweep comprises.
 	Cells int
@@ -24,13 +23,6 @@ type Stats struct {
 	Workers int
 	// Respawns counts replacement workers spawned after deaths.
 	Respawns int
-	// Accesses is the total simulated memory accesses behind the sweep's
-	// results, summed from the per-thread counts every cell result
-	// carries — worker-executed and cache-served alike. It feeds the
-	// bench trajectory's throughput stamp, which the in-process engine
-	// counter cannot: in a sharded sweep the simulation runs in worker
-	// processes, and in a warm re-sweep it ran in an earlier one.
-	Accesses uint64
 }
 
 // Config configures a sharded sweep and its worker pool.
@@ -136,15 +128,10 @@ func RunCells(cfg Config, cells []harness.Cell) (map[string]harness.CellResult, 
 		}
 	}
 
-	s := stats()
 	if err := job.Err(); err != nil {
-		return nil, s, err
+		return nil, stats(), err
 	}
-	results := job.Results()
-	for _, res := range results {
-		s.Accesses += res.Result.Accesses()
-	}
-	return results, s, nil
+	return job.Results(), stats(), nil
 }
 
 // progressLine formats the periodic -progress diagnostic. The cache hit
