@@ -4,14 +4,13 @@
 // Usage:
 //
 //	cheetah [-threads 16] [-scale 1.0] [-period 64] [-machine opteron48] [-words] [-candidates] <workload>
-//	cheetah -record trace.out [-record-sampled] [-record-binary] <workload>
+//	cheetah -record trace.out [-record-sampled] <workload>
 //	cheetah -replay trace.out
-//	cheetah -replay-stream trace.out
 //	cheetah -index trace.out [-record indexed.trace]
 //	cheetah -trace-info trace.out
 //	cheetah -synth-trace 1000000 -record big.trace
-//	cheetah -import-perf samples.txt [-record out.trace] [-record-binary] [-replay out.trace]
-//	cheetah -import-ibs samples.csv [-record out.trace] [-record-binary] [-replay out.trace]
+//	cheetah -import-perf samples.txt [-record out.trace] [-replay out.trace]
+//	cheetah -import-ibs samples.csv [-record out.trace] [-replay out.trace]
 //	cheetah ... [-metrics-addr 127.0.0.1:9137] [-span-log spans.jsonl] [-chrome-trace trace.json]
 //	cheetah -list
 //
@@ -33,21 +32,26 @@
 // A trace also replays anywhere a workload name is accepted, as
 // `trace:<path>`.
 //
-// -index rewrites any decodable trace in the indexed binary v3 framing
-// (atomically, in place unless -record names the output): the same
-// record stream plus a seekable index block. Indexed traces replay with
-// bounded memory via -replay-stream, which loads one phase's records at
-// a time and prints a report byte-identical to -replay's. -trace-info
-// prints a trace's metadata without building its program (reading only
-// the index and layout for indexed traces); -synth-trace writes a
-// deterministic indexed trace of the requested access count to -record,
-// for memory-bound regression gates.
+// Every trace cheetah writes is in the indexed binary v3 framing: the
+// record stream plus a seekable index block with per-phase checksums.
+// Each write is staged and renamed into place once complete, so a
+// failed write leaves nothing behind and -record may name the trace
+// being replayed. -replay opens a trace by the rule every sweep and
+// gateway cell uses: an indexed trace streams one phase's records at a
+// time, verifying each phase's checksum as it loads, so memory stays
+// bounded by the largest phase; text, v1 and v2 traces load in full.
+// Both print the same report. -index rewrites any decodable trace in
+// the indexed framing (in place unless -record names the output);
+// -trace-info prints a trace's metadata without building its program
+// (reading only the index and layout for indexed traces); -synth-trace
+// writes a deterministic trace of the requested access count to
+// -record, for memory-bound regression gates.
 //
 // -import-perf converts `perf script` output of a `perf mem record`
 // session, and -import-ibs an AMD IBS CSV dump, into a native trace
-// written to the -record path (default: the input path + ".trace", in
-// the binary framing with -record-binary). Passing -replay with the
-// same path additionally profiles the imported trace immediately.
+// written to the -record path (default: the input path + ".trace").
+// Passing -replay with the same path additionally profiles the imported
+// trace immediately.
 package main
 
 import (
@@ -88,12 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	candidates := fs.Bool("candidates", false, "also print non-significant candidates")
 	fixed := fs.Bool("fixed", false, "run the padded (fixed) layout instead of the original")
 	list := fs.Bool("list", false, "list available workloads and exit")
-	record := fs.String("record", "", "write a memory-access trace of the profiled run to this file")
+	record := fs.String("record", "", "write an indexed memory-access trace of the profiled run to this file")
 	recordSampled := fs.Bool("record-sampled", false, "record only PMU-sampled accesses (compact; replay is approximate)")
-	recordBinary := fs.Bool("record-binary", false, "write the trace in the compact binary framing instead of text")
 	replay := fs.String("replay", "", "replay a recorded trace instead of running a workload")
-	replayStream := fs.String("replay-stream", "",
-		"stream-replay an indexed trace with bounded memory (report is byte-identical to -replay)")
+	fs.StringVar(replay, "replay-stream", "",
+		"same as -replay; goes once perfbench's trace_replay workload moves to -replay")
 	indexPath := fs.String("index", "",
 		"rewrite a trace in the indexed binary v3 framing, in place or to -record")
 	traceInfo := fs.String("trace-info", "", "print a trace file's metadata and exit")
@@ -154,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg = harness.DetectionPMU()
 	}
 
-	rec := recordOptions{path: *record, sampled: *recordSampled, binary: *recordBinary}
+	rec := recordOptions{path: *record, sampled: *recordSampled}
 
 	if *traceInfo != "" {
 		return runTraceInfo(*traceInfo, stdout, stderr)
@@ -165,14 +168,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *indexPath != "" {
 		return runIndex(*indexPath, rec.path, stderr)
 	}
-	if *replayStream != "" {
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: cheetah -replay-stream <trace> takes no workload argument")
-			return 2
-		}
-		return runReplayStream(*replayStream, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
-	}
-
 	if *importPerf != "" || *importIBS != "" {
 		if *importPerf != "" && *importIBS != "" {
 			fmt.Fprintln(stderr, "cheetah: -import-perf and -import-ibs are mutually exclusive")
@@ -182,15 +177,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "usage: cheetah -import-perf/-import-ibs <dump> takes no workload argument")
 			return 2
 		}
-		if code := runImport(*importPerf, *importIBS, rec, stderr); code != 0 {
+		if code := runImport(*importPerf, *importIBS, rec.path, stderr); code != 0 {
 			return code
 		}
 		if *replay == "" {
 			return 0
 		}
-		// Fall through to profile the freshly imported trace; the
-		// recording options are spent (re-recording the replay onto the
-		// file being replayed would truncate it mid-read).
+		// Fall through to profile the freshly imported trace; -record
+		// named the import's output, so the replay records nothing.
 		return runReplay(*replay, cfg, recordOptions{}, *machineName, *words, *candidates, stdout, stderr)
 	}
 
@@ -212,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Route trace pseudo-workloads through the replay path: same
 		// semantics as -replay (recorded core count, friendly errors).
 		// -record still applies, re-recording the replayed run — which
-		// also converts between framings.
+		// also converts the trace to the indexed framing.
 		return runReplay(strings.TrimPrefix(name, workload.TracePrefix), cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 	w, ok := workload.ByName(name)
@@ -229,53 +223,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sys := cheetah.New(ccfg)
 	prog := w.Build(sys, workload.Params{Threads: *threads, Scale: *scale, Fixed: *fixed})
 
-	report, res, err := profileMaybeRecorded(sys, prog, cfg, rec, stderr)
-	if err != nil {
-		return 1
-	}
-	printReport(stdout, report, res, *words, *candidates)
-	return 0
+	return runProfile(sys, prog, cfg, rec, *words, *candidates, stdout, stderr)
 }
 
 // runImport converts a real-PMU dump (exactly one of perfPath/ibsPath
-// is set) into a native trace at rec.path, defaulting to the input path
-// + ".trace". The import is staged through a temp file and renamed, so
-// a failed import never leaves a truncated trace behind.
-func runImport(perfPath, ibsPath string, rec recordOptions, stderr io.Writer) int {
+// is set) into a native trace at outPath, defaulting to the input path
+// + ".trace".
+func runImport(perfPath, ibsPath, outPath string, stderr io.Writer) int {
 	inPath, kind := perfPath, "perf script"
 	importer := traceimport.ImportPerfScript
 	if ibsPath != "" {
 		inPath, kind = ibsPath, "IBS"
 		importer = traceimport.ImportIBS
 	}
-	outPath := rec.path
 	if outPath == "" {
 		outPath = inPath + ".trace"
 	}
-	in, err := os.Open(inPath)
+	var stats traceimport.Stats
+	err := writeTrace(outPath, "importing "+inPath, stderr, func(enc trace.Encoder) error {
+		in, err := os.Open(inPath)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		stats, err = importer(in, enc, traceimport.Options{})
+		return err
+	})
 	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: importing %s: %v\n", inPath, err)
-		return 1
-	}
-	defer in.Close()
-	out, err := atomicfile.Create(outPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: importing %s: %v\n", inPath, err)
-		return 1
-	}
-	defer out.Abort() // no-op after a successful Commit
-	var enc trace.Encoder
-	if rec.binary {
-		enc = trace.NewBinaryEncoder(out)
-	} else {
-		enc = trace.NewTextEncoder(out)
-	}
-	stats, err := importer(in, enc, traceimport.Options{})
-	if err == nil {
-		err = out.Commit()
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: importing %s: %v\n", inPath, err)
 		return 1
 	}
 	skipped := fmt.Sprintf("%d skipped", stats.Skipped)
@@ -288,78 +262,76 @@ func runImport(perfPath, ibsPath string, rec recordOptions, stderr io.Writer) in
 	return 0
 }
 
+// writeTrace is the one way cheetah writes a trace: fill encodes the
+// events into the indexed binary v3 framing, staged in a temp file next
+// to path that replaces path, mode 0644, only once the trace is
+// complete — so a failed write leaves nothing behind, and a recording
+// may name the trace its run streams from. A failure, including a
+// stream the encoder cannot index, prints one line naming what was
+// being done and is returned.
+func writeTrace(path, doing string, stderr io.Writer, fill func(trace.Encoder) error) error {
+	out, err := atomicfile.Create(path)
+	if err == nil {
+		defer out.Abort() // no-op after a successful Commit
+		enc := trace.NewIndexedEncoder(out)
+		err = fill(enc)
+		if err == nil {
+			err = enc.Close()
+		}
+		if err == nil {
+			err = out.File().Chmod(0o644)
+		}
+		if err == nil {
+			err = out.Commit()
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "cheetah: %s: %v\n", doing, err)
+	}
+	return err
+}
+
 // recordOptions bundles the -record* flags.
 type recordOptions struct {
 	path    string
 	sampled bool
-	binary  bool
 }
 
-// profileMaybeRecorded profiles prog, recording a trace when requested.
-// Errors are reported to stderr.
-func profileMaybeRecorded(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, rec recordOptions, stderr io.Writer) (*cheetah.Report, cheetah.Result, error) {
+// runProfile profiles prog, recording a trace of the run when rec names
+// a path, and prints the report; it returns the exit code. The recorder
+// probes charge zero cycles, so the report matches an unrecorded
+// profile of the same program.
+func runProfile(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, rec recordOptions, words, candidates bool, stdout, stderr io.Writer) int {
+	var report *cheetah.Report
+	var res cheetah.Result
 	if rec.path == "" {
-		report, res := sys.Profile(prog, cheetah.ProfileOptions{PMU: cfg})
-		return report, res, nil
-	}
-	report, res, err := profileRecorded(sys, prog, cfg, rec.path, rec.sampled, rec.binary)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: recording %s: %v\n", rec.path, err)
-		return nil, cheetah.Result{}, err
-	}
-	fmt.Fprintf(stderr, "cheetah: wrote trace to %s\n", rec.path)
-	return report, res, nil
-}
-
-// profileRecorded profiles prog while streaming its accesses to a trace
-// file. The recorder probes charge zero cycles, so the report matches an
-// unrecorded profile of the same program.
-func profileRecorded(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, path string, sampled, binary bool) (*cheetah.Report, cheetah.Result, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, cheetah.Result{}, err
-	}
-	var enc trace.Encoder
-	if binary {
-		enc = trace.NewBinaryEncoder(f)
+		report, res = sys.Profile(prog, cheetah.ProfileOptions{PMU: cfg})
 	} else {
-		enc = trace.NewTextEncoder(f)
-	}
-	var probes []exec.Probe
-	traceErr := func() error { return nil }
-	fp := sys.Model().Fingerprint()
-	if sampled {
-		sr := trace.NewSampledRecorder(cfg, enc, sys.Heap(), sys.Globals())
-		sr.SetMachine(fp)
-		probes = sr.Probes()
-		traceErr = sr.Err
-	} else {
-		rec := trace.NewRecorder(enc, sys.Heap(), sys.Globals())
-		rec.SetMachine(fp)
-		probes = []exec.Probe{rec}
-		traceErr = rec.Err
-	}
-	prof := sys.NewProfiler(cheetah.ProfileOptions{PMU: cfg})
-	res := sys.RunWith(prog, append(prof.Probes(), probes...)...)
-	if err := traceErr(); err != nil {
-		f.Close()
-		return nil, cheetah.Result{}, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, cheetah.Result{}, err
-	}
-	return prof.Report(), res, nil
-}
-
-// noteMachine extracts the `machine=<preset>` provenance note a recorded
-// run stamped, if any; traces from canonical-default runs carry none.
-func noteMachine(notes []string) string {
-	for _, n := range notes {
-		if name, ok := strings.CutPrefix(n, "machine="); ok {
-			return name
+		err := writeTrace(rec.path, "recording "+rec.path, stderr, func(enc trace.Encoder) error {
+			var probes []exec.Probe
+			var traceErr func() error
+			fp := sys.Model().Fingerprint()
+			if rec.sampled {
+				sr := trace.NewSampledRecorder(cfg, enc, sys.Heap(), sys.Globals())
+				sr.SetMachine(fp)
+				probes, traceErr = sr.Probes(), sr.Err
+			} else {
+				r := trace.NewRecorder(enc, sys.Heap(), sys.Globals())
+				r.SetMachine(fp)
+				probes, traceErr = []exec.Probe{r}, r.Err
+			}
+			prof := sys.NewProfiler(cheetah.ProfileOptions{PMU: cfg})
+			res = sys.RunWith(prog, append(prof.Probes(), probes...)...)
+			report = prof.Report()
+			return traceErr()
+		})
+		if err != nil {
+			return 1
 		}
+		fmt.Fprintf(stderr, "cheetah: wrote trace to %s\n", rec.path)
 	}
-	return ""
+	printReport(stdout, report, res, words, candidates)
+	return 0
 }
 
 // replayConfig builds the system configuration for a replay: the
@@ -371,7 +343,7 @@ func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config,
 	ccfg := cheetah.Config{Cores: cores}
 	name := machineSel
 	if name == "" {
-		name = noteMachine(notes)
+		name = trace.MachineNote(notes)
 	}
 	if name != "" {
 		m, ok := machine.Preset(name)
@@ -384,70 +356,16 @@ func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config,
 	return ccfg, nil
 }
 
-// runReplay reconstructs a program from a trace file and profiles it on
-// a machine with the recorded core count, optionally re-recording it
-// (which converts between framings and full/sampled fidelity). The
+// runReplay reconstructs a program from a trace file, opened by
+// workload.OpenTrace's rule, and profiles it on a machine with the
+// recorded core count, optionally re-recording it (which converts to
+// the indexed framing and between full and sampled fidelity). The
 // replayed program runs on the recorded machine model unless -machine
-// overrides it.
-func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
-	rp, err := trace.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: reading trace: %v\n", err)
-		return 1
-	}
-	ccfg, err := replayConfig(rp.Cores, machineSel, rp.Notes)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: %v\n", err)
-		return 1
-	}
-	sys := cheetah.New(ccfg)
-	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
-		fmt.Fprintf(stderr, "cheetah: preparing trace: %v\n", err)
-		return 1
-	}
-	report, res, err := profileMaybeRecorded(sys, rp.Program(), cfg, rec, stderr)
-	if err != nil {
-		return 1
-	}
-	printReport(stdout, report, res, words, candidates)
-	return 0
-}
-
-// runReplayStream profiles an indexed trace through the streaming
-// replayer: the layout restores up front, but each phase's access
-// records load from disk only when the engine reaches the phase, so
-// peak memory is bounded by the largest phase. The report (and exit
-// behaviour) match runReplay on the same trace byte for byte.
-func runReplayStream(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) int {
-	sr, err := trace.OpenStream(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: opening indexed trace: %v\n", err)
-		return 1
-	}
-	ccfg, err := replayConfig(sr.Cores, machineSel, sr.Notes)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: %v\n", err)
-		return 1
-	}
-	sys := cheetah.New(ccfg)
-	if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
-		fmt.Fprintf(stderr, "cheetah: preparing trace: %v\n", err)
-		return 1
-	}
-	report, res, err := profileStreamed(sys, sr.Program(), cfg, rec, stderr)
-	if err != nil {
-		return 1
-	}
-	printReport(stdout, report, res, words, candidates)
-	return 0
-}
-
-// profileStreamed is profileMaybeRecorded for a streamed replay, whose
-// phase windows load from disk mid-run. A window that fails to load —
-// the file changed after open, or its records fail their checksum —
-// panics in a thread body, and the engine re-raises that here as an
-// *exec.BodyPanic, which becomes one diagnostic line and an error.
-func profileStreamed(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, rec recordOptions, stderr io.Writer) (report *cheetah.Report, res cheetah.Result, err error) {
+// overrides it. A streamed phase that fails to load — its records fail
+// their checksum, or the file changed mid-run — panics in a thread
+// body, and the engine re-raises that as an *exec.BodyPanic, which
+// becomes one diagnostic line and exit code 1.
+func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) (code int) {
 	defer func() {
 		if p := recover(); p != nil {
 			bp, ok := p.(*exec.BodyPanic)
@@ -455,53 +373,54 @@ func profileStreamed(sys *cheetah.System, prog cheetah.Program, cfg pmu.Config, 
 				panic(p)
 			}
 			fmt.Fprintf(stderr, "cheetah: %v\n", bp)
-			err = bp
+			code = 1
 		}
 	}()
-	return profileMaybeRecorded(sys, prog, cfg, rec, stderr)
+	t, err := workload.OpenTrace(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "cheetah: reading trace: %v\n", err)
+		return 1
+	}
+	ccfg, err := replayConfig(t.Cores, machineSel, t.Notes)
+	if err != nil {
+		fmt.Fprintf(stderr, "cheetah: %v\n", err)
+		return 1
+	}
+	sys := cheetah.New(ccfg)
+	if err := t.Prepare(sys); err != nil {
+		fmt.Fprintf(stderr, "cheetah: preparing trace: %v\n", err)
+		return 1
+	}
+	return runProfile(sys, t.Program(), cfg, rec, words, candidates, stdout, stderr)
 }
 
-// runIndex rewrites a trace (any decodable framing) as an indexed
-// binary v3 file, staged through a temp file so a failed rewrite never
-// clobbers the input. With no -record path the trace is replaced in
-// place.
+// runIndex rewrites a trace (any decodable framing) in the indexed
+// framing, in place unless outPath names the output.
 func runIndex(inPath, outPath string, stderr io.Writer) int {
 	if outPath == "" {
 		outPath = inPath
 	}
-	in, err := os.Open(inPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: indexing %s: %v\n", inPath, err)
-		return 1
-	}
-	defer in.Close()
-	out, err := atomicfile.Create(outPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: indexing %s: %v\n", inPath, err)
-		return 1
-	}
-	defer out.Abort() // no-op after a successful Commit
-	enc := trace.NewIndexedEncoder(out)
-	d := trace.NewDecoder(in)
-	for {
-		ev, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil {
-			err = enc.Encode(ev)
-		}
+	err := writeTrace(outPath, "indexing "+inPath, stderr, func(enc trace.Encoder) error {
+		in, err := os.Open(inPath)
 		if err != nil {
-			fmt.Fprintf(stderr, "cheetah: indexing %s: %v\n", inPath, err)
-			return 1
+			return err
 		}
-	}
-	err = enc.Close()
-	if err == nil {
-		err = out.Commit()
-	}
+		defer in.Close()
+		d := trace.NewDecoder(in)
+		for {
+			ev, err := d.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err == nil {
+				err = enc.Encode(ev)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	})
 	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: indexing %s: %v\n", inPath, err)
 		return 1
 	}
 	fmt.Fprintf(stderr, "cheetah: wrote indexed trace to %s\n", outPath)
@@ -526,29 +445,17 @@ func runTraceInfo(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runSynth writes a deterministic synthetic indexed trace for
-// memory-bound regression gates.
+// runSynth writes a deterministic synthetic trace for memory-bound
+// regression gates.
 func runSynth(accesses uint64, threads int, outPath string, stderr io.Writer) int {
 	if outPath == "" {
 		fmt.Fprintln(stderr, "cheetah: -synth-trace requires -record <path>")
 		return 2
 	}
-	out, err := atomicfile.Create(outPath)
+	err := writeTrace(outPath, "writing "+outPath, stderr, func(enc trace.Encoder) error {
+		return trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: accesses, Threads: threads})
+	})
 	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: writing %s: %v\n", outPath, err)
-		return 1
-	}
-	defer out.Abort()
-	enc := trace.NewIndexedEncoder(out)
-	err = trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: accesses, Threads: threads})
-	if err == nil {
-		err = enc.Close()
-	}
-	if err == nil {
-		err = out.Commit()
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "cheetah: writing %s: %v\n", outPath, err)
 		return 1
 	}
 	fmt.Fprintf(stderr, "cheetah: wrote synthetic indexed trace to %s\n", outPath)

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestRunList(t *testing.T) {
@@ -104,12 +106,12 @@ func TestRunRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunRecordSampledBinary exercises the sampled + binary recording
-// mode and its replay.
+// TestRunRecordSampledBinary exercises the sampled recording mode and
+// its replay.
 func TestRunRecordSampledBinary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig1.bin.trace")
 	var out, errOut strings.Builder
-	code := run([]string{"-record", path, "-record-sampled", "-record-binary",
+	code := run([]string{"-record", path, "-record-sampled",
 		"-threads", "4", "-scale", "0.05", "figure1"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("record exit code %d, stderr:\n%s", code, errOut.String())
@@ -124,18 +126,18 @@ func TestRunRecordSampledBinary(t *testing.T) {
 }
 
 // TestRunReRecordConvertsFraming: -record combined with a trace
-// workload re-records the replayed run — here converting the text trace
-// to binary — and both print the same report.
+// workload re-records the replayed run — here converting the checked-in
+// text trace to the indexed binary framing — and all three print the
+// same report.
 func TestRunReRecordConvertsFraming(t *testing.T) {
-	dir := t.TempDir()
-	text := filepath.Join(dir, "a.trace")
+	text := sampleTrace
 	var out1, err1 strings.Builder
-	if code := run([]string{"-record", text, "-threads", "4", "-scale", "0.05", "figure1"}, &out1, &err1); code != 0 {
-		t.Fatalf("record exit code %d, stderr:\n%s", code, err1.String())
+	if code := run([]string{"-replay", text}, &out1, &err1); code != 0 {
+		t.Fatalf("replay exit code %d, stderr:\n%s", code, err1.String())
 	}
-	bin := filepath.Join(dir, "a.bin.trace")
+	bin := filepath.Join(t.TempDir(), "a.bin.trace")
 	var out2, err2 strings.Builder
-	if code := run([]string{"-record", bin, "-record-binary", "trace:" + text}, &out2, &err2); code != 0 {
+	if code := run([]string{"-record", bin, "trace:" + text}, &out2, &err2); code != 0 {
 		t.Fatalf("re-record exit code %d, stderr:\n%s", code, err2.String())
 	}
 	if fi, err := os.Stat(bin); err != nil || fi.Size() == 0 {
@@ -160,7 +162,7 @@ func TestRunReRecordConvertsFraming(t *testing.T) {
 func TestRunMachineNoteRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "l128.trace")
 	var recOut, recErr strings.Builder
-	code := run([]string{"-machine", "line128", "-record", path, "-record-binary",
+	code := run([]string{"-machine", "line128", "-record", path,
 		"-threads", "32", "-scale", "0.05", "figure1"}, &recOut, &recErr)
 	if code != 0 {
 		t.Fatalf("record exit code %d, stderr:\n%s", code, recErr.String())
@@ -217,6 +219,10 @@ func TestRunReplayExcludesWorkloadArgument(t *testing.T) {
 // with the importer package.
 const perfFixture = "../../internal/trace/import/testdata/perf-mem.script"
 
+// sampleTrace is the checked-in hand-written text trace of the
+// tracereplay example; testdata/sample-replay.golden is its report.
+const sampleTrace = "../../examples/tracereplay/sample.trace"
+
 // TestRunImportPerf: -import-perf converts a perf script dump into a
 // native trace, -replay profiles it, and the imported trace replays
 // byte-identically across invocations (the acceptance bar for real-PMU
@@ -224,7 +230,7 @@ const perfFixture = "../../internal/trace/import/testdata/perf-mem.script"
 func TestRunImportPerf(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "imported.trace")
 	var out, errOut strings.Builder
-	code := run([]string{"-import-perf", perfFixture, "-record", path, "-record-binary"}, &out, &errOut)
+	code := run([]string{"-import-perf", perfFixture, "-record", path}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("import exit code %d, stderr:\n%s", code, errOut.String())
 	}
@@ -335,14 +341,16 @@ func TestRunImportFlagValidation(t *testing.T) {
 // TestRunStreamReplayGoldens pins the streamed replay of the two
 // checked-in fixtures — the hand-written sample trace and the imported
 // perf mem trace — against golden reports: -index rewrites each into the
-// seekable v3 framing, and -replay-stream must print bytes identical to
-// both -replay and the golden. A diff here means the out-of-core path
-// (or the engine schedule it relies on) changed observable behavior.
+// seekable v3 framing, and -replay of it (which streams) must print bytes
+// identical to the golden and to -replay of the unindexed fixture (which
+// loads in full). -replay-stream, the alias perfbench runs, must print
+// the same bytes. A diff here means the out-of-core path (or the engine
+// schedule it relies on) changed observable behavior.
 func TestRunStreamReplayGoldens(t *testing.T) {
 	cases := []struct {
 		name, fixture, golden string
 	}{
-		{"sample", "../../examples/tracereplay/sample.trace", "testdata/sample-replay.golden"},
+		{"sample", sampleTrace, "testdata/sample-replay.golden"},
 		{"perf-mem", "../../internal/trace/import/testdata/perf-mem.golden.trace", "testdata/perf-mem-replay.golden"},
 	}
 	for _, tc := range cases {
@@ -352,16 +360,22 @@ func TestRunStreamReplayGoldens(t *testing.T) {
 			if code := run([]string{"-index", tc.fixture, "-record", indexed}, &out, &errOut); code != 0 {
 				t.Fatalf("-index exit %d, stderr:\n%s", code, errOut.String())
 			}
-			var full, stream, errs strings.Builder
-			if code := run([]string{"-replay", indexed}, &full, &errs); code != 0 {
-				t.Fatalf("-replay exit %d, stderr:\n%s", code, errs.String())
+			var full, stream, alias, errs strings.Builder
+			if code := run([]string{"-replay", tc.fixture}, &full, &errs); code != 0 {
+				t.Fatalf("-replay of the fixture exit %d, stderr:\n%s", code, errs.String())
 			}
-			if code := run([]string{"-replay-stream", indexed}, &stream, &errs); code != 0 {
-				t.Fatalf("-replay-stream exit %d, stderr:\n%s", code, errs.String())
+			if code := run([]string{"-replay", indexed}, &stream, &errs); code != 0 {
+				t.Fatalf("-replay of the indexed copy exit %d, stderr:\n%s", code, errs.String())
 			}
 			if stream.String() != full.String() {
 				t.Errorf("streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
 					full.String(), stream.String())
+			}
+			if code := run([]string{"-replay-stream", indexed}, &alias, &errs); code != 0 {
+				t.Fatalf("-replay-stream exit %d, stderr:\n%s", code, errs.String())
+			}
+			if alias.String() != stream.String() {
+				t.Error("-replay-stream differs from -replay of the same file")
 			}
 			golden, err := os.ReadFile(tc.golden)
 			if err != nil {
@@ -372,6 +386,165 @@ func TestRunStreamReplayGoldens(t *testing.T) {
 					tc.golden, golden, stream.String())
 			}
 		})
+	}
+}
+
+// windowLoads reads the process-wide count of streamed phase loads.
+func windowLoads() uint64 {
+	return obs.Default().CounterValue("cheetah_trace_window_loads_total")
+}
+
+// TestRunReplayStreamsIndexedTraces: -replay and trace:<path> stream an
+// indexed trace phase by phase — the window-load counter rises — while
+// -replay of a text trace loads it in full, leaves the counter alone and
+// still prints its golden.
+func TestRunReplayStreamsIndexedTraces(t *testing.T) {
+	indexed := filepath.Join(t.TempDir(), "sample-v3.trace")
+	var out, errOut strings.Builder
+	if code := run([]string{"-index", sampleTrace, "-record", indexed}, &out, &errOut); code != 0 {
+		t.Fatalf("-index exit %d, stderr:\n%s", code, errOut.String())
+	}
+	for _, args := range [][]string{{"-replay", indexed}, {"trace:" + indexed}} {
+		before := windowLoads()
+		var rep strings.Builder
+		if code := run(args, &rep, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, errOut.String())
+		}
+		if windowLoads() == before {
+			t.Errorf("%v: no phase window loaded; the indexed trace was not streamed", args)
+		}
+	}
+
+	golden, err := os.ReadFile("testdata/sample-replay.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := windowLoads()
+	var rep strings.Builder
+	if code := run([]string{"-replay", sampleTrace}, &rep, &errOut); code != 0 {
+		t.Fatalf("-replay of the text trace: exit %d, stderr:\n%s", code, errOut.String())
+	}
+	if windowLoads() != before {
+		t.Error("-replay of a text trace loaded phase windows; it must load in full")
+	}
+	if rep.String() != string(golden) {
+		t.Errorf("-replay of the text trace differs from its golden\n--- golden ---\n%s\n--- got ---\n%s", golden, rep.String())
+	}
+}
+
+// TestRunReplayRejectsCorruptPayload: an indexed trace whose index is
+// intact but one of whose phase segments has a flipped byte fails every
+// replay spelling with exit 1 and one line naming the checksum, not a
+// wrong report or a goroutine dump, and a recording of the failed replay
+// leaves no file behind.
+func TestRunReplayRejectsCorruptPayload(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "big.trace")
+	var out, errOut strings.Builder
+	if code := run([]string{"-synth-trace", "20000", "-threads", "4", "-record", path}, &out, &errOut); code != 0 {
+		t.Fatalf("-synth-trace exit %d, stderr:\n%s", code, errOut.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rerecorded := filepath.Join(dir, "out.trace")
+	for _, args := range [][]string{
+		{"-replay", path},
+		{"trace:" + path},
+		{"-record", rerecorded, "-replay", path},
+	} {
+		var rep, errs strings.Builder
+		if code := run(args, &rep, &errs); code != 1 {
+			t.Errorf("%v: exit %d, want 1; stdout:\n%s", args, code, rep.String())
+		}
+		lines := strings.Split(strings.TrimSpace(errs.String()), "\n")
+		if len(lines) != 1 || !strings.HasPrefix(lines[0], "cheetah: ") || !strings.Contains(lines[0], "checksum") {
+			t.Errorf("%v: stderr is not one line naming the checksum:\n%s", args, errs.String())
+		}
+		if rep.Len() != 0 {
+			t.Errorf("%v: printed a report for a corrupt trace:\n%s", args, rep.String())
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("the failed recording left files behind: %v %v", entries, err)
+	}
+}
+
+// TestRunRecordOntoReplayedTrace: -record naming the indexed trace that
+// -replay streams from succeeds — the recording is staged and replaces
+// the trace only after the run — and the rewritten trace replays to the
+// same bytes.
+func TestRunRecordOntoReplayedTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig1.trace")
+	var recOut, errOut strings.Builder
+	if code := run([]string{"-record", path, "-threads", "4", "-scale", "0.05", "figure1"}, &recOut, &errOut); code != 0 {
+		t.Fatalf("record exit %d, stderr:\n%s", code, errOut.String())
+	}
+	for _, args := range [][]string{{"-record", path, "-replay", path}, {"-record", path, "trace:" + path}} {
+		var rerec, rep strings.Builder
+		if code := run(args, &rerec, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, errOut.String())
+		}
+		if code := run([]string{"-replay", path}, &rep, &errOut); code != 0 {
+			t.Fatalf("replay after %v: exit %d, stderr:\n%s", args, code, errOut.String())
+		}
+		if rerec.String() != recOut.String() || rep.String() != recOut.String() {
+			t.Errorf("%v: re-recorded or replayed report differs from the recorded run", args)
+		}
+	}
+}
+
+// TestRunTraceWritersLeaveIndexed0644Files: every CLI path that writes a
+// trace — -record of a live run, a sampled run and a replay, -import-*,
+// -index and -synth-trace — leaves an indexed trace with mode 0644,
+// whatever mode the staging temp file had.
+func TestRunTraceWritersLeaveIndexed0644Files(t *testing.T) {
+	dir := t.TempDir()
+	ibs, err := os.ReadFile("../../internal/trace/import/testdata/ibs-samples.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ibsIn := filepath.Join(dir, "samples.csv")
+	if err := os.WriteFile(ibsIn, ibs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := func(name string) string { return filepath.Join(dir, name) }
+	writers := []struct {
+		out  string
+		args []string
+	}{
+		{p("live.trace"), []string{"-record", p("live.trace"), "-threads", "4", "-scale", "0.05", "figure1"}},
+		{p("sampled.trace"), []string{"-record", p("sampled.trace"), "-record-sampled", "-threads", "4", "-scale", "0.05", "figure1"}},
+		{p("rerecorded.trace"), []string{"-record", p("rerecorded.trace"), "-replay", sampleTrace}},
+		{p("perf.trace"), []string{"-import-perf", perfFixture, "-record", p("perf.trace")}},
+		{ibsIn + ".trace", []string{"-import-ibs", ibsIn}},
+		{p("indexed.trace"), []string{"-index", sampleTrace, "-record", p("indexed.trace")}},
+		{p("synth.trace"), []string{"-synth-trace", "5000", "-record", p("synth.trace")}},
+	}
+	for _, w := range writers {
+		var out, errOut strings.Builder
+		if code := run(w.args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", w.args, code, errOut.String())
+		}
+		fi, err := os.Stat(w.out)
+		if err != nil {
+			t.Fatalf("%v: %v", w.args, err)
+		}
+		if mode := fi.Mode().Perm(); mode != 0o644 {
+			t.Errorf("%v: trace mode %#o, want 0644", w.args, mode)
+		}
+		var info strings.Builder
+		if code := run([]string{"-trace-info", w.out}, &info, &errOut); code != 0 {
+			t.Fatalf("-trace-info %s: exit %d, stderr:\n%s", w.out, code, errOut.String())
+		}
+		if !strings.Contains(info.String(), "indexed:  true") {
+			t.Errorf("%v: trace is not indexed:\n%s", w.args, info.String())
+		}
 	}
 }
 

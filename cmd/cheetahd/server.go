@@ -265,9 +265,11 @@ func (s *server) cellFromSpec(r *http.Request) (harness.Cell, string, renderOpts
 // cellFromUpload spools an uploaded trace content-addressed (dedupes
 // identical uploads), validates it via the trace metadata before
 // admission, and builds the profiled cell that replays it. Core count
-// comes from the recording and the PMU is the calibrated detection
-// configuration — exactly `cheetah -replay`, so the report matches the
-// CLI byte for byte.
+// and machine preset come from the recording and the PMU is the
+// calibrated detection configuration — exactly `cheetah -replay`, so
+// the report matches the CLI byte for byte. A trace without a
+// `machine=` note replays on the default machine with no Machine in
+// its cell, so its cell ID and cache key stay those of the default.
 func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 	body := http.MaxBytesReader(nil, r.Body, s.maxUpload)
 	tmp, err := os.CreateTemp(s.spoolDir, "upload-*.tmp")
@@ -290,6 +292,11 @@ func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 	if err != nil {
 		return harness.Cell{}, "", fmt.Errorf("invalid trace upload: %w", err)
 	}
+	noted := trace.MachineNote(meta.Notes)
+	if _, ok := machine.Preset(noted); !ok {
+		return harness.Cell{}, "", fmt.Errorf("trace records unknown machine preset %q; available: %s",
+			noted, strings.Join(machine.Names(), ", "))
+	}
 
 	// Content-address the spooled file: identical uploads share bytes on
 	// disk, and the name doubles as the cell's trace hash.
@@ -308,6 +315,7 @@ func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 		Cores:     meta.Cores,
 		Scale:     1,
 		PMU:       harness.DetectionPMU(),
+		Machine:   noted,
 		TraceHash: hash,
 	}
 	if err := cell.Validate(); err != nil {

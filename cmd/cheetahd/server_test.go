@@ -49,14 +49,30 @@ func writeTrace(t *testing.T, dir, name string, scale float64) string {
 }
 
 // cliReplayReport computes the bytes `cheetah -replay <path>` prints:
-// the reference for the gateway's byte-identity invariant.
+// the reference for the gateway's byte-identity invariant. Like the CLI,
+// it replays on the machine preset the trace's note records.
 func cliReplayReport(t *testing.T, path string) string {
 	t.Helper()
 	rp, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := cheetah.New(cheetah.Config{Cores: rp.Cores})
+	return replayReportOn(t, path, trace.MachineNote(rp.Notes))
+}
+
+// replayReportOn computes the bytes `cheetah -machine <preset> -replay
+// <path>` prints; "" is the default machine.
+func replayReportOn(t *testing.T, path, preset string) string {
+	t.Helper()
+	rp, err := trace.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cheetah.Config{Cores: rp.Cores}
+	if preset != "" {
+		cfg.Machine, _ = machine.Preset(preset)
+	}
+	sys := cheetah.New(cfg)
 	if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +171,63 @@ func TestUploadedTraceReportMatchesCLIReplay(t *testing.T) {
 	got := fetchReport(t, ts, id)
 	if got != want {
 		t.Errorf("HTTP report diverges from CLI replay\n--- CLI ---\n%s\n--- HTTP ---\n%s", want, got)
+	}
+}
+
+// recordNoted records a 32-thread figure1 run on the named machine
+// preset ("" = the default) to an indexed trace at path, stamping note
+// as the trace's `machine=` note, as `cheetah -machine <preset> -record`
+// does with the preset's own name.
+func recordNoted(t *testing.T, path, preset, note string) {
+	t.Helper()
+	var cfg cheetah.Config
+	if preset != "" {
+		cfg.Machine, _ = machine.Preset(preset)
+	}
+	sys := cheetah.New(cfg)
+	w, _ := workload.ByName("figure1")
+	prog := w.Build(sys, workload.Params{Threads: 32, Scale: 0.05})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(trace.NewIndexedEncoder(f), sys.Heap(), sys.Globals())
+	rec.SetMachine(note)
+	sys.RunWith(prog, exec.Probe(rec))
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUploadedTraceHonoursMachineNote: an uploaded trace recorded under
+// a non-default preset replays on that preset, so its report matches
+// `cheetah -replay` of the file and not a default-machine replay; a
+// trace noting an unknown preset is answered with a 400 that lists the
+// presets. 32 threads so the hot data spans multiple lines under both
+// 64- and 128-byte geometry.
+func TestUploadedTraceHonoursMachineNote(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "line128.trace")
+	recordNoted(t, path, "line128", "line128")
+	want := cliReplayReport(t, path)
+	if want == replayReportOn(t, path, "") {
+		t.Fatal("line128 and default-machine replays print the same report; the test cannot tell them apart")
+	}
+
+	ts, _ := testGateway(t, sweep.QueueConfig{})
+	if got := fetchReport(t, ts, submitTrace(t, ts, path, "")); got != want {
+		t.Errorf("HTTP report diverges from the CLI replay on the noted machine\n--- CLI ---\n%s\n--- HTTP ---\n%s", want, got)
+	}
+
+	unknown := filepath.Join(dir, "cray1.trace")
+	recordNoted(t, unknown, "", "cray1")
+	_, status, body := trySubmitTrace(t, ts, unknown, "")
+	if status != http.StatusBadRequest || !strings.Contains(body, "cray1") || !strings.Contains(body, "line128") {
+		t.Errorf("unknown noted preset: status %d, body %s; want 400 naming the preset and listing the presets", status, body)
 	}
 }
 

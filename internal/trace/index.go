@@ -187,6 +187,11 @@ type IndexedEncoder struct {
 
 	// reason latches why the stream cannot be indexed ("" = indexable).
 	reason string
+	// closed latches Close's result: the recorders and importers close
+	// the encoder they write to, and a second Close by their caller must
+	// not append a second index block.
+	closed   bool
+	closeErr error
 }
 
 // NewIndexedEncoder creates a binary v3 encoder over w. The magic is
@@ -322,8 +327,16 @@ func (e *IndexedEncoder) Encode(ev Event) error {
 
 // Close implements Encoder: it appends the index block and footer, then
 // flushes. If the stream was unindexable, the records alone are flushed
-// and the error wraps ErrUnindexable.
+// and the error wraps ErrUnindexable. Later calls return the first
+// call's result.
 func (e *IndexedEncoder) Close() error {
+	if !e.closed {
+		e.closed, e.closeErr = true, e.close()
+	}
+	return e.closeErr
+}
+
+func (e *IndexedEncoder) close() error {
 	if e.b.err != nil {
 		return e.b.err
 	}

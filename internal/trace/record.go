@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"strings"
+
 	"repro/internal/exec"
 	"repro/internal/heap"
 	"repro/internal/mem"
@@ -36,8 +38,24 @@ func (r *recorderState) programStart(name string, cores int) {
 	r.phase = 0
 	r.emit(Event{Kind: KindProgram, Name: name, Cores: cores})
 	if r.machine != "" {
-		r.emit(Event{Kind: KindNote, Name: "machine=" + r.machine})
+		r.emit(Event{Kind: KindNote, Name: machineNote + r.machine})
 	}
+}
+
+// machineNote prefixes the provenance note naming the machine-model
+// preset a recording simulated.
+const machineNote = "machine="
+
+// MachineNote returns the machine-model preset a trace's notes record
+// (the `machine=<preset>` note the recorders stamp), or "" when they
+// record none, as traces of canonical-default runs do.
+func MachineNote(notes []string) string {
+	for _, n := range notes {
+		if name, ok := strings.CutPrefix(n, machineNote); ok {
+			return name
+		}
+	}
+	return ""
 }
 
 // emitLayout snapshots the memory layout at program end, so objects a

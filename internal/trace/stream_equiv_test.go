@@ -220,3 +220,39 @@ func TestStreamedRangeConcatenation(t *testing.T) {
 		t.Fatal("no multi-phase cases generated; the range suite is vacuous")
 	}
 }
+
+// TestSyntheticStreamedReplayMatchesFull: the trace `cheetah
+// -synth-trace` writes (16 threads, 256 phases) replays through
+// trace.ReadFile and through trace.OpenStream to identical reports on
+// opteron48 and on numa2x24, where the engine consumes records out of
+// file order. 200K accesses in -short; 2M in the full run, the size of
+// the nightly out-of-core memory gate's trace.
+func TestSyntheticStreamedReplayMatchesFull(t *testing.T) {
+	accesses := uint64(2_000_000)
+	if testing.Short() {
+		accesses = 200_000
+	}
+	path := filepath.Join(t.TempDir(), "synth.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := trace.NewIndexedEncoder(f)
+	if err := trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: accesses, Threads: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	numa, _ := machine.Preset("numa2x24")
+	for _, m := range []machine.Model{{}, numa} {
+		full := fullReplayReport(t, path, m)
+		if stream := streamReplayReport(t, path, m); stream != full {
+			t.Errorf("machine %q: streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
+				m.Name, full, stream)
+		}
+	}
+}

@@ -59,12 +59,10 @@ func TracePath(name string) string {
 // from the trace, so Params.Threads, Scale and Fixed are ignored; the
 // detection report matches the recorded run's byte for byte when the
 // system's core count and the PMU configuration match the recording
-// (full traces only). Ranged and indexed traces stream phase by phase;
-// the rest load in full. Either way the report is byte-identical, so
-// the load path is no part of a cell's identity. Build panics on
-// unreadable or malformed trace files — the same contract as registered
-// workloads, whose Build cannot fail; callers wanting a diagnostic run
-// ValidateTraceName first.
+// (full traces only). Build opens the trace by OpenTrace's rule and
+// panics on unreadable or malformed trace files — the same contract as
+// registered workloads, whose Build cannot fail; callers wanting a
+// diagnostic run ValidateTraceName first.
 func traceWorkload(name string) *Workload {
 	path, lo, hi, ranged := splitTraceName(name)
 	return &Workload{
@@ -73,36 +71,85 @@ func traceWorkload(name string) *Workload {
 		DefaultThreads: 16,
 		TotalThreads:   func(perPhase int) int { return perPhase },
 		Build: func(sys *cheetah.System, p Params) cheetah.Program {
-			if !ranged && !trace.FileIsIndexed(path) {
-				rp, err := trace.ReadFile(path)
-				if err != nil {
-					panic(fmt.Sprintf("workload: opening trace: %v", err))
-				}
-				if err := rp.Prepare(sys.Heap(), sys.Globals()); err != nil {
-					panic(fmt.Sprintf("workload: preparing trace %s: %v", path, err))
-				}
-				return rp.Program()
-			}
-			sr, err := trace.OpenStream(path)
+			t, err := openTrace(path, ranged)
 			if err != nil {
 				panic(fmt.Sprintf("workload: opening trace: %v", err))
 			}
-			if err := sr.Prepare(sys.Heap(), sys.Globals()); err != nil {
+			if err := t.Prepare(sys); err != nil {
 				panic(fmt.Sprintf("workload: preparing trace %s: %v", path, err))
 			}
 			if ranged {
-				return sr.ProgramRange(lo, hi)
+				return t.stream.ProgramRange(lo, hi)
 			}
-			return sr.Program()
+			return t.Program()
 		},
 	}
+}
+
+// streams is the one rule for how a trace replays: a phase range or an
+// indexed trace streams phase by phase, anything else loads in full.
+// Both print the same report, so the rule is no part of a cell's
+// identity; streaming bounds memory by the largest phase and verifies
+// each phase's checksum as it loads.
+func streams(path string, ranged bool) bool {
+	return ranged || trace.FileIsIndexed(path)
+}
+
+// Trace is a trace file opened for replay by the streams rule.
+type Trace struct {
+	// Cores and Notes are the recorded core count and provenance notes.
+	Cores int
+	Notes []string
+
+	full   *trace.Replay       // loaded in full
+	stream *trace.StreamReplay // streamed phase by phase
+}
+
+// OpenTrace opens the trace file at path the way every replay — the
+// cheetah CLI's, and every sweep and gateway cell's — opens it: an
+// indexed trace through trace.OpenStream, any other through
+// trace.ReadFile.
+func OpenTrace(path string) (*Trace, error) { return openTrace(path, false) }
+
+func openTrace(path string, ranged bool) (*Trace, error) {
+	if !streams(path, ranged) {
+		rp, err := trace.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return &Trace{Cores: rp.Cores, Notes: rp.Notes, full: rp}, nil
+	}
+	sr, err := trace.OpenStream(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{Cores: sr.Cores, Notes: sr.Notes, stream: sr}, nil
+}
+
+// Prepare installs the trace's memory layout into sys; it must run
+// before Program.
+func (t *Trace) Prepare(sys *cheetah.System) error {
+	if t.stream != nil {
+		return t.stream.Prepare(sys.Heap(), sys.Globals())
+	}
+	return t.full.Prepare(sys.Heap(), sys.Globals())
+}
+
+// Program reconstructs the traced program. A streamed trace's bodies
+// panic when a phase fails to load (a corrupt payload fails its
+// checksum), which Run re-raises as an *exec.BodyPanic.
+func (t *Trace) Program() cheetah.Program {
+	if t.stream != nil {
+		return t.stream.Program()
+	}
+	return t.full.Program()
 }
 
 // ValidateTraceName rehearses the load path Build would take for the
 // named trace workload, returning the error Build would panic with.
 func ValidateTraceName(name string) error {
 	path, _, _, ranged := splitTraceName(name)
-	if ranged || trace.FileIsIndexed(path) {
+	if streams(path, ranged) {
 		return trace.ValidateStream(path)
 	}
 	return trace.Validate(path)
