@@ -30,16 +30,18 @@
 // the recorded core count. Replaying a full (non-sampled) trace under
 // the same flags prints a report byte-identical to the recorded run's.
 // A trace also replays anywhere a workload name is accepted, as
-// `trace:<path>`.
+// `trace:<path>`, or `trace:<path>@<lo>-<hi>` for its phases lo..hi
+// alone, exactly as a sweep cell of that name replays it.
 //
 // Every trace cheetah writes is in the indexed binary v3 framing: the
-// record stream plus a seekable index block with per-phase checksums.
+// record stream, each phase's records grouped by thread in bounded
+// blocks, plus a seekable index block with a checksum per thread span.
 // Each write is staged and renamed into place once complete, so a
 // failed write leaves nothing behind and -record may name the trace
 // being replayed. -replay opens a trace by the rule every sweep and
-// gateway cell uses: an indexed trace streams one phase's records at a
-// time, verifying each phase's checksum as it loads, so memory stays
-// bounded by the largest phase; text, v1 and v2 traces load in full.
+// gateway cell uses: an indexed trace streams, each replayed thread
+// reading and verifying its own spans as it runs, so memory stays
+// bounded however long a phase is; text, v1 and v2 traces load in full.
 // Both print the same report. -index rewrites any decodable trace in
 // the indexed framing (in place unless -record names the output);
 // -trace-info prints a trace's metadata without building its program
@@ -128,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stdout, "%-20s %s%s\n", w.Name, w.Suite, note)
 		}
-		fmt.Fprintf(stdout, "%-20s %s\n", "trace:<path>", "trace  [replays a recorded memory-access trace]")
+		fmt.Fprintf(stdout, "%-20s %s\n", "trace:<path>[@lo-hi]", "trace  [replays a recorded memory-access trace, or its phases lo..hi]")
 		return 0
 	}
 
@@ -185,7 +187,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Fall through to profile the freshly imported trace; -record
 		// named the import's output, so the replay records nothing.
-		return runReplay(*replay, cfg, recordOptions{}, *machineName, *words, *candidates, stdout, stderr)
+		return runReplay(openPath(*replay), cfg, recordOptions{}, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if *replay != "" {
@@ -193,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "usage: cheetah -replay <trace> takes no workload argument")
 			return 2
 		}
-		return runReplay(*replay, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
+		return runReplay(openPath(*replay), cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 
 	if fs.NArg() != 1 {
@@ -204,10 +206,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	name := fs.Arg(0)
 	if workload.IsTraceName(name) {
 		// Route trace pseudo-workloads through the replay path: same
-		// semantics as -replay (recorded core count, friendly errors).
+		// semantics as -replay (recorded core count, friendly errors),
+		// opened as a cell of that name opens it, phase range included.
 		// -record still applies, re-recording the replayed run — which
 		// also converts the trace to the indexed framing.
-		return runReplay(strings.TrimPrefix(name, workload.TracePrefix), cfg, rec, *machineName, *words, *candidates, stdout, stderr)
+		open := func() (*workload.Trace, error) { return workload.OpenTraceName(name) }
+		return runReplay(open, cfg, rec, *machineName, *words, *candidates, stdout, stderr)
 	}
 	w, ok := workload.ByName(name)
 	if !ok {
@@ -356,7 +360,13 @@ func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config,
 	return ccfg, nil
 }
 
-// runReplay reconstructs a program from a trace file, opened by
+// openPath opens the trace file -replay names, by workload.OpenTrace's
+// rule.
+func openPath(path string) func() (*workload.Trace, error) {
+	return func() (*workload.Trace, error) { return workload.OpenTrace(path) }
+}
+
+// runReplay reconstructs a program from a trace that open opens, by
 // workload.OpenTrace's rule, and profiles it on a machine with the
 // recorded core count, optionally re-recording it (which converts to
 // the indexed framing and between full and sampled fidelity). The
@@ -365,7 +375,7 @@ func replayConfig(cores int, machineSel string, notes []string) (cheetah.Config,
 // their checksum, or the file changed mid-run — panics in a thread
 // body, and the engine re-raises that as an *exec.BodyPanic, which
 // becomes one diagnostic line and exit code 1.
-func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) (code int) {
+func runReplay(open func() (*workload.Trace, error), cfg pmu.Config, rec recordOptions, machineSel string, words, candidates bool, stdout, stderr io.Writer) (code int) {
 	defer func() {
 		if p := recover(); p != nil {
 			bp, ok := p.(*exec.BodyPanic)
@@ -376,7 +386,7 @@ func runReplay(path string, cfg pmu.Config, rec recordOptions, machineSel string
 			code = 1
 		}
 	}()
-	t, err := workload.OpenTrace(path)
+	t, err := open()
 	if err != nil {
 		fmt.Fprintf(stderr, "cheetah: reading trace: %v\n", err)
 		return 1

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/obs"
 )
 
@@ -429,6 +430,98 @@ func TestRunReplayStreamsIndexedTraces(t *testing.T) {
 	}
 	if rep.String() != string(golden) {
 		t.Errorf("-replay of the text trace differs from its golden\n--- golden ---\n%s\n--- got ---\n%s", golden, rep.String())
+	}
+}
+
+// TestRunTraceNamesReplayAsTheirCells: `cheetah trace:<path>@lo-hi`
+// replays phases lo..hi alone and prints the bytes the profiled cell of
+// that name renders, and unranged trace names of the golden fixtures,
+// indexed or not, print their goldens.
+func TestRunTraceNamesReplayAsTheirCells(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "synth.trace")
+	var out, errOut strings.Builder
+	if code := run([]string{"-synth-trace", "20000", "-threads", "4", "-record", path}, &out, &errOut); code != 0 {
+		t.Fatalf("-synth-trace exit %d, stderr:\n%s", code, errOut.String())
+	}
+	name := "trace:" + path + "@0-3"
+	var ranged, whole strings.Builder
+	if code := run([]string{name}, &ranged, &errOut); code != 0 {
+		t.Fatalf("%s: exit %d, stderr:\n%s", name, code, errOut.String())
+	}
+	if code := run([]string{"trace:" + path}, &whole, &errOut); code != 0 {
+		t.Fatalf("trace:%s: exit %d, stderr:\n%s", path, code, errOut.String())
+	}
+	if ranged.String() == whole.String() {
+		t.Fatal("the phase range printed the whole trace's report")
+	}
+	// A synthetic trace records 8 cores, which the CLI replays on.
+	res, err := harness.RunCell(harness.Cell{
+		Kind: harness.KindProfiled, Workload: name, Threads: 16, Cores: 8, Scale: 1,
+		PMU: harness.DetectionPMU(), TraceHash: harness.TraceContentHash(path),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell := harness.RenderDetectionReport(res.Report, res.Result, false, false); ranged.String() != cell {
+		t.Errorf("%s differs from its profiled cell\n--- cell ---\n%s\n--- cli ---\n%s", name, cell, ranged.String())
+	}
+
+	for _, tc := range []struct{ fixture, golden string }{
+		{sampleTrace, "testdata/sample-replay.golden"},
+		{"../../internal/trace/import/testdata/perf-mem.golden.trace", "testdata/perf-mem-replay.golden"},
+	} {
+		indexed := filepath.Join(dir, filepath.Base(tc.fixture)+".v3")
+		if code := run([]string{"-index", tc.fixture, "-record", indexed}, &out, &errOut); code != 0 {
+			t.Fatalf("-index exit %d, stderr:\n%s", code, errOut.String())
+		}
+		golden, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{tc.fixture, indexed} {
+			var rep strings.Builder
+			if code := run([]string{"trace:" + p}, &rep, &errOut); code != 0 {
+				t.Fatalf("trace:%s: exit %d, stderr:\n%s", p, code, errOut.String())
+			}
+			if rep.String() != string(golden) {
+				t.Errorf("trace:%s differs from golden %s\n--- golden ---\n%s\n--- got ---\n%s", p, tc.golden, golden, rep.String())
+			}
+		}
+	}
+}
+
+// format2Fixture is the imported perf mem trace in the interleaved
+// format-2 indexed layout earlier builds wrote;
+// testdata/perf-mem-replay.golden is its report.
+const format2Fixture = "../../internal/trace/testdata/format2/perf-mem.trace"
+
+// TestRunReplaysFormat2Fixture: -replay streams a format-2 indexed trace
+// (each thread body reading its interleaved segments whole) to its
+// golden report, and -index converts it to a trace that replays to the
+// same bytes.
+func TestRunReplaysFormat2Fixture(t *testing.T) {
+	golden, err := os.ReadFile("testdata/perf-mem-replay.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	converted := filepath.Join(t.TempDir(), "perf-mem-v3.trace")
+	var out, errOut strings.Builder
+	if code := run([]string{"-index", format2Fixture, "-record", converted}, &out, &errOut); code != 0 {
+		t.Fatalf("-index exit %d, stderr:\n%s", code, errOut.String())
+	}
+	for _, path := range []string{format2Fixture, converted} {
+		before := windowLoads()
+		var rep strings.Builder
+		if code := run([]string{"-replay", path}, &rep, &errOut); code != 0 {
+			t.Fatalf("-replay %s: exit %d, stderr:\n%s", path, code, errOut.String())
+		}
+		if windowLoads() == before {
+			t.Errorf("-replay %s did not stream", path)
+		}
+		if rep.String() != string(golden) {
+			t.Errorf("-replay %s differs from the golden\n--- golden ---\n%s\n--- got ---\n%s", path, golden, rep.String())
+		}
 	}
 }
 

@@ -22,4 +22,16 @@ var (
 		"Simulated instructions retired (flushed per completed thread).")
 	mQueueDepth = obs.GetGauge("cheetah_exec_runnable_threads",
 		"Scheduler queue depth at the start of the most recent phase.")
+	// The engine waiting on a thread body is metered where it blocks: a
+	// refill that finds no buffer ready, never an access.
+	mBufferWaits = obs.GetCounter("cheetah_exec_buffer_waits_total",
+		"Times the engine blocked waiting for a thread body's next operation buffer.")
+	// mBufferWaitNanos sums those waits; it renders in seconds below.
+	mBufferWaitNanos obs.Counter
 )
+
+func init() {
+	obs.Default().GaugeFunc("cheetah_exec_buffer_wait_seconds_total",
+		"Seconds the engine spent blocked waiting for thread bodies' operation buffers (monotone).",
+		func() float64 { return float64(mBufferWaitNanos.Value()) / 1e9 })
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime/debug"
+	"time"
 
 	"repro/internal/mem"
 )
@@ -87,10 +88,9 @@ func (t *T) emit(o op) {
 
 // Flush hands the operations issued so far to the engine now rather than
 // when the buffer fills. A body about to block on something other than
-// the engine (a trace loader's queue) calls it first, so the engine is
-// never left waiting on operations the body already holds. Buffer
-// boundaries are invisible to the schedule, so flushing never changes
-// an execution.
+// the engine calls it first, so the engine is never left waiting on
+// operations the body already holds. Buffer boundaries are invisible to
+// the schedule, so flushing never changes an execution.
 func (t *T) Flush() { t.flush() }
 
 // flush hands the current buffer to the engine and picks up an empty one.
@@ -188,7 +188,18 @@ func (th *thread) refill() bool {
 		default:
 		}
 	}
-	buf, ok := <-th.out
+	var buf []op
+	var ok bool
+	select {
+	case buf, ok = <-th.out:
+	default:
+		// The body has not filled its next buffer: the engine waits. Only
+		// this branch is metered, so a body that keeps ahead costs nothing.
+		start := time.Now()
+		buf, ok = <-th.out
+		mBufferWaits.Inc()
+		mBufferWaitNanos.Add(uint64(time.Since(start)))
+	}
 	if !ok {
 		th.buf = nil
 		return false

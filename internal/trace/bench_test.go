@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/cache"
@@ -55,7 +57,7 @@ func countAccesses(tb testing.TB, data []byte) uint64 {
 	}
 }
 
-// preparedStream opens and prepares path for window loads.
+// preparedStream opens and prepares path for replay.
 func preparedStream(tb testing.TB, path string) *StreamReplay {
 	tb.Helper()
 	s, err := OpenStream(path)
@@ -68,8 +70,9 @@ func preparedStream(tb testing.TB, path string) *StreamReplay {
 	return s
 }
 
-// loadAll loads every phase window of s once, through the decode loop
-// the replay's phase loaders run.
+// loadAll checks every phase of s once, reading every thread's spans
+// through the decode loop replay's thread bodies run, as ValidateStream
+// does.
 func loadAll(tb testing.TB, s *StreamReplay) {
 	for si := range s.sh.idx.segs {
 		if err := s.verifyPhase(si); err != nil {
@@ -104,8 +107,8 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkStreamLoadPhase times streaming replay's decode loop alone:
-// every phase of an indexed trace decoded into per-thread operation
-// chunks, checksums and index cross-checks included.
+// every thread's spans of every phase of an indexed trace read and
+// decoded, checksums and index cross-checks included.
 func BenchmarkStreamLoadPhase(b *testing.B) {
 	path, _ := synthTrace(b, SynthConfig{Accesses: 1 << 18, Threads: 8, Phases: 16})
 	s := preparedStream(b, path)
@@ -113,9 +116,9 @@ func BenchmarkStreamLoadPhase(b *testing.B) {
 }
 
 // BenchmarkStreamReplay times streamed replay end to end, in process:
-// phase loaders decoding a 16-thread synthetic trace while the engine
-// simulates it on the coherence simulator, sampled at the production
-// period.
+// the thread bodies of a 16-thread synthetic trace decoding their spans
+// while the engine simulates it on the coherence simulator, sampled at
+// the production period.
 func BenchmarkStreamReplay(b *testing.B) {
 	path, _ := synthTrace(b, SynthConfig{Accesses: 1 << 18, Threads: 16, Phases: 16})
 	s := preparedStream(b, path)
@@ -139,9 +142,9 @@ func leastAllocs(f func()) float64 {
 }
 
 // TestTraceLayerAllocsIndependentOfLength is the allocation guard of the
-// trace hot path: decoding a trace, or loading a phase window, of 2N
+// trace hot path: decoding a trace, or checking a streamed phase, of 2N
 // accesses must not allocate more than one of N. Per-record allocation
-// (or an operation chunk that is never reused) breaks it.
+// breaks it.
 func TestTraceLayerAllocsIndependentOfLength(t *testing.T) {
 	const n = 1 << 14
 	_, small := synthTrace(t, SynthConfig{Accesses: n, Threads: 8, Phases: 1})
@@ -161,5 +164,129 @@ func TestTraceLayerAllocsIndependentOfLength(t *testing.T) {
 	}
 	if a, b := load(smallPath), load(largePath); b > a {
 		t.Errorf("loading a phase of %d accesses allocates %.0f times, of %d accesses %.0f times", 2*n, b, n, a)
+	}
+}
+
+// heapSampler tracks the high-water mark of the heap's object bytes
+// above their level when it was made.
+type heapSampler struct {
+	s         []metrics.Sample
+	base, max uint64
+}
+
+func newHeapSampler() *heapSampler {
+	runtime.GC()
+	h := &heapSampler{s: []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}}
+	h.base = h.read()
+	h.max = h.base
+	return h
+}
+
+func (h *heapSampler) read() uint64 {
+	metrics.Read(h.s)
+	return h.s[0].Value.Uint64()
+}
+
+func (h *heapSampler) sample() { h.max = max(h.max, h.read()) }
+
+// highWater returns the most the heap held above its starting level.
+func (h *heapSampler) highWater() uint64 { return h.max - h.base }
+
+// sampleEvery is how many accesses or records pass between heap samples.
+const sampleEvery = 1 << 14
+
+// heapProbe samples the heap as the engine runs accesses.
+type heapProbe struct {
+	exec.BaseProbe
+	h *heapSampler
+	n int
+}
+
+func (p *heapProbe) Access(mem.Access, uint64) uint64 {
+	if p.n++; p.n%sampleEvery == 0 {
+		p.h.sample()
+	}
+	return 0
+}
+
+// heapEncoder samples the heap as records pass through to an encoder.
+type heapEncoder struct {
+	Encoder
+	h *heapSampler
+	n int
+}
+
+func (e *heapEncoder) Encode(ev Event) error {
+	if e.n++; e.n%sampleEvery == 0 {
+		e.h.sample()
+	}
+	return e.Encoder.Encode(ev)
+}
+
+// flatMachine is a memory system with one fixed latency and no state,
+// so a replay's heap is the engine's and the trace layer's alone.
+type flatMachine struct{ cores int }
+
+func (m flatMachine) Access(int, mem.Addr, bool, uint64) uint32 { return 4 }
+func (m flatMachine) Cores() int                                { return m.cores }
+
+// TestStreamMemoryIndependentOfPhaseLength is the memory guard of the
+// streamed path, in the style of TestTraceLayerAllocsIndependentOfLength:
+// a trace whose records are one parallel phase must record and replay
+// under the same heap high-water at 200K and at 2M accesses, and the
+// encoder must never hold back more than one block. A replayer that
+// holds a phase's records (decoded or not) grows with the phase and
+// breaks it. The replay runs on a stateless machine: the coherence
+// simulator's own state grows with contention, which is not the trace
+// layer's to bound.
+func TestStreamMemoryIndependentOfPhaseLength(t *testing.T) {
+	// Frequent collections keep garbage from blurring the live heap.
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	measure := func(accesses uint64) (encode, replay uint64) {
+		path := filepath.Join(t.TempDir(), "one-phase.trace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := NewIndexedEncoder(f)
+		h := newHeapSampler()
+		if err := WriteSynthetic(&heapEncoder{Encoder: enc, h: h}, SynthConfig{Accesses: accesses, Threads: 8, Phases: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The encoder holds back exactly one block's bytes at most.
+		s := preparedStream(t, path)
+		var held uint64
+		for _, seg := range s.sh.idx.segs {
+			for _, b := range seg.blocks {
+				held = max(held, b.length)
+			}
+		}
+		if held == 0 || held > blockCap {
+			t.Errorf("%d accesses: the encoder held %d bytes back, cap %d", accesses, held, blockCap)
+		}
+		encode = h.highWater()
+
+		h = newHeapSampler()
+		res := exec.New(flatMachine{cores: s.Cores}, exec.DefaultConfig(), &heapProbe{h: h}).Run(s.Program())
+		if res.Accesses() != s.Accesses {
+			t.Fatalf("replayed %d of %d accesses", res.Accesses(), s.Accesses)
+		}
+		return encode, h.highWater()
+	}
+	const slack = 2 << 20
+	e1, r1 := measure(200_000)
+	e2, r2 := measure(2_000_000)
+	t.Logf("heap high-water: encode %d / %d KiB, replay %d / %d KiB (200K / 2M accesses)", e1>>10, e2>>10, r1>>10, r2>>10)
+	if e2 > e1+slack {
+		t.Errorf("encoding 2M accesses raised the heap %d KiB, 200K %d KiB", e2>>10, e1>>10)
+	}
+	if r2 > r1+slack {
+		t.Errorf("replaying 2M accesses raised the heap %d KiB, 200K %d KiB", r2>>10, r1>>10)
 	}
 }

@@ -52,10 +52,6 @@ type BinaryEncoder struct {
 	// Per-thread column predictors (v2).
 	prev tidTable[accessState]
 	meta metaState
-	// onRecord, when set, observes the exact bytes of each encoded record
-	// after it is written. The index writer hooks it to checksum record
-	// payloads span by span without re-reading the stream.
-	onRecord func([]byte)
 }
 
 // accessState is one thread's last-seen access columns, the prediction
@@ -161,7 +157,26 @@ func (e *BinaryEncoder) encode(ev *Event) error {
 	if e.err != nil {
 		return e.err
 	}
-	b := append(e.buf[:0], byte(ev.Kind))
+	b, err := e.appendRecord(e.buf[:0], ev)
+	if err != nil {
+		return err
+	}
+	e.buf = b[:0]
+	return e.write(b)
+}
+
+// write hands encoded record bytes to the output, advancing written.
+func (e *BinaryEncoder) write(b []byte) error {
+	_, e.err = e.w.Write(b)
+	e.written += uint64(len(b))
+	return e.err
+}
+
+// appendRecord appends ev's record bytes to b and advances the
+// prediction state past it, writing nothing: the index writer holds a
+// phase's records back to group them by thread.
+func (e *BinaryEncoder) appendRecord(b []byte, ev *Event) ([]byte, error) {
+	b = append(b, byte(ev.Kind))
 	switch ev.Kind {
 	case KindProgram:
 		b = binary.AppendUvarint(b, uint64(ev.Cores))
@@ -247,15 +262,9 @@ func (e *BinaryEncoder) encode(ev *Event) error {
 			b = binary.AppendUvarint(b, uint64(ev.Phase))
 		}
 	default:
-		return fmt.Errorf("trace: encode: unknown event kind %d", ev.Kind)
+		return b, fmt.Errorf("trace: encode: unknown event kind %d", ev.Kind)
 	}
-	e.buf = b[:0]
-	_, e.err = e.w.Write(b)
-	e.written += uint64(len(b))
-	if e.err == nil && e.onRecord != nil {
-		e.onRecord(b)
-	}
-	return e.err
+	return b, nil
 }
 
 func appendString(b []byte, s string) []byte {
@@ -343,18 +352,20 @@ func (d *binaryDecoder) nextInto(ev *Event) error {
 		return d.err
 	}
 	if d.version >= BinaryV2 {
-		if d.used == len(d.win) {
-			// Peeking only what is already buffered never reads, so the
-			// fast path cannot consume or reorder an error of the
-			// underlying reader.
-			d.sync()
-			d.win, _ = d.br.Peek(d.br.Buffered())
-		}
-		if b := d.win[d.used:]; len(b) > 0 && b[0] == byte(KindAccess) {
-			if n := d.fastAccess(b, ev); n > 0 {
-				d.used += n
-				return nil
-			}
+		if tid, write, st := d.nextAccess(); st != nil {
+			// Zero, then store the fields: a composite literal here is
+			// built in a temporary and block-copied, a fifth of the whole
+			// decode.
+			*ev = Event{}
+			ev.Kind = KindAccess
+			ev.TID = tid
+			ev.Write = write
+			ev.Addr = mem.Addr(st.addr)
+			ev.Size = st.size
+			ev.IP = st.ip
+			ev.Lat = uint32(st.lat)
+			ev.Phase = int(st.phase)
+			return nil
 		}
 		d.sync()
 	}
@@ -367,6 +378,42 @@ func (d *binaryDecoder) nextInto(ev *Event) error {
 	return nil
 }
 
+// nextAccess is the fast path of a v2/v3 stream: when the next record
+// is an access record wholly inside the read buffer, it decodes it and
+// returns its thread, its direction and the thread's column state,
+// which now holds the record's columns. Any other record — metadata,
+// one straddling a buffer refill, one breaking a rule decode enforces —
+// yields a nil state and consumes nothing; the caller then takes
+// nextInto's path, which decodes it or reports the exact error. The
+// state pointer is valid until the next decode.
+func (d *binaryDecoder) nextAccess() (mem.ThreadID, bool, *accessState) {
+	if d.used == len(d.win) {
+		// Peeking only what is already buffered never reads, so the
+		// fast path cannot consume or reorder an error of the
+		// underlying reader.
+		d.sync()
+		d.win, _ = d.br.Peek(d.br.Buffered())
+	}
+	b := d.win[d.used:]
+	if len(b) == 0 || b[0] != byte(KindAccess) {
+		return 0, false, nil
+	}
+	tid, write, st, n := d.fastAccess(b)
+	if n == 0 {
+		return 0, false, nil
+	}
+	d.used += n
+	return tid, write, st
+}
+
+// reset points the decoder at the next span of the same stream: the
+// prediction state carries over, the read buffer and a latched io.EOF
+// do not.
+func (d *binaryDecoder) reset(r io.Reader) {
+	d.br.Reset(r)
+	d.win, d.used, d.err = nil, 0, nil
+}
+
 // sync advances br past the records the fast path decoded from win,
 // which reading br again invalidates.
 func (d *binaryDecoder) sync() {
@@ -374,66 +421,57 @@ func (d *binaryDecoder) sync() {
 	d.win, d.used = nil, 0
 }
 
-// fastAccess decodes the v2 access record at the head of b into *ev and
-// returns its length. It returns 0, consuming nothing and leaving the
-// prediction state untouched, when b ends inside the record or the
-// record breaks any rule decode enforces: decode then re-reads the same
-// bytes and either decodes them or reports the exact error.
-func (d *binaryDecoder) fastAccess(b []byte, ev *Event) int {
+// fastAccess decodes the v2 access record at the head of b, advances
+// its thread's prediction state, and returns the thread, the direction,
+// the state and the record's length. It returns length 0, consuming
+// nothing and leaving the prediction state untouched, when b ends
+// inside the record or the record breaks any rule decode enforces:
+// decode then re-reads the same bytes and either decodes them or
+// reports the exact error.
+func (d *binaryDecoder) fastAccess(b []byte) (mem.ThreadID, bool, *accessState, int) {
 	tid, i := uvarintAt(b, 1)
 	if i < 0 || tid > MaxThreadID || i >= len(b) {
-		return 0
+		return 0, false, nil, 0
 	}
 	flags := b[i]
 	if flags&^byte(accessFlagsMask) != 0 {
-		return 0
+		return 0, false, nil, 0
 	}
 	st := d.prev.at(mem.ThreadID(tid))
 	next := *st
 	var z uint64
 	if z, i = uvarintAt(b, i+1); i < 0 {
-		return 0
+		return 0, false, nil, 0
 	}
 	next.addr += unzigzag(z)
 	if z, i = uvarintAt(b, i); i < 0 {
-		return 0
+		return 0, false, nil, 0
 	}
 	next.ip += unzigzag(z)
 	if flags&accessSameSize == 0 {
 		if z, i = uvarintAt(b, i); i < 0 {
-			return 0
+			return 0, false, nil, 0
 		}
 		next.size += unzigzag(z)
 	}
 	if flags&accessSameLat == 0 {
 		if z, i = uvarintAt(b, i); i < 0 {
-			return 0
+			return 0, false, nil, 0
 		}
 		next.lat += unzigzag(z)
 	}
 	if flags&accessSamePhase == 0 {
 		if z, i = uvarintAt(b, i); i < 0 {
-			return 0
+			return 0, false, nil, 0
 		}
 		next.phase += unzigzag(z)
 	}
 	if next.addr > 1<<62 || next.ip > MaxInstrs || next.size > 1<<16-1 ||
 		next.lat > 1<<32-1 || next.phase > MaxPhaseIndex {
-		return 0
+		return 0, false, nil, 0
 	}
 	*st = next
-	// Zero, then store the fields: a composite literal here is built in
-	// a temporary and block-copied, a fifth of the whole decode.
-	*ev = Event{}
-	ev.Kind = KindAccess
-	ev.TID = mem.ThreadID(tid)
-	ev.Write = flags&accessWrite != 0
-	ev.Addr = mem.Addr(next.addr)
-	ev.Size = next.size
-	ev.IP = next.ip
-	ev.Lat = uint32(next.lat)
-	ev.Phase = int(next.phase)
-	return i
+	return mem.ThreadID(tid), flags&accessWrite != 0, st, i
 }
 
 // uvarintAt decodes the uvarint at b[i:] and returns it with the index

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,6 +76,52 @@ func TestRegenerateV1Corpus(t *testing.T) {
 	for _, ev := range evs {
 		if err := enc.Encode(ev); err != nil {
 			t.Fatalf("encode: %v", err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRegenerateFormat2Fixture rewrites testdata/format2/perf-mem.trace:
+// the imported perf mem trace (import/testdata/perf-mem.golden.trace,
+// whose threads' records interleave) in the format-2 indexed layout
+// earlier builds wrote, which replay must keep reading (cmd/cheetah and
+// CI replay it against its golden report). It is a generator, not a
+// test: it only runs with CHEETAH_REGEN_FORMAT2_FIXTURE=1, and the file
+// it writes is committed.
+func TestRegenerateFormat2Fixture(t *testing.T) {
+	if os.Getenv("CHEETAH_REGEN_FORMAT2_FIXTURE") == "" {
+		t.Skip("set CHEETAH_REGEN_FORMAT2_FIXTURE=1 to regenerate the format-2 fixture")
+	}
+	in, err := os.Open(filepath.Join("import", "testdata", "perf-mem.golden.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	dir := filepath.Join("testdata", "format2")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dir, "perf-mem.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := trace.NewIndexedEncoderV2(f)
+	d := trace.NewDecoder(in)
+	for {
+		ev, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(ev); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := enc.Close(); err != nil {

@@ -103,18 +103,32 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzIndexOpen drives the seekable-index reader and the windowed
-// streaming replayer: arbitrary bytes on disk must either open cleanly
-// or error — and when they do open, preparing and loading every phase
-// window must never panic, because the index payload (offsets, counts,
-// prediction snapshots) is untrusted input that the loader seeks by.
+// FuzzIndexOpen drives the seekable-index reader and the streaming
+// replayer: arbitrary bytes on disk must either open cleanly or error —
+// and when they do open, preparing and checking every thread's spans of
+// every phase must never panic, because the index payload (offsets,
+// counts, spans, prediction snapshots) is untrusted input that replay
+// seeks by.
 func FuzzIndexOpen(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	// Thread claims that wrap uint64 back to their segment's claim:
-	// validation must refuse them before any op list is sized from them.
+	// validation must refuse them before anything is sized from them.
 	f.Add(reindex(f, indexedBytes(f, indexableEvents()), wrapThreadClaims))
+	// A format-3 trace whose phases hold several threads' spans, and the
+	// interleaved format-2 layout of the same stream.
+	var blocked, interleaved bytes.Buffer
+	for _, enc := range []Encoder{NewIndexedEncoder(&blocked), NewIndexedEncoderV2(&interleaved)} {
+		if err := WriteSynthetic(enc, SynthConfig{Accesses: 1 << 8, Threads: 3, Phases: 2}); err != nil {
+			f.Fatal(err)
+		}
+		if err := enc.Close(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(blocked.Bytes())
+	f.Add(interleaved.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.trace")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -128,8 +142,8 @@ func FuzzIndexOpen(f *testing.F) {
 			return
 		}
 		for si := range s.sh.segs {
-			// Window loads may fail (the records under a syntactically
-			// valid index can still be garbage) but must not panic.
+			// Checks may fail (the records under a syntactically valid
+			// index can still be garbage) but must not panic.
 			_ = s.verifyPhase(si)
 		}
 	})

@@ -16,14 +16,24 @@
 // record plus its accesses and thread ends). Each segment carries its
 // byte range, per-thread record counts, and the v2 delta-prediction
 // snapshots (per-thread access state, running symbol/object state) that
-// let a reader start decoding cold from the segment's first byte — the
-// basis of the windowed streaming replayer in stream.go.
+// let a reader start decoding cold from the segment's first byte.
+//
+// The IndexedEncoder writes a segment as its phase record (the head)
+// followed by blocks, each holding the records that arrived while it was
+// open, grouped by thread in ascending id order: a block closes before
+// it outgrows blockCap bytes or any thread's span in it outgrows
+// spanCap. Grouping moves no bytes within a thread, and v2 deltas are
+// per thread, so every record encodes exactly as in arrival order. The
+// index (payload format 3) gives each block's per-thread spans —
+// offset, length and CRC32C — so the streaming replayer (stream.go)
+// reads each thread's records alone, one verified span at a time.
 //
 // Indexes come from external files, so the reader validates everything
 // before use: the regions and segments must exactly tile the record
-// area in order, counts must be consistent, and every snapshot value
-// must satisfy the same bounds the sequential decoder enforces. All
-// failures are terminal errors, never panics.
+// area in order, each segment's blocks must tile it past its head and
+// each block's spans must tile the block, counts must be consistent,
+// and every snapshot value must satisfy the same bounds the sequential
+// decoder enforces. All failures are terminal errors, never panics.
 package trace
 
 import (
@@ -51,16 +61,38 @@ var footerMagic = []byte("CHTRIX1\n")
 
 const footerSize = 16
 
-// indexFormat versions the payload layout itself. Format 2 adds a
+// indexFormat versions the payload layout itself. Format 2 added a
 // CRC32-Castagnoli checksum per layout region and per phase segment,
 // covering the span's raw record bytes, so corrupt payloads under a
 // structurally valid index fail at load instead of decoding to garbage.
-// Format-1 indexes (pre-checksum corpus files) still parse; they simply
-// skip verification.
+// Format 3 groups each segment's records into blocks of per-thread
+// spans, each with its own checksum; the segment checksum then covers
+// only the segment's head. Format-1 indexes (pre-checksum corpus files)
+// still parse and skip verification; format-1 and format-2 segments
+// interleave their threads' records, and replay reads them whole.
 const (
 	indexFormatV1 = 1
-	indexFormat   = 2
+	indexFormatV2 = 2
+	indexFormat   = 3
 )
+
+// blockCap bounds one block of a segment in bytes: the most the
+// IndexedEncoder holds back to group by thread.
+const blockCap = 1 << 20
+
+// spanCap bounds one thread's span of a block: the IndexedEncoder
+// closes a block before any thread's span outgrows it. The engine starts
+// a phase's threads one at a time, waiting for each body's first
+// operations, and a body reads and checks a whole span before decoding
+// any of it, so short spans keep those waits short. Many threads'
+// spans still fill a block, however few records each holds.
+const spanCap = 8 << 10
+
+// heldChunk is the unit the IndexedEncoder holds a block's records in:
+// each thread's records fill chunks of its own, and written chunks are
+// reused, so holding costs about blockCap plus a chunk per thread and
+// allocates nothing once warm.
+const heldChunk = 2 << 10
 
 // castagnoli is the CRC32C table shared by the index writer and the
 // span verifiers.
@@ -72,14 +104,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type CorruptPayloadError struct {
 	Path  string
 	Phase int // -1 for a layout region
-	Off   uint64
-	Want  uint32
-	Got   uint32
+	// Thread is the thread whose block span failed, or -1 for a layout
+	// region or a segment's own checksum.
+	Thread int
+	Off    uint64
+	Want   uint32
+	Got    uint32
 }
 
 func (e *CorruptPayloadError) Error() string {
 	span := "layout region"
-	if e.Phase >= 0 {
+	switch {
+	case e.Thread >= 0:
+		span = fmt.Sprintf("phase %d span of thread %d", e.Phase, e.Thread)
+	case e.Phase >= 0:
 		span = fmt.Sprintf("phase %d segment", e.Phase)
 	}
 	return fmt.Sprintf("trace: %s: %s at offset %d fails its checksum (want %08x, got %08x)",
@@ -127,6 +165,20 @@ type segThread struct {
 	state accessState
 }
 
+// indexSpan is one thread's records within one block (format 3).
+type indexSpan struct {
+	tid         mem.ThreadID
+	off, length uint64
+	crc         uint32
+}
+
+// indexBlock is one block of a segment (format 3): its byte range and
+// the spans tiling it, in ascending thread order.
+type indexBlock struct {
+	off, length uint64
+	spans       []indexSpan
+}
+
 // indexSegment describes one phase's byte range and enough context to
 // decode it in isolation.
 type indexSegment struct {
@@ -142,10 +194,22 @@ type indexSegment struct {
 	// the simulated segments.
 	addrMin, addrMax uint64
 	meta             metaState
-	// crc is the CRC32C of the segment's record bytes (format ≥ 2).
+	// crc is the CRC32C of the segment's record bytes in format 2, and
+	// of its head (the bytes before its first block) in format 3.
 	crc uint32
 	// threads lists every thread with records in the segment, ascending.
 	threads []segThread
+	// blocks tile the segment past its head (format 3).
+	blocks []indexBlock
+}
+
+// head returns the length of the segment's head: the bytes before its
+// first block, or the whole segment when it has no blocks.
+func (s *indexSegment) head() uint64 {
+	if len(s.blocks) == 0 {
+		return s.length
+	}
+	return s.blocks[0].off - s.off
 }
 
 // traceIndex is a parsed, validated index block.
@@ -153,10 +217,14 @@ type traceIndex struct {
 	accesses uint64
 	regions  []layoutRegion
 	segs     []indexSegment
-	// hasCRC reports whether the index carries span checksums (payload
-	// format ≥ 2); format-1 indexes load without verification.
-	hasCRC bool
+	// format is the payload format: the IndexedEncoder writes
+	// indexFormat; older files carry indexFormatV1 or indexFormatV2.
+	format int
 }
+
+// hasCRC reports whether the index carries span checksums (payload
+// format ≥ 2); format-1 indexes load without verification.
+func (idx *traceIndex) hasCRC() bool { return idx.format >= indexFormatV2 }
 
 // IndexedEncoder writes the v3 framing: a v2-compatible record stream
 // followed by a seekable index block. It observes the stream as it
@@ -166,6 +234,10 @@ type traceIndex struct {
 // phase. Streams violating that (certain hand-crafted traces) are
 // written without an index and Close reports ErrUnindexable; the file
 // remains a valid sequential trace.
+//
+// A phase's access and thread-end records are held back in the open
+// block, at most blockCap bytes and spanCap per thread, and written
+// grouped by thread when it closes.
 type IndexedEncoder struct {
 	b *BinaryEncoder
 
@@ -179,11 +251,17 @@ type IndexedEncoder struct {
 	curSeg    indexSegment
 	// curThreads finds the open segment's threads by id; curList holds
 	// them in first-record order.
-	curThreads tidTable[*segThread]
-	curList    []*segThread
-	// curCRC accumulates the open span's record-byte checksum, fed by
-	// the encoder's onRecord hook so no bytes are hashed twice.
+	curThreads tidTable[*encThread]
+	curList    []*encThread
+	// curCRC accumulates the checksum of the bytes written directly into
+	// the open region or segment head.
 	curCRC uint32
+
+	// block lists the open block's threads; blockBytes counts its bytes.
+	block      []*encThread
+	blockBytes int
+	// chunks recycles written heldChunk buffers.
+	chunks [][]byte
 
 	// reason latches why the stream cannot be indexed ("" = indexable).
 	reason string
@@ -194,16 +272,22 @@ type IndexedEncoder struct {
 	closeErr error
 }
 
+// encThread is one thread of the open segment: its index entry and its
+// records in the open block, in heldChunk-sized pieces, heldBytes in
+// all.
+type encThread struct {
+	segThread
+	held      [][]byte
+	heldBytes int
+}
+
 // NewIndexedEncoder creates a binary v3 encoder over w. The magic is
 // written immediately; the index block and footer are written by Close.
 func NewIndexedEncoder(w io.Writer) *IndexedEncoder {
 	e := &IndexedEncoder{
 		b:      newBinaryEncoder(w, BinaryV3),
-		idx:    traceIndex{hasCRC: true},
+		idx:    traceIndex{format: indexFormat},
 		phases: make(map[int]bool),
-	}
-	e.b.onRecord = func(rec []byte) {
-		e.curCRC = crc32.Update(e.curCRC, castagnoli, rec)
 	}
 	e.openRegion()
 	return e
@@ -216,15 +300,17 @@ func (e *IndexedEncoder) openRegion() {
 }
 
 // closeCurrent finalizes the open region or segment at the current
-// write offset. Empty layout regions are dropped (they carry nothing).
+// write offset, writing a segment's open block first. Empty layout
+// regions are dropped (they carry nothing).
 func (e *IndexedEncoder) closeCurrent() {
 	if e.inSeg {
+		e.flushBlock()
 		seg := e.curSeg
 		seg.length = e.b.written - seg.off
 		seg.crc = e.curCRC
 		seg.threads = make([]segThread, 0, len(e.curList))
 		for _, t := range e.curList {
-			seg.threads = append(seg.threads, *t)
+			seg.threads = append(seg.threads, t.segThread)
 		}
 		sort.Slice(seg.threads, func(i, j int) bool { return seg.threads[i].tid < seg.threads[j].tid })
 		e.idx.segs = append(e.idx.segs, seg)
@@ -238,17 +324,73 @@ func (e *IndexedEncoder) closeCurrent() {
 	}
 }
 
+// flushBlock writes the open block's records, thread after thread in
+// ascending id order, and indexes each thread's span.
+func (e *IndexedEncoder) flushBlock() {
+	if e.blockBytes == 0 {
+		return
+	}
+	sort.Slice(e.block, func(i, j int) bool { return e.block[i].tid < e.block[j].tid })
+	blk := indexBlock{off: e.b.written, length: uint64(e.blockBytes), spans: make([]indexSpan, 0, len(e.block))}
+	for _, t := range e.block {
+		sp := indexSpan{tid: t.tid, off: e.b.written}
+		for _, c := range t.held {
+			sp.crc = crc32.Update(sp.crc, castagnoli, c)
+			e.b.write(c)
+			e.chunks = append(e.chunks, c[:0])
+		}
+		sp.length = e.b.written - sp.off
+		blk.spans = append(blk.spans, sp)
+		t.held, t.heldBytes = t.held[:0], 0
+	}
+	e.curSeg.blocks = append(e.curSeg.blocks, blk)
+	e.block = e.block[:0]
+	e.blockBytes = 0
+}
+
+// hold adds a record of the open segment to its thread's span of the
+// open block, first writing the block out if the record would overflow
+// it or the span.
+func (e *IndexedEncoder) hold(tid mem.ThreadID, rec []byte) {
+	t := e.thread(tid)
+	if e.blockBytes+len(rec) > blockCap || t.heldBytes+len(rec) > spanCap {
+		e.flushBlock()
+	}
+	n := len(t.held)
+	if n == 0 {
+		e.block = append(e.block, t)
+	}
+	if n == 0 || len(t.held[n-1])+len(rec) > heldChunk {
+		var c []byte
+		if k := len(e.chunks); k > 0 {
+			c, e.chunks = e.chunks[k-1], e.chunks[:k-1]
+		} else {
+			c = make([]byte, 0, heldChunk)
+		}
+		t.held = append(t.held, c)
+		n++
+	}
+	t.held[n-1] = append(t.held[n-1], rec...)
+	t.heldBytes += len(rec)
+	e.blockBytes += len(rec)
+}
+
+// fail latches the first reason the stream cannot be indexed and writes
+// out the open block, so every later record goes straight to the
+// output in arrival order.
 func (e *IndexedEncoder) fail(reason string) {
 	if e.reason == "" {
 		e.reason = reason
+		e.flushBlock()
 	}
 }
 
-func (e *IndexedEncoder) thread(tid mem.ThreadID) *segThread {
+func (e *IndexedEncoder) thread(tid mem.ThreadID) *encThread {
 	p := e.curThreads.at(tid)
 	if *p == nil {
-		*p = &segThread{tid: tid, state: *e.b.prev.at(tid)}
-		e.curList = append(e.curList, *p)
+		t := &encThread{segThread: segThread{tid: tid, state: *e.b.prev.at(tid)}}
+		*p = t
+		e.curList = append(e.curList, t)
 	}
 	return *p
 }
@@ -287,7 +429,7 @@ func (e *IndexedEncoder) observe(ev *Event) {
 		e.phases[ev.Phase] = true
 		e.inSeg = true
 		e.curSeg = indexSegment{phase: ev.Phase, off: e.b.written, meta: e.b.meta}
-		e.curThreads, e.curList = tidTable[*segThread]{}, nil
+		e.curThreads, e.curList = tidTable[*encThread]{}, nil
 		e.curCRC = 0
 	case KindThreadEnd:
 		if !e.inSeg || ev.Phase != e.curSeg.phase {
@@ -322,7 +464,17 @@ func (e *IndexedEncoder) Encode(ev Event) error {
 		return e.b.err
 	}
 	e.observe(&ev)
-	return e.b.encode(&ev)
+	rec, err := e.b.appendRecord(e.b.buf[:0], &ev)
+	if err != nil {
+		return err
+	}
+	e.b.buf = rec[:0]
+	if e.inSeg && e.reason == "" && (ev.Kind == KindAccess || ev.Kind == KindThreadEnd) {
+		e.hold(ev.TID, rec)
+		return e.b.err
+	}
+	e.curCRC = crc32.Update(e.curCRC, castagnoli, rec)
+	return e.b.write(rec)
 }
 
 // Close implements Encoder: it appends the index block and footer, then
@@ -337,47 +489,47 @@ func (e *IndexedEncoder) Close() error {
 }
 
 func (e *IndexedEncoder) close() error {
+	e.closeCurrent()
 	if e.b.err != nil {
 		return e.b.err
 	}
-	e.closeCurrent()
 	if e.reason != "" {
 		if err := e.b.Close(); err != nil {
 			return err
 		}
 		return fmt.Errorf("%w: %s", ErrUnindexable, e.reason)
 	}
-	indexOff := e.b.written
-	payload := appendIndexPayload(nil, &e.idx)
-	rec := []byte{kindIndexBlock}
-	rec = binary.AppendUvarint(rec, uint64(len(payload)))
-	rec = append(rec, payload...)
-	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[:8], indexOff)
-	copy(foot[8:], footerMagic)
-	rec = append(rec, foot[:]...)
-	if _, err := e.b.w.Write(rec); err != nil {
+	if _, err := e.b.w.Write(appendIndexBlock(nil, &e.idx, e.b.written)); err != nil {
 		e.b.err = err
 		return err
 	}
 	return e.b.Close()
 }
 
-// appendIndexPayload serializes idx in the payload format its hasCRC
-// selects; IndexedEncoder always writes the current, checksummed one.
+// appendIndexBlock appends the index record for idx and the footer
+// pointing at it, for records ending at indexOff.
+func appendIndexBlock(b []byte, idx *traceIndex, indexOff uint64) []byte {
+	payload := appendIndexPayload(nil, idx)
+	b = append(b, kindIndexBlock)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	var foot [footerSize]byte
+	binary.LittleEndian.PutUint64(foot[:8], indexOff)
+	copy(foot[8:], footerMagic)
+	return append(b, foot[:]...)
+}
+
+// appendIndexPayload serializes idx in its payload format; the
+// IndexedEncoder always writes the current one.
 func appendIndexPayload(b []byte, idx *traceIndex) []byte {
-	if idx.hasCRC {
-		b = append(b, indexFormat)
-	} else {
-		b = append(b, indexFormatV1)
-	}
+	b = append(b, byte(idx.format))
 	b = binary.AppendUvarint(b, idx.accesses)
 	b = binary.AppendUvarint(b, uint64(len(idx.regions)))
 	for _, r := range idx.regions {
 		for _, v := range []uint64{r.off, r.length, r.syms, r.objs, r.meta.symAddr, r.meta.objAddr, r.meta.objSeq} {
 			b = binary.AppendUvarint(b, v)
 		}
-		if idx.hasCRC {
+		if idx.hasCRC() {
 			b = binary.AppendUvarint(b, uint64(r.crc))
 		}
 	}
@@ -387,7 +539,7 @@ func appendIndexPayload(b []byte, idx *traceIndex) []byte {
 			s.maxSize, s.addrMin, s.addrMax, s.meta.symAddr, s.meta.objAddr, s.meta.objSeq} {
 			b = binary.AppendUvarint(b, v)
 		}
-		if idx.hasCRC {
+		if idx.hasCRC() {
 			b = binary.AppendUvarint(b, uint64(s.crc))
 		}
 		b = binary.AppendUvarint(b, uint64(len(s.threads)))
@@ -395,6 +547,20 @@ func appendIndexPayload(b []byte, idx *traceIndex) []byte {
 			for _, v := range []uint64{uint64(t.tid), t.accesses,
 				t.state.addr, t.state.ip, t.state.size, t.state.lat, t.state.phase} {
 				b = binary.AppendUvarint(b, v)
+			}
+		}
+		if idx.format < indexFormat {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(len(s.blocks)))
+		for _, blk := range s.blocks {
+			b = binary.AppendUvarint(b, blk.off)
+			b = binary.AppendUvarint(b, blk.length)
+			b = binary.AppendUvarint(b, uint64(len(blk.spans)))
+			for _, sp := range blk.spans {
+				for _, v := range []uint64{uint64(sp.tid), sp.off, sp.length, uint64(sp.crc)} {
+					b = binary.AppendUvarint(b, v)
+				}
 			}
 		}
 	}
@@ -425,11 +591,11 @@ const maxOffset = 1 << 62
 // consistency (tiling, count sums) is checked by validate.
 func parseIndexPayload(p []byte) (*traceIndex, error) {
 	c := &byteCursor{p: p}
-	if len(p) == 0 || (p[0] != indexFormatV1 && p[0] != indexFormat) {
+	if len(p) == 0 || p[0] < indexFormatV1 || p[0] > indexFormat {
 		return nil, fmt.Errorf("trace: index: unknown payload format")
 	}
 	c.i = 1
-	idx := &traceIndex{hasCRC: p[0] >= indexFormat}
+	idx := &traceIndex{format: int(p[0])}
 	var err error
 	if idx.accesses, err = c.uvarint("total accesses", maxOffset); err != nil {
 		return nil, err
@@ -457,7 +623,7 @@ func parseIndexPayload(p []byte) (*traceIndex, error) {
 				return nil, err
 			}
 		}
-		if idx.hasCRC {
+		if idx.hasCRC() {
 			crc, err := c.uvarint("region checksum", 1<<32-1)
 			if err != nil {
 				return nil, err
@@ -494,7 +660,7 @@ func parseIndexPayload(p []byte) (*traceIndex, error) {
 			}
 		}
 		s.phase = int(phase)
-		if idx.hasCRC {
+		if idx.hasCRC() {
 			crc, err := c.uvarint("segment checksum", 1<<32-1)
 			if err != nil {
 				return nil, err
@@ -528,12 +694,62 @@ func parseIndexPayload(p []byte) (*traceIndex, error) {
 			t.tid = mem.ThreadID(tid)
 			s.threads = append(s.threads, t)
 		}
+		if idx.format >= indexFormat {
+			if s.blocks, err = c.blocks(); err != nil {
+				return nil, err
+			}
+		}
 		idx.segs = append(idx.segs, s)
 	}
 	if c.i != len(p) {
 		return nil, fmt.Errorf("trace: index: %d trailing payload bytes", len(p)-c.i)
 	}
 	return idx, nil
+}
+
+// blocks decodes one segment's block list (format 3). Every entry
+// consumes payload bytes, so the counts cannot outgrow the payload.
+func (c *byteCursor) blocks() ([]indexBlock, error) {
+	nblocks, err := c.uvarint("block count", uint64(len(c.p)))
+	if err != nil {
+		return nil, err
+	}
+	var blocks []indexBlock
+	for i := uint64(0); i < nblocks; i++ {
+		var b indexBlock
+		if b.off, err = c.uvarint("block offset", maxOffset); err != nil {
+			return nil, err
+		}
+		if b.length, err = c.uvarint("block length", maxOffset); err != nil {
+			return nil, err
+		}
+		nspans, err := c.uvarint("span count", MaxThreadID+1)
+		if err != nil {
+			return nil, err
+		}
+		for j := uint64(0); j < nspans; j++ {
+			var sp indexSpan
+			var tid, crc uint64
+			for _, f := range []struct {
+				what string
+				max  uint64
+				dst  *uint64
+			}{
+				{"span thread id", MaxThreadID, &tid},
+				{"span offset", maxOffset, &sp.off},
+				{"span length", maxOffset, &sp.length},
+				{"span checksum", 1<<32 - 1, &crc},
+			} {
+				if *f.dst, err = c.uvarint(f.what, f.max); err != nil {
+					return nil, err
+				}
+			}
+			sp.tid, sp.crc = mem.ThreadID(tid), uint32(crc)
+			b.spans = append(b.spans, sp)
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks, nil
 }
 
 // validate checks the parsed index's structural claims against the
@@ -601,10 +817,64 @@ func (idx *traceIndex) validate(dataStart, indexOff uint64) error {
 		if s.accesses > 0 && s.addrMin > s.addrMax {
 			return fmt.Errorf("trace: index: phase %d address bounds inverted", s.phase)
 		}
+		if idx.format >= indexFormat {
+			if err := s.validateBlocks(); err != nil {
+				return err
+			}
+		}
 		total += s.accesses
 	}
 	if total != idx.accesses {
 		return fmt.Errorf("trace: index: segments sum to %d accesses, index claims %d", total, idx.accesses)
+	}
+	return nil
+}
+
+// validateBlocks checks a format-3 segment's blocks: past a non-empty
+// head they tile the segment in order, each is tiled by its spans in
+// strictly ascending thread order, every span belongs to a thread the
+// segment lists, and every listed thread has a span.
+func (s *indexSegment) validateBlocks() error {
+	end := s.off + s.length
+	pos := end
+	if len(s.blocks) > 0 {
+		pos = s.blocks[0].off
+	}
+	if pos <= s.off || pos > end {
+		return fmt.Errorf("trace: index: phase %d segment head is empty or outside the segment", s.phase)
+	}
+	spanned := make([]bool, len(s.threads))
+	for _, b := range s.blocks {
+		if b.off != pos || b.length == 0 || b.length > end-pos {
+			return fmt.Errorf("trace: index: phase %d block at %d does not tile its segment (length %d)", s.phase, b.off, b.length)
+		}
+		spos := b.off
+		for k, sp := range b.spans {
+			if k > 0 && sp.tid <= b.spans[k-1].tid {
+				return fmt.Errorf("trace: index: phase %d block at %d: spans not in ascending thread order", s.phase, b.off)
+			}
+			if sp.off != spos || sp.length == 0 || sp.length > b.off+b.length-spos {
+				return fmt.Errorf("trace: index: phase %d block at %d: spans overlap or leave a gap at %d", s.phase, b.off, spos)
+			}
+			ti := sort.Search(len(s.threads), func(i int) bool { return s.threads[i].tid >= sp.tid })
+			if ti == len(s.threads) || s.threads[ti].tid != sp.tid {
+				return fmt.Errorf("trace: index: phase %d block at %d has a span for unlisted thread %d", s.phase, b.off, sp.tid)
+			}
+			spanned[ti] = true
+			spos += sp.length
+		}
+		if spos != b.off+b.length {
+			return fmt.Errorf("trace: index: phase %d block at %d: spans end at %d, block at %d", s.phase, b.off, spos, b.off+b.length)
+		}
+		pos += b.length
+	}
+	if pos != end {
+		return fmt.Errorf("trace: index: phase %d blocks end at %d, segment at %d", s.phase, pos, end)
+	}
+	for i, ok := range spanned {
+		if !ok {
+			return fmt.Errorf("trace: index: phase %d lists thread %d, which has no span", s.phase, s.threads[i].tid)
+		}
 	}
 	return nil
 }
@@ -749,7 +1019,7 @@ func verifySpanCRC(path string, phase int, off uint64, cr *crcReader, want uint3
 		io.Copy(io.Discard, cr)
 	}
 	if cr.crc != want {
-		return &CorruptPayloadError{Path: path, Phase: phase, Off: off, Want: want, Got: cr.crc}
+		return &CorruptPayloadError{Path: path, Phase: phase, Thread: -1, Off: off, Want: want, Got: cr.crc}
 	}
 	return cause
 }

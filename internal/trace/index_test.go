@@ -9,15 +9,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/exec"
-	"repro/internal/heap"
 	"repro/internal/mem"
-	"repro/internal/symtab"
 )
 
 // indexableEvents is a well-ordered multi-phase stream the IndexedEncoder
@@ -44,6 +43,30 @@ func indexableEvents() []Event {
 		{Kind: KindAccess, TID: 1, Write: false, Addr: 0x40000040, Size: 4, IP: 4, Lat: 5, Phase: 2},
 		{Kind: KindThreadEnd, TID: 1, Phase: 2, Instrs: 9},
 	}
+}
+
+// threadGrouped returns evs in the order the IndexedEncoder writes them
+// when every segment fits one block: each phase's access and thread-end
+// records grouped by thread in ascending id order, each thread's own
+// order kept.
+func threadGrouped(evs []Event) []Event {
+	out := make([]Event, 0, len(evs))
+	for i := 0; i < len(evs); {
+		if evs[i].Kind != KindAccess && evs[i].Kind != KindThreadEnd {
+			out = append(out, evs[i])
+			i++
+			continue
+		}
+		j := i
+		for j < len(evs) && (evs[j].Kind == KindAccess || evs[j].Kind == KindThreadEnd) {
+			j++
+		}
+		run := append([]Event(nil), evs[i:j]...)
+		sort.SliceStable(run, func(a, b int) bool { return run[a].TID < run[b].TID })
+		out = append(out, run...)
+		i = j
+	}
+	return out
 }
 
 // indexedBytes encodes evs through the IndexedEncoder, failing the test
@@ -73,8 +96,9 @@ func writeTemp(t *testing.T, data []byte) string {
 }
 
 // TestIndexedTraceRoundTrip: a v3 indexed trace must decode sequentially
-// to the exact event stream a plain v2 encode produces, and its index
-// must parse, validate, and agree with the stream's totals.
+// to the event stream a plain v2 encode produces, with each phase's
+// records grouped by thread, and its index must parse, validate, and
+// agree with the stream's totals.
 func TestIndexedTraceRoundTrip(t *testing.T) {
 	evs := indexableEvents()
 	data := indexedBytes(t, evs)
@@ -91,10 +115,10 @@ func TestIndexedTraceRoundTrip(t *testing.T) {
 	}
 
 	got := decodeEvents(t, data)
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatal("indexed v3 trace did not round-trip the event stream")
+	if !reflect.DeepEqual(got, threadGrouped(evs)) {
+		t.Fatal("indexed v3 trace did not round-trip the thread-grouped event stream")
 	}
-	if !reflect.DeepEqual(got, decodeEvents(t, v2.Bytes())) {
+	if !reflect.DeepEqual(got, threadGrouped(decodeEvents(t, v2.Bytes()))) {
 		t.Fatal("v3 and v2 framings decoded to different event streams")
 	}
 
@@ -195,15 +219,7 @@ func reindex(t testing.TB, data []byte, mutate func(idx *traceIndex)) []byte {
 		t.Fatalf("parsing fixture index: %v", err)
 	}
 	mutate(idx)
-	out := append([]byte{}, data[:indexOff]...)
-	payload := appendIndexPayload(nil, idx)
-	out = append(out, kindIndexBlock)
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[:8], indexOff)
-	copy(foot[8:], footerMagic)
-	return append(out, foot[:]...)
+	return appendIndexBlock(append([]byte{}, data[:indexOff]...), idx, indexOff)
 }
 
 // wrapThreadClaims adds four threads claiming 2^62 accesses each to
@@ -260,6 +276,16 @@ func TestIndexFaultInjection(t *testing.T) {
 			idx.segs[2].phase = MaxPhaseIndex + 1
 		},
 		"thread-claims-wrap": wrapThreadClaims,
+		// Format-3 block spans: phase 1's block holds threads 1 and 2.
+		"overlapping-thread-spans": func(idx *traceIndex) {
+			idx.segs[1].blocks[0].spans[1].off--
+		},
+		"spans-do-not-tile-block": func(idx *traceIndex) {
+			idx.segs[1].blocks[0].spans[1].length--
+		},
+		"span-for-unlisted-thread": func(idx *traceIndex) {
+			idx.segs[1].blocks[0].spans[1].tid = 99
+		},
 	}
 	raw := map[string]func([]byte) []byte{
 		"bad-format-byte": func(d []byte) []byte {
@@ -334,6 +360,22 @@ func TestIndexFaultInjection(t *testing.T) {
 		})
 	}
 
+	// A span checksum that does not match its bytes leaves the index
+	// well-formed, so the seeking reader accepts it, but the streaming
+	// pipeline refuses the span before decoding any of it.
+	t.Run("span-checksum-mismatch", func(t *testing.T) {
+		data := reindex(t, base, func(idx *traceIndex) {
+			idx.segs[1].blocks[0].spans[1].crc ^= 1
+		})
+		if _, err := readIndexAt(bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatalf("readIndexAt rejected a structurally valid index: %v", err)
+		}
+		var ce *CorruptPayloadError
+		if err := ValidateStream(writeTemp(t, data)); !errors.As(err, &ce) || ce.Thread != 2 {
+			t.Errorf("ValidateStream = %v, want thread 2's span to fail its checksum", err)
+		}
+	})
+
 	// A wrong-but-in-bounds prediction snapshot is indistinguishable from
 	// record corruption under delta framing (there are no checksums): the
 	// replay may differ, but nothing may panic, hang, or resynchronize.
@@ -390,8 +432,8 @@ func TestNonIndexedFormatsUnchanged(t *testing.T) {
 }
 
 // TestStreamWindowStats is the bounded-memory evidence: replaying a
-// multi-phase trace loads each segment exactly once, and the largest
-// resident window stays well under the whole trace's operation count.
+// multi-phase trace reads each segment once, and the most accesses one
+// thread's span holds stays well under the whole trace's.
 func TestStreamWindowStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "synth.trace")
 	f, err := os.Create(path)
@@ -410,43 +452,20 @@ func TestStreamWindowStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := OpenStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prepare(heap.New(heap.Config{}), symtab.New(symtab.Config{})); err != nil {
-		t.Fatal(err)
-	}
-	// Drive the window as the engine's bodies do, short of releasing it:
-	// phases in order, every thread of a phase draining its queue before
-	// the next phase.
-	for si := range s.sh.idx.segs {
-		for _, tid := range s.sh.segs[si].tids {
-			w := s.acquire(si)
-			lt := w.thread(tid)
-			if lt == nil {
-				t.Fatalf("segment %d has no thread %d", si, tid)
-			}
-			for ops := range lt.q {
-				s.recycle(ops)
-			}
-			if <-w.done; w.err != nil {
-				t.Fatal(w.err)
-			}
-		}
-	}
+	s := preparedStream(t, path)
+	exec.New(cache.New(cache.DefaultConfig(s.Cores)), exec.DefaultConfig()).Run(s.Program())
 	loads, maxOps := s.WindowStats()
 	if want := len(s.sh.idx.segs); loads != want {
-		t.Errorf("replay performed %d segment loads, want %d (one per phase)", loads, want)
+		t.Errorf("replay read %d segments, want %d (one per phase)", loads, want)
 	}
 	if maxOps == 0 || maxOps >= s.Accesses {
-		t.Errorf("max resident window %d ops is not bounded below the whole trace (%d)", maxOps, s.Accesses)
+		t.Errorf("largest span %d ops is not bounded below the whole trace (%d)", maxOps, s.Accesses)
 	}
-	// Re-acquiring the resident segment must not reload it.
-	last := len(s.sh.idx.segs) - 1
-	<-s.acquire(last).done
-	if l, _ := s.WindowStats(); l != loads {
-		t.Errorf("re-acquire of the resident segment reloaded it (%d -> %d loads)", loads, l)
+	// Checking every segment, as ValidateStream does, replays nothing and
+	// leaves the statistics alone.
+	loadAll(t, s)
+	if l, m := s.WindowStats(); l != loads || m != maxOps {
+		t.Errorf("checking the segments moved the statistics (%d, %d) -> (%d, %d)", loads, maxOps, l, m)
 	}
 }
 
@@ -485,17 +504,22 @@ func TestStreamProgramRunsTwice(t *testing.T) {
 	}
 }
 
-// phaseCounter counts the accesses the engine runs in each phase.
+// phaseCounter counts the accesses the engine runs in each phase and,
+// when byThread is set, per phase and thread.
 type phaseCounter struct {
 	exec.BaseProbe
 	phase    int
 	accesses map[int]int
+	byThread map[[2]int]int
 }
 
 func (p *phaseCounter) PhaseStart(ph exec.PhaseInfo) { p.phase = ph.Index }
 
-func (p *phaseCounter) Access(mem.Access, uint64) uint64 {
+func (p *phaseCounter) Access(a mem.Access, _ uint64) uint64 {
 	p.accesses[p.phase]++
+	if p.byThread != nil {
+		p.byThread[[2]int{p.phase, int(a.Thread)}]++
+	}
 	return 0
 }
 
@@ -552,28 +576,25 @@ func awaitGoroutines(t *testing.T, before int) {
 }
 
 // TestUncheckedIndexSkewFailsEveryBody: under a checksum-less (format-1)
-// index whose per-thread claims disagree with the records, the phase
-// loader cannot know before decoding that the segment is bad. Every body
-// of the phase must still fail with the same message, Run must re-raise
-// it, and nothing may hang or leak. The claims move 15000 of thread 1's
-// 16384 accesses to thread 2. A synthetic trace writes thread 1's
-// records before thread 2's, and the engine needs thread 2's first
-// buffer while thread 1's body holds its second, so a loader that
-// queued thread 1's records past its claim would fill the queue and
-// block forever.
+// index whose per-thread claims disagree with the records, no body can
+// know before decoding that the segment is bad. A format-1 segment
+// interleaves its threads, so each body reads it whole and checks every
+// thread's count: every body of the phase must fail with the same
+// message, Run must re-raise it, and nothing may hang or leak. The
+// claims move 15000 of thread 1's 16384 accesses to thread 2.
 func TestUncheckedIndexSkewFailsEveryBody(t *testing.T) {
 	const moved = 15000
 	_, data := synthTrace(t, SynthConfig{Accesses: 1 << 16, Threads: 4, Phases: 1})
 	path := writeTemp(t, reindex(t, data, func(idx *traceIndex) {
-		idx.hasCRC = false
+		idx.format = indexFormatV1
 		th := idx.segs[1].threads
 		th[0].accesses -= moved
 		th[1].accesses += moved
 	}))
 	s := preparedStream(t, path)
 	seg := &s.sh.idx.segs[1]
-	if s.sh.idx.hasCRC || seg.threads[0].accesses > 2*chunkOps {
-		t.Fatal("fixture is not a checksum-less index with a multi-chunk skew")
+	if s.sh.idx.hasCRC() || s.sh.segs[1].whole == nil {
+		t.Fatal("fixture is not a checksum-less interleaved-format index")
 	}
 	want := fmt.Sprintf("trace: streaming replay of %s: loading phase %d: trace: phase %d thread %d has %d accesses, index claims %d",
 		path, seg.phase, seg.phase, seg.threads[0].tid, seg.threads[0].accesses+moved, seg.threads[0].accesses)

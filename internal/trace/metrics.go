@@ -2,14 +2,15 @@ package trace
 
 import "repro/internal/obs"
 
-// Streaming-replay observability: window churn counters mirror what
-// WindowStats reports per replay, aggregated process-wide. Loads are
-// rare (one per phase per replay), so the cost is off any hot path.
+// Streaming-replay observability: these counters mirror what
+// WindowStats reports per replay, aggregated process-wide. They move
+// once per thread body, never per record, so the cost is off any hot
+// path.
 var (
 	mWindowLoads = obs.GetCounter("cheetah_trace_window_loads_total",
-		"Streaming-replay phase windows loaded from disk.")
+		"Streaming-replay phase segments read and verified.")
 	mWindowOps = obs.GetCounter("cheetah_trace_window_ops_total",
-		"Operations decoded into streaming-replay windows.")
+		"Accesses streaming replay decoded from its threads' spans.")
 	mWindowOpsMax = obs.GetGauge("cheetah_trace_window_ops_max",
-		"Largest operation count ever resident in one streaming window.")
+		"Most accesses one thread's span held in a streaming replay.")
 )

@@ -24,7 +24,8 @@ func noteEvents() []Event {
 }
 
 // TestNoteRoundTrip: #note records must survive every framing
-// byte-exactly, surface through ReadMeta, and stay invisible to replay.
+// byte-exactly (the indexed one groups each phase's records by thread),
+// surface through ReadMeta, and stay invisible to replay.
 func TestNoteRoundTrip(t *testing.T) {
 	evs := noteEvents()
 	encodings := map[string][]byte{}
@@ -56,8 +57,12 @@ func TestNoteRoundTrip(t *testing.T) {
 
 	wantNotes := []string{"import.source=perf-script", "import.skipped_kernel=3"}
 	for name, data := range encodings {
+		want := evs
+		if name == "indexed" {
+			want = threadGrouped(evs)
+		}
 		got := decodeEvents(t, data)
-		if !reflect.DeepEqual(got, evs) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s framing did not round-trip the noted stream", name)
 		}
 		m, err := ReadMeta(bytes.NewReader(data))
@@ -103,7 +108,7 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.hasCRC {
+	if !idx.hasCRC() {
 		t.Fatal("IndexedEncoder wrote an index without payload CRCs")
 	}
 
@@ -137,10 +142,11 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 		})
 	}
 
-	// Streamed replay verifies a segment's checksum before it decodes a
-	// record, so a corrupt phase fails every body of the phase with the
-	// checksum error, none of its accesses reaches the engine, and no
-	// goroutine outlives the failed run.
+	// Streamed replay verifies a span's checksum before it decodes a
+	// record of it, so a corrupt span fails its thread's body with the
+	// checksum error, Run re-raises it, none of the span's accesses
+	// reaches the engine, and no goroutine outlives the failed run. The
+	// phase's other threads read only their own, intact spans.
 	t.Run("streamed replay", func(t *testing.T) {
 		_, data := synthTrace(t, SynthConfig{Accesses: 1 << 14, Threads: 4, Phases: 4})
 		idx, err := readIndexAt(bytes.NewReader(data), int64(len(data)))
@@ -148,29 +154,31 @@ func TestPayloadCRCFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		seg := &idx.segs[2]
-		data[seg.off+seg.length/2] ^= 0x40
+		if len(seg.blocks) != 1 || len(seg.blocks[0].spans) != len(seg.threads) {
+			t.Fatalf("fixture phase %d has %d blocks, want one span per thread in one block", seg.phase, len(seg.blocks))
+		}
+		sp := seg.blocks[0].spans[1]
+		data[sp.off+sp.length/2] ^= 0x40
 		path := writeTemp(t, data)
-		ce := &CorruptPayloadError{Path: path, Phase: seg.phase, Off: seg.off, Want: seg.crc,
-			Got: crc32.Checksum(data[seg.off:seg.off+seg.length], castagnoli)}
+		ce := &CorruptPayloadError{Path: path, Phase: seg.phase, Thread: int(sp.tid), Off: sp.off, Want: sp.crc,
+			Got: crc32.Checksum(data[sp.off:sp.off+sp.length], castagnoli)}
 		want := fmt.Sprintf("trace: streaming replay of %s: loading phase %d: %v", path, seg.phase, ce)
 
 		before := runtime.NumGoroutine()
-		probe := &phaseCounter{accesses: make(map[int]int)}
+		probe := &phaseCounter{accesses: make(map[int]int), byThread: make(map[[2]int]int)}
 		runPanic, bodyPanics := replayStreamed(t, preparedStream(t, path), probe)
 		bp, ok := runPanic.(*exec.BodyPanic)
 		if !ok || bp.Value != want {
 			t.Fatalf("Run panicked with %v, want a *exec.BodyPanic of %q", runPanic, want)
 		}
-		if len(bodyPanics) != len(seg.threads) {
-			t.Errorf("%d bodies panicked, want all %d of the phase", len(bodyPanics), len(seg.threads))
+		if len(bodyPanics) != 1 || bodyPanics[0] != want {
+			t.Errorf("bodies panicked with %v, want the corrupt span's thread alone with %q", bodyPanics, want)
 		}
-		for _, p := range bodyPanics {
-			if p != want {
-				t.Errorf("a body panicked with %v, want %q", p, want)
-			}
+		if n := probe.byThread[[2]int{seg.phase, int(sp.tid)}]; n != 0 {
+			t.Errorf("the engine ran %d accesses of thread %d's corrupt span in phase %d", n, sp.tid, seg.phase)
 		}
-		if n := probe.accesses[seg.phase]; n != 0 {
-			t.Errorf("the engine ran %d accesses of the corrupt phase %d", n, seg.phase)
+		if n := probe.accesses[seg.phase]; n == 0 {
+			t.Errorf("no access of phase %d's intact spans reached the engine", seg.phase)
 		}
 		if probe.accesses[seg.phase-1] == 0 {
 			t.Errorf("no access of phase %d, which precedes the corrupt one, reached the engine", seg.phase-1)

@@ -22,20 +22,31 @@ type replayOp struct {
 	bits uint64
 }
 
-// accessOp builds the operation replaying access ev at addr after gap
-// compute instructions. Size 0 (imported traces with unknown width)
-// replays as a word access; every other width, which the caller has
-// checked fits a byte, replays as recorded.
-func accessOp(gap uint64, addr mem.Addr, ev *Event) replayOp {
-	size := ev.Size
+// accessOp builds the operation replaying an access of size bytes at
+// addr after gap compute instructions. Size 0 (imported traces with
+// unknown width) replays as a word access; every other width, which the
+// caller has checked fits a byte, replays as recorded.
+func accessOp(gap uint64, addr mem.Addr, size uint64, write bool) replayOp {
 	if size == 0 {
 		size = 4
 	}
 	bits := gap<<16 | size<<8
-	if ev.Write {
+	if write {
 		bits |= 1
 	}
 	return replayOp{addr: addr, bits: bits}
+}
+
+// issue replays op through t: its compute gap, then the access.
+func (op *replayOp) issue(t *exec.T) {
+	if gap := op.bits >> 16; gap > 0 {
+		t.Compute(int(gap))
+	}
+	if size := uint8(op.bits >> 8); op.bits&1 != 0 {
+		t.StoreN(op.addr, size)
+	} else {
+		t.LoadN(op.addr, size)
+	}
 }
 
 // replayThread accumulates one thread's stream within one phase.
@@ -48,6 +59,17 @@ type replayThread struct {
 	// from it.
 	endInstrs uint64
 	sawEnd    bool
+}
+
+// gap returns the compute instructions between the thread's previous
+// access and one at instruction index ip, and advances lastIP to it.
+func (rt *replayThread) gap(ip uint64) uint64 {
+	if ip <= rt.lastIP {
+		return 0
+	}
+	g := ip - rt.lastIP - 1
+	rt.lastIP = ip
+	return g
 }
 
 // replayPhase is one reconstructed phase.
@@ -180,12 +202,7 @@ func Read(r io.Reader) (*Replay, error) {
 			}
 			rp.Accesses++
 			t := rp.phase(ev.Phase).thread(ev.TID)
-			var gap uint64
-			if ev.IP > t.lastIP {
-				gap = ev.IP - t.lastIP - 1
-				t.lastIP = ev.IP
-			}
-			t.ops = append(t.ops, accessOp(gap, ev.Addr, &ev))
+			t.ops = append(t.ops, accessOp(t.gap(ev.IP), ev.Addr, ev.Size, ev.Write))
 		}
 	}
 	if !sawProgram {
@@ -443,14 +460,6 @@ func (rt *replayThread) trailing() uint64 {
 // replayOps issues ops through t, each access after its compute gap.
 func replayOps(t *exec.T, ops []replayOp) {
 	for i := range ops {
-		op := &ops[i]
-		if gap := op.bits >> 16; gap > 0 {
-			t.Compute(int(gap))
-		}
-		if size := uint8(op.bits >> 8); op.bits&1 != 0 {
-			t.StoreN(op.addr, size)
-		} else {
-			t.LoadN(op.addr, size)
-		}
+		ops[i].issue(t)
 	}
 }

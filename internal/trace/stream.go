@@ -2,14 +2,21 @@
 //
 // StreamReplay is the bounded-memory counterpart of Replay: instead of
 // decoding the whole trace into per-thread operation lists up front, it
-// uses the v3 index (index.go) to load one phase's records at a time.
-// The engine runs phases strictly in order and completes every body of
-// a phase before starting the next, so a window holding exactly one
-// phase never thrashes: each phase's segment is read from disk once per
-// replay, and peak memory is the largest single phase plus the layout,
-// however long the trace is. Within a phase, decoding and simulation
-// overlap: a loader goroutine decodes the segment into per-thread
-// chunks that the thread bodies replay as they arrive.
+// uses the v3 index (index.go) to read each thread's records as the
+// thread runs. Every thread body reads only its own spans of its phase —
+// one per block the thread has records in — through the one file handle
+// all replays of the trace share, verifies each span's checksum before
+// decoding a record of it, and decodes the records straight into the
+// engine's operation stream. Decoding thus runs beside the engine, on
+// the engine's own per-thread buffering, in the order the engine asks
+// for it, and a body holds one span at a time: memory is bounded per
+// thread by the span size however long a phase or the trace is.
+//
+// Format-1 and format-2 indexes describe interleaved segments without
+// blocks. There every thread's span is the whole segment: each body
+// decodes all of it, checks every thread's records and skips the
+// others'. That path is correct and bounded, only slower; `cheetah
+// -index` rewrites such a trace in the current format.
 //
 // The reconstructed program is identical to Replay.Program()'s — same
 // thread ids, same operation streams, same pooling — so the detection
@@ -20,7 +27,9 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -40,6 +49,12 @@ type streamSeg struct {
 	name     string
 	parallel bool
 	tids     []mem.ThreadID // ascending; mirrors the index thread list
+	// spans lists each thread's spans (format 3), parallel to tids, in
+	// file order.
+	spans [][]indexSpan
+	// whole is the segment itself, the one span every body of an
+	// interleaved (format-1 or format-2) segment reads.
+	whole []indexSpan
 }
 
 // segGeom keys the foreign-address prescan cache: the prescan result
@@ -51,11 +66,14 @@ type segGeom struct {
 }
 
 // streamShared is the per-file state every StreamReplay of one trace
-// shares: the validated index and open-time metadata. It holds no
-// record data, so several cells replaying the same giant trace
-// concurrently cost one metadata copy, not N.
+// shares: the open file, the validated index and open-time metadata. It
+// holds no record data, so several cells replaying the same giant trace
+// concurrently cost one metadata copy, not N. Its readers use ReadAt
+// only, which is safe concurrently; the handle closes when the last
+// user drops the value.
 type streamShared struct {
 	path  string
+	f     *os.File
 	size  int64
 	mtime time.Time
 	idx   *traceIndex
@@ -128,17 +146,23 @@ func sharedFor(path string) (*streamShared, error) {
 	return sh, nil
 }
 
-// openShared reads and cross-checks a trace's index and open-time
-// metadata: the layout regions are decoded once (verifying the indexed
-// record counts and capturing the program identity), and each segment's
-// first record is decoded to confirm it is the indexed phase and to
-// capture its name and parallelism.
-func openShared(path string) (*streamShared, error) {
+// openShared opens a trace and reads and cross-checks its index and
+// open-time metadata: the layout regions are decoded once (verifying
+// the indexed record counts and capturing the program identity), and
+// each segment's first record is decoded to confirm it is the indexed
+// phase and to capture its name and parallelism. A format-3 segment's
+// head must hold that record alone and is verified against its
+// checksum here; the rest of the segment is its threads' spans.
+func openShared(path string) (_ *streamShared, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -148,7 +172,7 @@ func openShared(path string) (*streamShared, error) {
 		return nil, err
 	}
 	sh := &streamShared{
-		path: path, size: st.Size(), mtime: st.ModTime(), idx: idx,
+		path: path, f: f, size: st.Size(), mtime: st.ModTime(), idx: idx,
 		phaseSeg:    make(map[int]int, len(idx.segs)),
 		maxPhase:    -1,
 		appearances: make(map[mem.ThreadID]int),
@@ -167,7 +191,7 @@ func openShared(path string) (*streamShared, error) {
 				break
 			}
 			if err != nil {
-				return nil, verifySpanCRC(path, -1, r.off, cr, r.crc, idx.hasCRC, err)
+				return nil, verifySpanCRC(path, -1, r.off, cr, r.crc, idx.hasCRC(), err)
 			}
 			switch ev.Kind {
 			case KindProgram:
@@ -186,7 +210,7 @@ func openShared(path string) (*streamShared, error) {
 				return nil, fmt.Errorf("trace: index: layout region at %d contains a kind-%d record", r.off, ev.Kind)
 			}
 		}
-		if err := verifySpanCRC(path, -1, r.off, cr, r.crc, idx.hasCRC, nil); err != nil {
+		if err := verifySpanCRC(path, -1, r.off, cr, r.crc, idx.hasCRC(), nil); err != nil {
 			return nil, err
 		}
 		if nsyms != r.syms || nobjs != r.objs {
@@ -203,19 +227,28 @@ func openShared(path string) (*streamShared, error) {
 		sh.cores = 1
 	}
 
+	blocked := idx.format >= indexFormat
 	sh.segs = make([]streamSeg, len(idx.segs))
 	for si := range idx.segs {
 		seg := &idx.segs[si]
 		if seg.maxSize > 255 {
 			return nil, fmt.Errorf("trace: access size %d unsupported (max 255)", seg.maxSize)
 		}
-		d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.length, seg.threads, seg.meta)
+		cr := &crcReader{r: io.NewSectionReader(f, int64(seg.off), int64(seg.head()))}
+		d := newSeededDecoder(cr, seg.head(), seg.threads, seg.meta)
 		ev, err := d.next()
 		if err != nil {
-			return nil, fmt.Errorf("trace: index: segment for phase %d: %w", seg.phase, err)
+			err = fmt.Errorf("trace: index: segment for phase %d: %w", seg.phase, err)
+		} else if ev.Kind != KindPhase || ev.Phase != seg.phase {
+			err = fmt.Errorf("trace: index: segment for phase %d does not start at its phase record", seg.phase)
+		} else if _, end := d.next(); blocked && end != io.EOF {
+			err = fmt.Errorf("trace: index: phase %d segment head holds more than its phase record", seg.phase)
 		}
-		if ev.Kind != KindPhase || ev.Phase != seg.phase {
-			return nil, fmt.Errorf("trace: index: segment for phase %d does not start at its phase record", seg.phase)
+		if blocked {
+			err = verifySpanCRC(path, seg.phase, seg.off, cr, seg.crc, true, err)
+		}
+		if err != nil {
+			return nil, err
 		}
 		ss := &sh.segs[si]
 		ss.name, ss.parallel = ev.Name, ev.Parallel
@@ -225,6 +258,17 @@ func openShared(path string) (*streamShared, error) {
 			if !ss.parallel && t.tid != mem.MainThread {
 				return nil, fmt.Errorf("trace: serial phase %d has records for thread %d", seg.phase, t.tid)
 			}
+		}
+		if blocked {
+			ss.spans = make([][]indexSpan, len(ss.tids))
+			for _, b := range seg.blocks {
+				for _, sp := range b.spans {
+					ti := sort.Search(len(ss.tids), func(i int) bool { return ss.tids[i] >= sp.tid })
+					ss.spans[ti] = append(ss.spans[ti], sp)
+				}
+			}
+		} else {
+			ss.whole = []indexSpan{{tid: -1, off: seg.off, length: seg.length, crc: seg.crc}}
 		}
 		sh.phaseSeg[seg.phase] = si
 		if seg.phase > sh.maxPhase {
@@ -243,14 +287,9 @@ func openShared(path string) (*streamShared, error) {
 // system's heap and symbol table — exactly what Replay.Prepare restores,
 // without retaining anything.
 func (sh *streamShared) restoreLayout(h *heap.Heap, syms *symtab.Table) error {
-	f, err := os.Open(sh.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	for ri := range sh.idx.regions {
 		r := &sh.idx.regions[ri]
-		d := newSeededDecoder(io.NewSectionReader(f, int64(r.off), int64(r.length)), r.length, nil, r.meta)
+		d := newSeededDecoder(io.NewSectionReader(sh.f, int64(r.off), int64(r.length)), r.length, nil, r.meta)
 		for {
 			ev, err := d.next()
 			if err == io.EOF {
@@ -334,15 +373,10 @@ func (sh *streamShared) foreignLines(h *heap.Heap, syms *symtab.Table) ([]uint64
 	}
 	lines = []uint64{}
 	if len(scan) > 0 {
-		f, err := os.Open(sh.path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
 		seen := make(map[uint64]bool)
 		for _, si := range scan {
 			seg := &sh.idx.segs[si]
-			d := newSeededDecoder(io.NewSectionReader(f, int64(seg.off), int64(seg.length)), seg.length, seg.threads, seg.meta)
+			d := newSeededDecoder(io.NewSectionReader(sh.f, int64(seg.off), int64(seg.length)), seg.length, seg.threads, seg.meta)
 			var ev Event
 			for {
 				err := d.nextInto(&ev)
@@ -370,8 +404,8 @@ func (sh *streamShared) foreignLines(h *heap.Heap, syms *symtab.Table) ([]uint64
 }
 
 // StreamReplay replays an indexed trace with bounded memory: Prepare
-// restores the layout exactly as Replay.Prepare does, and the program
-// loads one phase's operations at a time as the engine reaches it.
+// restores the layout exactly as Replay.Prepare does, and each thread
+// body of the program reads its own records as it runs.
 type StreamReplay struct {
 	sh *streamShared
 
@@ -386,21 +420,18 @@ type StreamReplay struct {
 	runs     []lineRun
 	prepared bool
 
-	mu  sync.Mutex
-	win *window // the resident phase window, nil before the first load
-	// loads counts verified segment loads; maxWindowOps is the largest
-	// segment ever loaded — the bounded-memory evidence tests assert on.
+	mu sync.Mutex
+	// loads counts segments replayed and verified; maxWindowOps is the
+	// most accesses one span held for its thread — the bounded-memory
+	// evidence tests assert on.
 	loads        int
 	maxWindowOps uint64
-	// free recycles full-size operation chunks across the replay's
-	// windows.
-	free [][]replayOp
 }
 
 // OpenStream opens an indexed binary v3 trace for streaming replay. It
 // reads only the index and layout metadata (lazily shared across opens
-// of the same file); the access records stay on disk until the engine
-// reaches their phase. Non-indexed traces fail here — use ReadFile.
+// of the same file); the access records stay on disk until a thread
+// body reaches them. Non-indexed traces fail here — use ReadFile.
 func OpenStream(path string) (*StreamReplay, error) {
 	sh, err := sharedFor(path)
 	if err != nil {
@@ -443,256 +474,268 @@ func (s *StreamReplay) Prepare(h *heap.Heap, syms *symtab.Table) (err error) {
 	return nil
 }
 
-// chunkOps bounds one delivery of a thread's operations from a phase
-// loader to the thread's body: small enough that the engine starts on a
-// phase soon after its loader does, large enough that the handoffs stay
-// a small share of the replay.
-const chunkOps = 1024
+// spanPass is one thread body's pass over its spans of one segment.
+type spanPass struct {
+	path string
+	seg  *indexSegment
+	runs []lineRun
+	// t receives the thread's operations; nil only checks the records.
+	t *exec.T
+	// ti is the thread's position in seg.threads and tid its id; a serial
+	// phase without records replays no thread (-1 both).
+	ti  int
+	tid mem.ThreadID
+	// whole marks an interleaved segment, read whole: every thread's
+	// records are decoded and checked, counts tallies them per position
+	// in seg.threads (index maps an id to its position plus one), and
+	// total sums them.
+	whole  bool
+	counts []uint64
+	index  tidTable[int32]
+	total  uint64
 
-// loadThread is one thread's slot in a phase window. The decode loop
-// fills ops, a chunk of at most chunkOps operations, and hands each full
-// one to the queue the thread's body replays from; replayThread's gap
-// and trailing-compute state rides along.
-type loadThread struct {
-	replayThread
-	// claim is the thread's indexed access count, n the accesses decoded
-	// for it so far.
-	claim, n uint64
-	// q holds one slot per chunk the claim can fill, so the loader never
-	// waits on a body; it is nil in a synchronous decode.
-	q chan []replayOp
+	d   binaryDecoder
+	sec io.SectionReader
+	cr  crcReader
+	rt  replayThread
+	// n counts the thread's accesses; spanMax is the most one span held.
+	n, spanMax uint64
 }
 
-// window is one phase's load: the threads' slots and, once done is
-// closed, the loader's verdict.
-type window struct {
-	si      int
-	threads []loadThread  // index thread-list order
-	byTID   []*loadThread // the same slots, indexed by thread id
-	done    chan struct{} // closed when the loader has finished
-	err     error         // the loader's failure; read after done
-	// left counts, under StreamReplay.mu, the phase's bodies that have
-	// not yet released the window; at zero a new acquire of the segment
-	// reloads it, so a program can run again.
-	left int
-}
-
-// newWindow builds segment si's empty window. A queued window gives each
-// thread a queue deep enough for every chunk its claim can fill, which
-// validation has already bounded by the segment's byte length.
-func (s *StreamReplay) newWindow(si int, queued bool) *window {
-	seg := &s.sh.idx.segs[si]
-	w := &window{si: si, threads: make([]loadThread, len(seg.threads))}
-	// The thread list is ascending, so its last id sizes the table.
-	if n := len(seg.threads); n > 0 {
-		w.byTID = make([]*loadThread, seg.threads[n-1].tid+1)
-	}
-	for i, t := range seg.threads {
-		lt := &w.threads[i]
-		lt.claim = t.accesses
-		if queued {
-			lt.q = make(chan []replayOp, (t.accesses+chunkOps-1)/chunkOps)
-		}
-		w.byTID[t.tid] = lt
-	}
-	if queued {
-		w.done = make(chan struct{})
-		w.left = 1
-		if ss := &s.sh.segs[si]; ss.parallel {
-			w.left = len(ss.tids)
+// replaySpans replays thread ti of segment si (-1: a serial phase with
+// no records) through t, or with t nil makes every check the replay
+// would. It reads the thread's spans — the whole segment when the index
+// has no blocks — through the shared file handle, checking each span's
+// checksum before decoding any of its records, and issues each access
+// as it decodes it. Every rule the sequential decoder and full replay
+// enforce applies; a record or count the index does not account for
+// fails the pass once the spans are read.
+func (s *StreamReplay) replaySpans(t *exec.T, si, ti int) error {
+	sh := s.sh
+	seg := &sh.idx.segs[si]
+	ss := &sh.segs[si]
+	r := &spanPass{path: sh.path, seg: seg, runs: s.runs, t: t, ti: ti, tid: -1, whole: ss.whole != nil}
+	spans := ss.whole
+	if ti >= 0 {
+		r.tid = seg.threads[ti].tid
+		if !r.whole {
+			spans = ss.spans[ti]
 		}
 	}
-	return w
-}
-
-// thread returns tid's slot, or nil when the segment has no records for
-// it.
-func (w *window) thread(tid mem.ThreadID) *loadThread {
-	if uint(tid) < uint(len(w.byTID)) {
-		return w.byTID[tid]
+	// The buffer fits the thread's longest span, up to maxSpanBuffer: a
+	// span that fits — every span of a block the IndexedEncoder writes —
+	// is read once, a longer one twice (checksum, then records), so a
+	// body's memory never depends on how long its phase is.
+	var bufSize uint64
+	for _, sp := range spans {
+		bufSize = max(bufSize, sp.length)
+	}
+	bufSize = min(bufSize, maxSpanBuffer)
+	r.d = binaryDecoder{br: bufio.NewReaderSize(nil, int(bufSize)), version: BinaryV3, meta: seg.meta}
+	if r.whole {
+		r.counts = make([]uint64, len(seg.threads))
+		for i, th := range seg.threads {
+			*r.d.prev.at(th.tid) = th.state
+			*r.index.at(th.tid) = int32(i + 1)
+		}
+	} else if ti >= 0 {
+		*r.d.prev.at(r.tid) = seg.threads[ti].state
+	}
+	for _, sp := range spans {
+		if err := r.span(sh.f, sp, sh.idx.hasCRC()); err != nil {
+			return err
+		}
+	}
+	if err := r.finish(); err != nil {
+		return err
+	}
+	if t != nil {
+		s.replayed(si, ti, r)
 	}
 	return nil
 }
 
-// takeChunk returns an empty chunk for a thread with rem accesses left
-// to deliver: a recycled full-size one when there is one, else a fresh
-// one sized to what is left.
-func (s *StreamReplay) takeChunk(rem uint64) []replayOp {
-	s.mu.Lock()
-	if n := len(s.free); n > 0 {
-		c := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.mu.Unlock()
-		return c
-	}
-	s.mu.Unlock()
-	return make([]replayOp, 0, min(rem, chunkOps))
-}
-
-// recycle returns a replayed chunk for reuse. Only full-size chunks are
-// kept: any of them fits any thread's next chunk.
-func (s *StreamReplay) recycle(c []replayOp) {
-	if cap(c) != chunkOps {
-		return
-	}
-	s.mu.Lock()
-	s.free = append(s.free, c[:0])
-	s.mu.Unlock()
-}
-
-// decodePhase is streamed replay's one decode loop, shared by the
-// loader and every synchronous check. It first streams segment w.si's
-// span through its checksum, so no record of a corrupt span is ever
-// decoded. It then decodes the records in file order, cross-checking
-// each against the index, into per-thread chunks: a full chunk goes to
-// the thread's queue (a synchronous window refills it in place), and
-// the partial tails go once every count has checked out. A thread's
-// records past its claim are counted but dropped, since the count check
-// fails the load anyway; so no thread delivers more chunks than its
-// queue holds.
-func (s *StreamReplay) decodePhase(w *window) error {
-	sh := s.sh
-	seg := &sh.idx.segs[w.si]
-	f, err := os.Open(sh.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	span := func() *io.SectionReader { return io.NewSectionReader(f, int64(seg.off), int64(seg.length)) }
-	d := newSeededDecoder(span(), seg.length, seg.threads, seg.meta)
-	if sh.idx.hasCRC {
-		// The checksum pass reads through the decoder's own buffer, then
-		// rewinds it to the span's start.
-		cr := &crcReader{r: span()}
-		d.br.Reset(cr)
-		for {
-			if _, err := d.br.Discard(maxSpanBuffer); err != nil {
-				break
-			}
-		}
-		if err := verifySpanCRC(sh.path, seg.phase, seg.off, cr, seg.crc, true, nil); err != nil {
+// span verifies one span (when the index is checksummed) and replays
+// its records.
+func (r *spanPass) span(f io.ReaderAt, sp indexSpan, checked bool) error {
+	r.sec = *io.NewSectionReader(f, int64(sp.off), int64(sp.length))
+	if checked {
+		if err := r.verify(sp); err != nil {
 			return err
 		}
-		d.br.Reset(span())
+	} else {
+		r.d.reset(&r.sec)
 	}
 	var ev Event
-	if err := d.nextInto(&ev); err != nil {
-		return err
+	if r.whole {
+		if err := r.d.nextInto(&ev); err != nil {
+			return err
+		}
+		if ev.Kind != KindPhase || ev.Phase != r.seg.phase {
+			return fmt.Errorf("trace: segment for phase %d does not start at its phase record", r.seg.phase)
+		}
 	}
-	if ev.Kind != KindPhase || ev.Phase != seg.phase {
-		return fmt.Errorf("trace: segment for phase %d does not start at its phase record", seg.phase)
-	}
-	var total uint64
+	n := r.n
+	defer func() { r.spanMax = max(r.spanMax, r.n-n) }()
 	for {
-		err := d.nextInto(&ev)
+		if tid, write, st := r.d.nextAccess(); st != nil {
+			if err := r.access(tid, write, st.addr, st.ip, st.size, st.phase); err != nil {
+				return err
+			}
+			continue
+		}
+		err := r.d.nextInto(&ev)
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if ev.Kind != KindAccess && ev.Kind != KindThreadEnd {
-			return fmt.Errorf("trace: phase %d segment contains a kind-%d record", seg.phase, ev.Kind)
+		switch ev.Kind {
+		case KindAccess:
+			err = r.access(ev.TID, ev.Write, uint64(ev.Addr), ev.IP, ev.Size, uint64(ev.Phase))
+		case KindThreadEnd:
+			var own bool
+			if own, err = r.claim(ev.TID, uint64(ev.Phase)); own {
+				r.rt.endInstrs, r.rt.sawEnd = ev.Instrs, true
+			}
+		default:
+			err = fmt.Errorf("trace: phase %d segment contains a kind-%d record", r.seg.phase, ev.Kind)
 		}
-		if ev.Phase != seg.phase {
-			return fmt.Errorf("trace: phase %d segment contains a record for phase %d", seg.phase, ev.Phase)
-		}
-		lt := w.thread(ev.TID)
-		if lt == nil {
-			return fmt.Errorf("trace: phase %d segment has records for unindexed thread %d", seg.phase, ev.TID)
-		}
-		if ev.Kind == KindThreadEnd {
-			lt.endInstrs = ev.Instrs
-			lt.sawEnd = true
-			continue
-		}
-		if ev.Size > 255 {
-			return fmt.Errorf("trace: access size %d unsupported (max 255)", ev.Size)
-		}
-		var gap uint64
-		if ev.IP > lt.lastIP {
-			gap = ev.IP - lt.lastIP - 1
-			lt.lastIP = ev.IP
-		}
-		total++
-		if lt.n++; lt.n > lt.claim {
-			continue
-		}
-		if lt.ops == nil {
-			lt.ops = s.takeChunk(lt.claim - lt.n + 1)
-		}
-		lt.ops = append(lt.ops, accessOp(gap, remapForeign(s.runs, ev.Addr), &ev))
-		if len(lt.ops) == cap(lt.ops) {
-			w.deliver(lt)
+		if err != nil {
+			return err
 		}
 	}
-	if total != seg.accesses {
-		return fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, total, seg.accesses)
-	}
-	for i, t := range seg.threads {
-		if n := w.threads[i].n; n != t.accesses {
-			return fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
-				seg.phase, t.tid, n, t.accesses)
+}
+
+// verify checks sp's checksum, leaving the decoder at the span's first
+// byte. A span that fits the read buffer is read once; a longer one (a
+// whole segment) streams through the checksum and is then read again.
+func (r *spanPass) verify(sp indexSpan) error {
+	var got uint32
+	if sp.length <= uint64(r.d.br.Size()) {
+		r.d.reset(&r.sec)
+		b, err := r.d.br.Peek(int(sp.length))
+		if err != nil {
+			return fmt.Errorf("trace: phase %d: reading %d bytes at offset %d: %w", r.seg.phase, sp.length, sp.off, err)
 		}
+		got = crc32.Checksum(b, castagnoli)
+	} else {
+		r.cr = crcReader{r: &r.sec}
+		r.d.reset(&r.cr)
+		for {
+			if _, err := r.d.br.Discard(r.d.br.Size()); err != nil {
+				break
+			}
+		}
+		got = r.cr.crc
+		r.sec.Seek(0, io.SeekStart)
+		r.d.reset(&r.sec)
 	}
-	for i := range w.threads {
-		if lt := &w.threads[i]; len(lt.ops) > 0 {
-			w.deliver(lt)
+	if got != sp.crc {
+		thread := -1
+		if !r.whole {
+			thread = int(r.tid)
+		}
+		return &CorruptPayloadError{Path: r.path, Phase: r.seg.phase, Thread: thread, Off: sp.off, Want: sp.crc, Got: got}
+	}
+	return nil
+}
+
+// claim checks that a record of thread tid and phase belongs where it
+// was read: it carries the segment's phase, and its thread is the
+// span's (a block span) or one the segment lists (a whole segment). It
+// reports whether the record is the replayed thread's.
+func (r *spanPass) claim(tid mem.ThreadID, phase uint64) (bool, error) {
+	if phase != uint64(r.seg.phase) {
+		return false, fmt.Errorf("trace: phase %d segment contains a record for phase %d", r.seg.phase, phase)
+	}
+	if !r.whole {
+		if tid != r.tid {
+			return false, fmt.Errorf("trace: phase %d span of thread %d holds a record for thread %d", r.seg.phase, r.tid, tid)
+		}
+		return true, nil
+	}
+	if *r.index.at(tid) == 0 {
+		return false, fmt.Errorf("trace: phase %d segment has records for unindexed thread %d", r.seg.phase, tid)
+	}
+	return tid == r.tid, nil
+}
+
+// access checks one access record and, when it is the replayed
+// thread's, issues it after its compute gap.
+func (r *spanPass) access(tid mem.ThreadID, write bool, addr, ip, size, phase uint64) error {
+	own, err := r.claim(tid, phase)
+	if err != nil {
+		return err
+	}
+	if size > 255 {
+		return fmt.Errorf("trace: access size %d unsupported (max 255)", size)
+	}
+	if r.whole {
+		r.counts[*r.index.at(tid)-1]++
+		r.total++
+	}
+	if !own {
+		return nil
+	}
+	r.n++
+	gap := r.rt.gap(ip)
+	if r.t != nil {
+		a := mem.Addr(addr)
+		if len(r.runs) > 0 {
+			a = remapForeign(r.runs, a)
+		}
+		op := accessOp(gap, a, size, write)
+		op.issue(r.t)
+	}
+	return nil
+}
+
+// finish checks the decoded counts against the index — every thread's
+// when the segment was read whole, so each body of an interleaved phase
+// fails the same way — and issues the thread's trailing compute.
+func (r *spanPass) finish() error {
+	seg := r.seg
+	if r.whole {
+		if r.total != seg.accesses {
+			return fmt.Errorf("trace: phase %d segment has %d accesses, index claims %d", seg.phase, r.total, seg.accesses)
+		}
+		for i, th := range seg.threads {
+			if r.counts[i] != th.accesses {
+				return fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
+					seg.phase, th.tid, r.counts[i], th.accesses)
+			}
+		}
+	} else if r.ti >= 0 && r.n != seg.threads[r.ti].accesses {
+		return fmt.Errorf("trace: phase %d thread %d has %d accesses, index claims %d",
+			seg.phase, r.tid, r.n, seg.threads[r.ti].accesses)
+	}
+	if r.t != nil && r.ti >= 0 {
+		if n := r.rt.trailing(); n > 0 {
+			r.t.Compute(int(n))
 		}
 	}
 	return nil
 }
 
-// deliver hands lt's chunk to its body's queue; a synchronous window
-// has no bodies, so it refills the chunk in place.
-func (w *window) deliver(lt *loadThread) {
-	if lt.q == nil {
-		lt.ops = lt.ops[:0]
+// replayed records a body's verified pass: the phase's first body
+// counts the segment as loaded.
+func (s *StreamReplay) replayed(si, ti int, r *spanPass) {
+	seg := &s.sh.idx.segs[si]
+	first := ti <= 0
+	s.mu.Lock()
+	if first {
+		s.loads++
+	}
+	s.maxWindowOps = max(s.maxWindowOps, r.spanMax)
+	s.mu.Unlock()
+	mWindowOps.Add(r.n)
+	mWindowOpsMax.SetMax(int64(r.spanMax))
+	if !first {
 		return
 	}
-	lt.q <- lt.ops
-	lt.ops = nil
-}
-
-// verifyPhase decodes segment si synchronously and discards its
-// operations: the checks a replay of the segment would make, without
-// the replay.
-func (s *StreamReplay) verifyPhase(si int) error {
-	w := s.newWindow(si, false)
-	err := s.decodePhase(w)
-	for i := range w.threads {
-		s.recycle(w.threads[i].ops)
-	}
-	return err
-}
-
-// load is a queued window's loader goroutine. It records a verified
-// load in the window statistics, recycles the chunks a failure left
-// half-filled, and publishes the verdict by closing done and every
-// queue; on failure the bodies drain what was queued, then fail.
-func (s *StreamReplay) load(w *window) {
-	if w.err = s.decodePhase(w); w.err == nil {
-		s.loaded(w.si)
-	}
-	for i := range w.threads {
-		s.recycle(w.threads[i].ops)
-	}
-	close(w.done)
-	for i := range w.threads {
-		close(w.threads[i].q)
-	}
-}
-
-// loaded records a verified load of segment si.
-func (s *StreamReplay) loaded(si int) {
-	seg := &s.sh.idx.segs[si]
-	s.mu.Lock()
-	s.loads++
-	s.maxWindowOps = max(s.maxWindowOps, seg.accesses)
-	s.mu.Unlock()
 	mWindowLoads.Inc()
-	mWindowOps.Add(seg.accesses)
-	mWindowOpsMax.SetMax(int64(seg.accesses))
 	if obs.TracingEnabled() {
 		obs.Event("trace", "window-load", 0, map[string]any{
 			"path": s.sh.path, "phase": seg.phase, "ops": seg.accesses,
@@ -700,72 +743,32 @@ func (s *StreamReplay) loaded(si int) {
 	}
 }
 
-// acquire returns segment si's window, starting its loader unless the
-// segment is resident. The engine runs phases in order and finishes
-// every body of a phase before the next starts, so loaders start
-// strictly in phase order and each segment loads once per run.
-func (s *StreamReplay) acquire(si int) *window {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.win == nil || s.win.si != si || s.win.left == 0 {
-		s.win = s.newWindow(si, true)
-		go s.load(s.win)
+// verifyPhase makes every check a replay of segment si makes, issuing
+// nothing: it reads each thread's spans, or the interleaved segment
+// once.
+func (s *StreamReplay) verifyPhase(si int) error {
+	ss := &s.sh.segs[si]
+	if ss.whole != nil {
+		return s.replaySpans(nil, si, -1)
 	}
-	return s.win
+	for ti := range ss.tids {
+		if err := s.replaySpans(nil, si, ti); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// release marks one body of w's phase finished with it.
-func (s *StreamReplay) release(w *window) {
-	s.mu.Lock()
-	w.left--
-	s.mu.Unlock()
-}
-
-// streamBody replays thread tid's operations of segment si as the
-// phase loader delivers them. It returns only once the loader has
-// verified the whole segment, and panics with the loader's failure, so
-// every body of a failing phase fails the same way; Run re-raises it as
-// an *exec.BodyPanic.
-func (s *StreamReplay) streamBody(si int, tid mem.ThreadID) exec.Body {
+// streamBody replays thread ti of segment si (-1: a serial phase
+// without records). It panics with the pass's failure, which Run
+// re-raises as an *exec.BodyPanic.
+func (s *StreamReplay) streamBody(si, ti int) exec.Body {
 	return func(t *exec.T) {
-		w := s.acquire(si)
-		defer s.release(w)
-		lt := w.thread(tid)
-		if lt != nil {
-			for {
-				ops, ok := lt.next(t)
-				if !ok {
-					break
-				}
-				replayOps(t, ops)
-				s.recycle(ops)
-			}
-		}
-		<-w.done
-		if w.err != nil {
+		if err := s.replaySpans(t, si, ti); err != nil {
 			panic(fmt.Sprintf("trace: streaming replay of %s: loading phase %d: %v",
-				s.sh.path, s.sh.idx.segs[si].phase, w.err))
-		}
-		if lt != nil {
-			if n := lt.trailing(); n > 0 {
-				t.Compute(int(n))
-			}
+				s.sh.path, s.sh.idx.segs[si].phase, err))
 		}
 	}
-}
-
-// next returns the thread's next chunk, false once the loader has
-// finished. Before waiting on an empty queue it flushes t, so the
-// engine never waits on operations the body already holds.
-func (lt *loadThread) next(t *exec.T) ([]replayOp, bool) {
-	select {
-	case ops, ok := <-lt.q:
-		return ops, ok
-	default:
-	}
-	t.Flush()
-	ops, ok := <-lt.q
-	return ops, ok
 }
 
 // Program reconstructs the full program; the result is structurally
@@ -798,16 +801,18 @@ func (s *StreamReplay) ProgramRange(lo, hi int) exec.Program {
 			name = fmt.Sprintf("phase%d", idx)
 		}
 		if !ss.parallel {
-			prog.Phases = append(prog.Phases, exec.SerialPhase(name, s.streamBody(si, mem.MainThread)))
+			// Open validated that a serial phase lists the main thread
+			// alone, if any thread.
+			prog.Phases = append(prog.Phases, exec.SerialPhase(name, s.streamBody(si, len(ss.tids)-1)))
 			continue
 		}
 		pooled := false
 		bodies := make([]exec.Body, 0, len(ss.tids))
-		for _, tid := range ss.tids {
+		for ti, tid := range ss.tids {
 			if s.sh.appearances[tid] > 1 {
 				pooled = true
 			}
-			bodies = append(bodies, s.streamBody(si, tid))
+			bodies = append(bodies, s.streamBody(si, ti))
 		}
 		prog.Phases = append(prog.Phases, exec.Phase{Name: name, Bodies: bodies, Pooled: pooled})
 	}
@@ -841,10 +846,10 @@ func (s *StreamReplay) Phases() []StreamPhase {
 	return out
 }
 
-// WindowStats reports how many verified segment loads the replay
-// performed and the operation count of the largest — the evidence that
-// memory stayed bounded by the largest phase rather than the whole
-// trace.
+// WindowStats reports how many segments the replay read and verified
+// and the most accesses one span held for its thread — the evidence
+// that memory stays bounded by the block size rather than the phase or
+// the whole trace.
 func (s *StreamReplay) WindowStats() (loads int, maxOps uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // streamEquivSeed pins the randomized suite: failures reproduce from
@@ -254,5 +256,103 @@ func TestSyntheticStreamedReplayMatchesFull(t *testing.T) {
 			t.Errorf("machine %q: streamed replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
 				m.Name, full, stream)
 		}
+	}
+}
+
+// writeTraceFile writes a trace to path through the encoder newEnc
+// makes; write may close the encoder itself, as the recorder does.
+func writeTraceFile(t *testing.T, path string, newEnc func(io.Writer) trace.Encoder, write func(trace.Encoder) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := newEnc(f)
+	if err := write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFormat2TracesStillReplay: a trace in the interleaved format-2
+// layout earlier builds wrote — each segment one checksummed span of
+// every thread's records — prints the same report streamed (every body
+// reading the whole segment), loaded in full, and streamed again after
+// the conversion `cheetah -index` makes, on opteron48 and numa2x24. The
+// traces are a recorded workload run, a program touching foreign
+// addresses (replay synthesizes objects for them) and a 16-thread
+// synthetic trace.
+func TestFormat2TracesStillReplay(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]func(trace.Encoder) error{
+		"linear_regression": func(enc trace.Encoder) error {
+			w, _ := workload.ByName("linear_regression")
+			sys := cheetah.New(cheetah.Config{})
+			rec := trace.NewRecorder(enc, sys.Heap(), sys.Globals())
+			sys.RunWith(w.Build(sys, workload.Params{Threads: 4, Scale: 0.02}), rec)
+			return rec.Err()
+		},
+		"foreign": func(enc trace.Encoder) error {
+			sys := cheetah.New(cheetah.Config{Cores: 8})
+			prog := progen.Generate(progen.Config{
+				Seed: streamEquivSeed, Case: 31, Addrs: []mem.Addr{0x1000, 0x1040, 0x2040, 0x8000}, MaxThreads: 8,
+			})
+			rec := trace.NewRecorder(enc, sys.Heap(), sys.Globals())
+			sys.RunWith(prog, rec)
+			return rec.Err()
+		},
+		"synthetic": func(enc trace.Encoder) error {
+			return trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: 1 << 16, Threads: 16, Phases: 4})
+		},
+	}
+	numa, _ := machine.Preset("numa2x24")
+	for name, write := range cases {
+		t.Run(name, func(t *testing.T) {
+			old := filepath.Join(dir, name+".v2.trace")
+			writeTraceFile(t, old, trace.NewIndexedEncoderV2, write)
+			converted := filepath.Join(dir, name+".v3.trace")
+			writeTraceFile(t, converted, func(w io.Writer) trace.Encoder { return trace.NewIndexedEncoder(w) },
+				func(enc trace.Encoder) error {
+					f, err := os.Open(old)
+					if err != nil {
+						return err
+					}
+					defer f.Close()
+					d := trace.NewDecoder(f)
+					for {
+						ev, err := d.Next()
+						if err == io.EOF {
+							return nil
+						}
+						if err == nil {
+							err = enc.Encode(ev)
+						}
+						if err != nil {
+							return err
+						}
+					}
+				})
+			for path, want := range map[string]int{old: 2, converted: 3} {
+				if got, err := trace.IndexFormat(path); err != nil || got != want {
+					t.Fatalf("%s: index format %d (%v), want %d", path, got, err, want)
+				}
+			}
+			for _, m := range []machine.Model{{}, numa} {
+				full := fullReplayReport(t, old, m)
+				if stream := streamReplayReport(t, old, m); stream != full {
+					t.Errorf("machine %q: streamed format-2 replay differs from full replay\n--- full ---\n%s\n--- stream ---\n%s",
+						m.Name, full, stream)
+				}
+				if conv := streamReplayReport(t, converted, m); conv != full {
+					t.Errorf("machine %q: the converted trace's replay differs from the format-2 trace's\n--- format 2 ---\n%s\n--- converted ---\n%s",
+						m.Name, full, conv)
+				}
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func (cfg SynthConfig) withDefaults() SynthConfig {
 // WriteSynthetic emits a deterministic pooled fork-join trace sized by
 // cfg: an init phase, then cfg.Phases parallel phases whose threads
 // false-share cache lines of one global array. Its purpose is growing
-// arbitrarily large traces whose per-phase window stays tiny, for the
+// arbitrarily large traces whose phases stay small, for the
 // bounded-memory regression gates; the access pattern keeps the
 // detector busy (adjacent threads share lines) without mattering in
 // itself. All addresses land in the default globals segment, so replay

@@ -64,22 +64,18 @@ func TracePath(name string) string {
 // registered workloads, whose Build cannot fail; callers wanting a
 // diagnostic run ValidateTraceName first.
 func traceWorkload(name string) *Workload {
-	path, lo, hi, ranged := splitTraceName(name)
 	return &Workload{
 		Name:           name,
 		Suite:          "trace",
 		DefaultThreads: 16,
 		TotalThreads:   func(perPhase int) int { return perPhase },
 		Build: func(sys *cheetah.System, p Params) cheetah.Program {
-			t, err := openTrace(path, ranged)
+			t, err := OpenTraceName(name)
 			if err != nil {
 				panic(fmt.Sprintf("workload: opening trace: %v", err))
 			}
 			if err := t.Prepare(sys); err != nil {
-				panic(fmt.Sprintf("workload: preparing trace %s: %v", path, err))
-			}
-			if ranged {
-				return t.stream.ProgramRange(lo, hi)
+				panic(fmt.Sprintf("workload: preparing trace %s: %v", TracePath(name), err))
 			}
 			return t.Program()
 		},
@@ -87,10 +83,10 @@ func traceWorkload(name string) *Workload {
 }
 
 // streams is the one rule for how a trace replays: a phase range or an
-// indexed trace streams phase by phase, anything else loads in full.
-// Both print the same report, so the rule is no part of a cell's
-// identity; streaming bounds memory by the largest phase and verifies
-// each phase's checksum as it loads.
+// indexed trace streams, each replayed thread reading its own records,
+// anything else loads in full. Both print the same report, so the rule
+// is no part of a cell's identity; streaming bounds memory per thread
+// and verifies each span's checksum before decoding it.
 func streams(path string, ranged bool) bool {
 	return ranged || trace.FileIsIndexed(path)
 }
@@ -103,6 +99,9 @@ type Trace struct {
 
 	full   *trace.Replay       // loaded in full
 	stream *trace.StreamReplay // streamed phase by phase
+	// ranged limits a streamed replay to phases lo..hi.
+	ranged bool
+	lo, hi int
 }
 
 // OpenTrace opens the trace file at path the way every replay — the
@@ -110,6 +109,20 @@ type Trace struct {
 // indexed trace through trace.OpenStream, any other through
 // trace.ReadFile.
 func OpenTrace(path string) (*Trace, error) { return openTrace(path, false) }
+
+// OpenTraceName opens the trace a `trace:<path>` workload name refers
+// to, by OpenTrace's rule; a `@<lo>-<hi>` suffix streams only that
+// phase range. The cheetah CLI and trace cells open names through it,
+// so a name replays the same program everywhere.
+func OpenTraceName(name string) (*Trace, error) {
+	path, lo, hi, ranged := splitTraceName(name)
+	t, err := openTrace(path, ranged)
+	if err != nil {
+		return nil, err
+	}
+	t.ranged, t.lo, t.hi = ranged, lo, hi
+	return t, nil
+}
 
 func openTrace(path string, ranged bool) (*Trace, error) {
 	if !streams(path, ranged) {
@@ -135,11 +148,15 @@ func (t *Trace) Prepare(sys *cheetah.System) error {
 	return t.full.Prepare(sys.Heap(), sys.Globals())
 }
 
-// Program reconstructs the traced program. A streamed trace's bodies
-// panic when a phase fails to load (a corrupt payload fails its
-// checksum), which Run re-raises as an *exec.BodyPanic.
+// Program reconstructs the traced program, or the opened phase range of
+// it. A streamed trace's bodies panic when a phase fails to load (a
+// corrupt payload fails its checksum), which Run re-raises as an
+// *exec.BodyPanic.
 func (t *Trace) Program() cheetah.Program {
-	if t.stream != nil {
+	switch {
+	case t.ranged:
+		return t.stream.ProgramRange(t.lo, t.hi)
+	case t.stream != nil:
 		return t.stream.Program()
 	}
 	return t.full.Program()
