@@ -6,7 +6,6 @@
 //	fsbench -experiment fig1|fig4|fig5|fig7|table1|compare|ablation|all
 //	        [-scale 1.0] [-threads 16] [-workers 0] [-app linear_regression]
 //	        [-workers-procs 0] [-cache-dir DIR] [-cache-max-bytes N] [-cell-timeout 0]
-//	fsbench -replay-shards N -app trace:PATH [-workers 0] [-workers-procs 0]
 //	fsbench -worker
 //	fsbench ... [-metrics-addr 127.0.0.1:9137] [-span-log spans.jsonl]
 //	        [-chrome-trace trace.json] [-progress 10s]
@@ -41,12 +40,9 @@
 // workloads are identified by the trace file's content hash, so cached
 // results never go stale when the file is rewritten. Trace cells stream
 // indexed traces phase by phase under bounded memory and fully decode
-// the rest; reports are byte-identical either way. -replay-shards N
-// splits one indexed
-// trace into N contiguous phase ranges and replays them as independent
-// `trace:<path>@lo-hi` cells — locally on the -workers pool, or across
-// worker processes with -workers-procs — printing the merged per-shard
-// report, byte-identical at any worker count.
+// the rest; reports are byte-identical either way. A
+// `trace:<path>@lo-hi` name replays only phases lo..hi of an indexed
+// trace.
 package main
 
 import (
@@ -55,7 +51,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/debug"
 	"strings"
 
@@ -92,8 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"evict least-recently-used -cache-dir entries over this size (0 = unbounded; the running sweep's entries are never evicted)")
 	cellTimeout := fs.Duration("cell-timeout", 0,
 		"with a sharded sweep: retry a cell on another worker when its worker sends no reply within this duration (0 = wait forever)")
-	replayShards := fs.Int("replay-shards", 0,
-		"with -app trace:PATH: split the indexed trace into this many phase-range shards and print the merged per-shard report")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve live metrics (Prometheus at /metrics, JSON at /metrics.json) and pprof on this address (e.g. 127.0.0.1:9137, or :0)")
 	spanLog := fs.String("span-log", "", "append structured span/event records (JSONL) to this file")
@@ -155,8 +148,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := harness.Config{Scale: *scale, Threads: *threads, Workers: *workers, Machine: *machineName}
 	sharded := *workersProcs > 0
-	if sharded && *experiment != "all" && *replayShards == 0 {
-		fmt.Fprintf(stderr, "fsbench: -workers-procs shards the full sweep; use -experiment all or -replay-shards\n")
+	if sharded && *experiment != "all" {
+		fmt.Fprintf(stderr, "fsbench: -workers-procs shards the full sweep; use -experiment all\n")
 		return 2
 	}
 	if *cacheDir != "" && !sharded {
@@ -177,15 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *progressEvery != 0 && !sharded {
 		fmt.Fprintf(stderr, "fsbench: -progress requires a sharded sweep (-workers-procs)\n")
-		return 2
-	}
-
-	if *replayShards < 0 {
-		fmt.Fprintf(stderr, "fsbench: -replay-shards must be >= 1\n")
-		return 2
-	}
-	if *replayShards > 0 && !workload.IsTraceName(*app) {
-		fmt.Fprintf(stderr, "fsbench: -replay-shards requires -app trace:<path>\n")
 		return 2
 	}
 
@@ -210,13 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			sc.Cache.SetMaxBytes(*cacheMaxBytes)
 		}
-	}
-
-	// Phase-sharded trace replay: split one indexed trace into phase
-	// ranges, run them as independent cells (local goroutines or sweep
-	// worker processes), print the merged per-shard report.
-	if *replayShards > 0 {
-		return runShardedReplay(cfg, *app, *replayShards, *workers, sc, stdout, stderr)
 	}
 
 	switch *experiment {
@@ -256,52 +233,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	return 0
-}
-
-// runShardedReplay implements -replay-shards: plan contiguous phase
-// ranges over the indexed trace, run each range as an independent
-// `trace:<path>@lo-hi` cell — in-process on up to localWorkers
-// goroutines, or across sweep worker processes when sc is set — and
-// print the merged per-shard report. The report is a pure function of
-// the plan and the deterministic per-cell results, so the bytes are
-// identical at any worker count, in-process or not.
-func runShardedReplay(cfg harness.Config, app string, shards, localWorkers int, sc *sweep.Config, stdout, stderr io.Writer) int {
-	plan, err := harness.TraceShardPlan(app, shards, cfg)
-	if err != nil {
-		fmt.Fprintf(stderr, "fsbench: %v\n", err)
-		return 1
-	}
-	var results map[string]harness.CellResult
-	if sc != nil {
-		cells := make([]harness.Cell, len(plan))
-		for i := range plan {
-			cells[i] = plan[i].Cell
-		}
-		var stats sweep.Stats
-		results, stats, err = sweep.RunCells(*sc, cells)
-		if err != nil {
-			fmt.Fprintf(stderr, "fsbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "fsbench: sharded replay of %d shards: %d cached, %d executed on %d workers, %d retries, %d respawns\n",
-			stats.Cells, stats.Cached, stats.Executed, stats.Workers, stats.Retries, stats.Respawns)
-	} else {
-		w := localWorkers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		results, err = harness.RunShardsLocal(plan, w)
-		if err != nil {
-			fmt.Fprintf(stderr, "fsbench: %v\n", err)
-			return 1
-		}
-	}
-	out, err := harness.FormatShardedReplay(plan, results)
-	if err != nil {
-		fmt.Fprintf(stderr, "fsbench: %v\n", err)
-		return 1
-	}
-	fmt.Fprint(stdout, out)
 	return 0
 }

@@ -157,8 +157,11 @@ type dirCold struct {
 // current owner keeps servicing its own accesses from L1. This is what
 // bounds the false-sharing ping-pong rate on real machines: owners batch
 // cheap accesses while a remote request is in flight. The queue pops by
-// advancing head; a drained queue is recycled, backing array and all, for
-// the next line, so the steady state allocates nothing.
+// advancing head, and a push that finds the backing array full first
+// slides the pending tail over the consumed prefix, so the array is
+// bounded by the transfers in flight at once. A drained queue is
+// recycled, backing array and all, for the next line, so the steady
+// state allocates nothing.
 type transferQueue struct {
 	items []pendingTransfer
 	head  int
@@ -694,6 +697,12 @@ func (s *Sim) enqueueTransfer(e *dirHot, c *dirCold, line uint64, core int, read
 		}
 	}
 	q := &s.queues[c.queue-1]
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// A contended line may never fully drain; reclaim the consumed
+		// prefix before append would grow the backing array.
+		n := copy(q.items, q.items[q.head:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, pendingTransfer{core: int32(core), read: read, effectiveAt: end})
 	e.pend = true
 	return uint32(end - now)

@@ -170,3 +170,28 @@ func TestStatsCyclesMatchReturnedLatencies(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestContendedTransferQueuesStayBounded(t *testing.T) {
+	// Eight cores store to two lines in min-clock order, so each line
+	// always has a transfer in flight and its queue never fully drains.
+	// Consumed slots must still be reclaimed: a queue's backing array is
+	// bounded by the few transfers pending at once, not by run length.
+	const cores, accesses, maxCap = 8, 2_000_000, 64
+	s := New(DefaultConfig(cores))
+	var clock [cores]uint64
+	for i := 0; i < accesses; i++ {
+		c := 0
+		for k := 1; k < cores; k++ {
+			if clock[k] < clock[c] {
+				c = k
+			}
+		}
+		clock[c] += uint64(s.Access(c, mem.Addr(0x8000+(c%2)*mem.LineSize), true, clock[c]))
+	}
+	for i, q := range s.queues {
+		if cap(q.items) > maxCap {
+			t.Errorf("transfer queue %d holds a backing array of %d entries after %d accesses, want <= %d",
+				i, cap(q.items), accesses, maxCap)
+		}
+	}
+}

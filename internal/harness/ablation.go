@@ -45,16 +45,16 @@ func (r *Runner) periodAblation(c Config) []PeriodRow {
 		}
 		profs[i] = r.profiled("linear_regression", cc, false)
 	}
-	base := native.wait().res.TotalCycles
+	base := native.wait().Result.TotalCycles
 	rows := make([]PeriodRow, 0, len(periods))
 	for i, period := range periods {
 		prof := profs[i].wait()
 		row := PeriodRow{
 			Period:   period,
-			Samples:  prof.rep.Samples,
-			Overhead: float64(prof.res.TotalCycles)/float64(base) - 1,
+			Samples:  prof.Report.Samples,
+			Overhead: float64(prof.Result.TotalCycles)/float64(base) - 1,
 		}
-		if in := findInstance(prof.rep, w.FSSite); in != nil {
+		if in := findInstance(prof.Report, w.FSSite); in != nil {
 			row.Detected = true
 			row.Predict = in.Assessment.Improvement
 		}
@@ -114,7 +114,7 @@ func (r *Runner) ruleAblation(c Config) []RuleRow {
 	}
 	rows := make([]RuleRow, len(apps))
 	for i := range cells {
-		rows[i] = cells[i].wait().rule
+		rows[i] = *cells[i].wait().Rule
 	}
 	return rows
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -18,36 +19,45 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the harness's sharding surface: everything a
-// multi-process sweep (internal/sweep) needs to plan, farm out and
-// merge an evaluation. A Cell is the portable form of a cellKey,
-// a CellResult the portable form of a cellOut; EnumerateCells plans a
-// sweep without simulating anything, RunCell executes one cell in a
-// worker process, and Runner.Preload injects finished results so
-// RunAllWith reassembles the exact rows and reports the in-process
-// runner would have produced — byte-identical, because every payload
-// field is plain data that survives a JSON round trip exactly.
+// This file is the harness's cell surface: everything a multi-process
+// sweep (internal/sweep) or a gateway job needs to plan, farm out and
+// merge an evaluation. A Cell names one experiment cell and is the
+// Runner's memoization key; a CellResult is a finished cell's payload.
+// EnumerateCells plans a sweep without simulating anything, RunCell
+// executes one cell in a worker process, and Runner.Preload injects
+// finished results so RunAllWith reassembles the exact rows and reports
+// the in-process runner would have produced — byte-identical, because
+// every payload field is plain data that survives a JSON round trip
+// exactly.
 
-// Cell kind names, the wire form of cellKind.
+// Cell kinds: what a cell measures.
 const (
-	KindNative   = "native"
+	// KindNative is an unprofiled run: the ground-truth runtime.
+	KindNative = "native"
+	// KindProfiled runs under the Cheetah profiler with the cell's PMU.
 	KindProfiled = "profiled"
+	// KindPredator runs under the Predator-style full instrumenter.
 	KindPredator = "predator"
-	KindSheriff  = "sheriff"
-	KindRule     = "rule"
+	// KindSheriff runs under the Sheriff-style page-diff detector.
+	KindSheriff = "sheriff"
+	// KindRule is a fully-instrumented traced run feeding the rule
+	// ablation: both counting rules plus the coherence ground truth.
+	KindRule = "rule"
 )
 
-// Cell identifies one experiment cell in portable form. It carries every
-// input the simulated outcome depends on, so equal Cells are
-// interchangeable across processes and machines.
+// Cell identifies one experiment cell. It carries every input the
+// simulated outcome depends on, so equal Cells are interchangeable
+// across processes and machines.
 type Cell struct {
-	Kind     string     `json:"kind"`
-	Workload string     `json:"workload"`
-	Threads  int        `json:"threads"`
-	Cores    int        `json:"cores"`
-	Scale    float64    `json:"scale"`
-	Fixed    bool       `json:"fixed,omitempty"`
-	PMU      pmu.Config `json:"pmu"`
+	Kind     string  `json:"kind"`
+	Workload string  `json:"workload"`
+	Threads  int     `json:"threads"`
+	Cores    int     `json:"cores"`
+	Scale    float64 `json:"scale"`
+	Fixed    bool    `json:"fixed,omitempty"`
+	// PMU is the sampling configuration for profiled cells; zero for
+	// every other kind.
+	PMU pmu.Config `json:"pmu"`
 	// Machine is the machine-model preset the cell simulates; empty means
 	// the canonical opteron48 (and is the canonical spelling for it, so
 	// default-machine cells keep machine-free IDs and cache entries).
@@ -65,22 +75,27 @@ type Cell struct {
 
 // TraceContentHash returns the identity hash of a trace file's content
 // (the value carried in Cell.TraceHash), or "" if the file is
-// unreadable. The file is re-read on every call; callers that hash
-// repeatedly memoize per path (Runner.traceHashFor), with the same
-// lifetime as their cell memoization.
+// unreadable. The file is streamed through the hash, so memory stays
+// small however large the trace; it is re-read on every call, and
+// callers that hash repeatedly memoize per path (Runner.traceHashFor),
+// with the same lifetime as their cell memoization.
 func TraceContentHash(path string) string {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return ""
 	}
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:])
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // traceHashFor derives the TraceHash identity component for a workload
 // name: the content hash for trace pseudo-workloads, "" for everything
 // else. Phase-ranged names hash the same underlying file — the range is
-// already part of the workload name, so two shards of one trace share
+// already part of the workload name, so two ranges of one trace share
 // the hash but not the identity.
 func traceHashFor(name string) string {
 	if !workload.IsTraceName(name) {
@@ -186,66 +201,10 @@ func (c Cell) ID() string {
 	return id
 }
 
-// key converts to the runner's internal form. Valid by construction for
-// cells from EnumerateCells; callers holding decoded cells must Validate
-// first.
-func (c Cell) key() cellKey {
-	k := cellKey{
-		workload:  c.Workload,
-		threads:   c.Threads,
-		cores:     c.Cores,
-		scale:     c.Scale,
-		fixed:     c.Fixed,
-		pmu:       c.PMU,
-		machine:   canonMachine(c.Machine),
-		traceHash: c.TraceHash,
-	}
-	switch c.Kind {
-	case KindProfiled:
-		k.kind = cellProfiled
-	case KindPredator:
-		k.kind = cellPredator
-	case KindSheriff:
-		k.kind = cellSheriff
-	case KindRule:
-		k.kind = cellRule
-	default:
-		k.kind = cellNative
-	}
-	return k
-}
-
-// cellOf converts an internal key to its portable form.
-func cellOf(k cellKey) Cell {
-	c := Cell{
-		Workload:  k.workload,
-		Threads:   k.threads,
-		Cores:     k.cores,
-		Scale:     k.scale,
-		Fixed:     k.fixed,
-		PMU:       k.pmu,
-		Machine:   k.machine,
-		TraceHash: k.traceHash,
-	}
-	switch k.kind {
-	case cellProfiled:
-		c.Kind = KindProfiled
-	case cellPredator:
-		c.Kind = KindPredator
-	case cellSheriff:
-		c.Kind = KindSheriff
-	case cellRule:
-		c.Kind = KindRule
-	default:
-		c.Kind = KindNative
-	}
-	return c
-}
-
-// CellResult is a finished cell's payload in portable form. Exactly one
-// result group is populated per kind: Result for native runs, Result +
-// Report for profiled, Result + Findings for the baselines, Rule for
-// rule-ablation cells.
+// CellResult is a finished cell's payload. Exactly one result group is
+// populated per kind: Result for native runs, Result + Report for
+// profiled, Result + Findings for the baselines, Rule for rule-ablation
+// cells.
 type CellResult struct {
 	Result   exec.Result        `json:"result"`
 	Report   *core.Report       `json:"report,omitempty"`
@@ -360,18 +319,18 @@ func EnumerateCells(c Config) []Cell {
 	r := &Runner{
 		sem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		// The stub satisfies the experiments' row assembly (non-zero
-		// runtime, non-nil report) while doing no work; the resulting
-		// rows are discarded.
-		run: func(cellKey) cellOut {
-			return cellOut{res: exec.Result{TotalCycles: 1}, rep: &core.Report{}}
+		// runtime, non-nil report and rule row) while doing no work; the
+		// resulting rows are discarded.
+		run: func(Cell) CellResult {
+			return CellResult{Result: exec.Result{TotalCycles: 1}, Report: &core.Report{}, Rule: &RuleRow{}}
 		},
-		cells: make(map[cellKey]*cell),
+		cells: make(map[Cell]*cell),
 	}
 	RunAllWith(r, c)
 	r.mu.Lock()
 	cells := make([]Cell, 0, len(r.cells))
 	for k := range r.cells {
-		cells = append(cells, cellOf(k))
+		cells = append(cells, k)
 	}
 	r.mu.Unlock()
 	sort.Slice(cells, func(i, j int) bool { return cells[i].ID() < cells[j].ID() })
@@ -405,13 +364,7 @@ func RunCell(c Cell) (res CellResult, err error) {
 			err = fmt.Errorf("harness: cell %s panicked: %v", c.ID(), p)
 		}
 	}()
-	out := runCell(c.key())
-	res = CellResult{Result: out.res, Report: out.rep, Findings: out.findings}
-	if c.Kind == KindRule {
-		rule := out.rule
-		res.Rule = &rule
-	}
-	return res, nil
+	return runCell(c), nil
 }
 
 // Preload hands the runner an already-finished cell (from a cache or a
@@ -426,18 +379,19 @@ func (r *Runner) Preload(c Cell, res CellResult) error {
 	if err := res.Validate(); err != nil {
 		return err
 	}
-	out := cellOut{res: res.Result, rep: res.Report, findings: res.Findings}
-	if res.Rule != nil {
-		out.rule = *res.Rule
+	// The experiments read a profiled cell's report and a rule cell's
+	// row, so a payload without them cannot be merged.
+	if (c.Kind == KindProfiled && res.Report == nil) || (c.Kind == KindRule && res.Rule == nil) {
+		return fmt.Errorf("harness: cell %s result has no %s payload", c.ID(), c.Kind)
 	}
-	k := c.key()
+	c.Machine = canonMachine(c.Machine)
 	done := make(chan struct{})
 	close(done)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.cells[k]; ok {
+	if _, ok := r.cells[c]; ok {
 		return fmt.Errorf("harness: cell %s already present", c.ID())
 	}
-	r.cells[k] = &cell{key: k, done: done, out: out}
+	r.cells[c] = &cell{key: c, done: done, out: res}
 	return nil
 }

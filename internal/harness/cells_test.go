@@ -219,4 +219,12 @@ func TestPreloadRejectsDuplicatesAndGarbage(t *testing.T) {
 	if err := r.Preload(Cell{Kind: "bogus"}, CellResult{}); err == nil {
 		t.Error("invalid cell accepted")
 	}
+	// The experiments read a profiled cell's report and a rule cell's
+	// row; a payload lacking them must be refused, not merged.
+	for _, kind := range []string{KindProfiled, KindRule} {
+		bare := Cell{Kind: kind, Workload: "figure1", Threads: 2, Cores: 8, Scale: 0.05}
+		if err := r.Preload(bare, CellResult{}); err == nil {
+			t.Errorf("%s cell without its payload accepted", kind)
+		}
+	}
 }

@@ -49,7 +49,7 @@ func (r *Runner) compare(c Config) []CompareRow {
 	rows := make([]CompareRow, 0, len(compareApps))
 	for i, app := range compareApps {
 		w, _ := workload.ByName(app)
-		native := cells[i].native.wait().res.TotalCycles
+		native := cells[i].native.wait().Result.TotalCycles
 		prof := cells[i].prof.wait()
 		pred := cells[i].pred.wait()
 		sher := cells[i].sher.wait()
@@ -58,14 +58,14 @@ func (r *Runner) compare(c Config) []CompareRow {
 			App:              app,
 			FS:               w.FS,
 			Site:             w.FSSite,
-			CheetahOverhead:  float64(prof.res.TotalCycles) / float64(native),
-			PredatorOverhead: float64(pred.res.TotalCycles) / float64(native),
-			SheriffOverhead:  float64(sher.res.TotalCycles) / float64(native),
+			CheetahOverhead:  float64(prof.Result.TotalCycles) / float64(native),
+			PredatorOverhead: float64(pred.Result.TotalCycles) / float64(native),
+			SheriffOverhead:  float64(sher.Result.TotalCycles) / float64(native),
 		}
 		if w.FS != workload.NoFS {
-			row.Cheetah = reportsSite(prof.rep, w.FSSite)
-			row.Predator = findingsContain(pred.findings, w.FSSite)
-			row.Sheriff = findingsContain(sher.findings, w.FSSite)
+			row.Cheetah = reportsSite(prof.Report, w.FSSite)
+			row.Predator = findingsContain(pred.Findings, w.FSSite)
+			row.Sheriff = findingsContain(sher.Findings, w.FSSite)
 		}
 		rows = append(rows, row)
 	}

@@ -45,14 +45,14 @@ func (r *Runner) figure1(c Config) []Fig1Row {
 			fixed:   r.native("figure1", cfgAt(threads), true),
 		}
 	}
-	base := single.wait().res.TotalCycles
+	base := single.wait().Result.TotalCycles
 	rows := make([]Fig1Row, 0, len(axis))
 	for i, threads := range axis {
 		rows = append(rows, Fig1Row{
 			Threads:     threads,
 			Expectation: float64(base) / float64(threads),
-			Reality:     cells[i].reality.wait().res.TotalCycles,
-			Fixed:       cells[i].fixed.wait().res.TotalCycles,
+			Reality:     cells[i].reality.wait().Result.TotalCycles,
+			Fixed:       cells[i].fixed.wait().Result.TotalCycles,
 		})
 	}
 	return rows
@@ -120,10 +120,10 @@ func (r *Runner) figure4(c Config) []Fig4Row {
 		prof := p.profiled.wait()
 		rows = append(rows, Fig4Row{
 			App:      p.w.Name,
-			Native:   p.native.wait().res.TotalCycles,
-			Profiled: prof.res.TotalCycles,
+			Native:   p.native.wait().Result.TotalCycles,
+			Profiled: prof.Result.TotalCycles,
 			Threads:  p.w.TotalThreads(c.Threads),
-			Samples:  prof.rep.Samples,
+			Samples:  prof.Report.Samples,
 		})
 	}
 	return rows
@@ -173,7 +173,7 @@ func Figure5(app string, c Config) (*core.Report, string) {
 
 func (r *Runner) figure5(app string, c Config) (*core.Report, string) {
 	c = c.withDefaults()
-	rep := r.profiled(app, c, false).wait().rep
+	rep := r.profiled(app, c, false).wait().Report
 	text := rep.Format()
 	if len(rep.Instances) > 0 {
 		text += "\n" + rep.Instances[0].FormatWords()
@@ -223,10 +223,10 @@ func (r *Runner) figure7(c Config) []Fig7Row {
 		w, _ := workload.ByName(app)
 		rows = append(rows, Fig7Row{
 			App:             app,
-			WithFS:          cells[i].broken.wait().res.TotalCycles,
-			NoFS:            cells[i].fixed.wait().res.TotalCycles,
-			CheetahReports:  reportsSite(cells[i].prof.wait().rep, w.FSSite),
-			PredatorReports: findingsContain(cells[i].pred.wait().findings, w.FSSite),
+			WithFS:          cells[i].broken.wait().Result.TotalCycles,
+			NoFS:            cells[i].fixed.wait().Result.TotalCycles,
+			CheetahReports:  reportsSite(cells[i].prof.wait().Report, w.FSSite),
+			PredatorReports: findingsContain(cells[i].pred.wait().Findings, w.FSSite),
 		})
 	}
 	return rows
@@ -305,9 +305,9 @@ func (r *Runner) table1(c Config) []Table1Row {
 		row := Table1Row{
 			App:     g.app,
 			Threads: g.threads,
-			Real:    float64(g.broken.wait().res.TotalCycles) / float64(g.fixed.wait().res.TotalCycles),
+			Real:    float64(g.broken.wait().Result.TotalCycles) / float64(g.fixed.wait().Result.TotalCycles),
 		}
-		if in := findInstance(g.prof.wait().rep, w.FSSite); in != nil {
+		if in := findInstance(g.prof.wait().Report, w.FSSite); in != nil {
 			row.Detected = true
 			row.Predict = in.Assessment.Improvement
 		}

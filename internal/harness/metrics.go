@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Harness observability: one counter bump per cell submit/execute and
 // one histogram observation per executed cell. Nothing here touches
-// cell identity — cellKey and the memo map are unchanged, so memoized
+// cell identity — Cell and the memo map are unchanged, so memoized
 // results and sweep cache keys are byte-identical with metrics on.
 var (
 	mCellsExecuted = obs.GetCounter("cheetah_harness_cells_run_total",

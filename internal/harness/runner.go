@@ -8,11 +8,8 @@ import (
 
 	cheetah "repro"
 	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/pmu"
 	"repro/internal/workload"
 )
 
@@ -32,64 +29,17 @@ import (
 // executes cells strictly one at a time and must produce byte-identical
 // reports to any parallel configuration (harness tests enforce this).
 
-// cellKind selects what a cell measures.
-type cellKind uint8
-
-const (
-	// cellNative is an unprofiled run: the ground-truth runtime.
-	cellNative cellKind = iota
-	// cellProfiled runs under the Cheetah profiler with the key's PMU.
-	cellProfiled
-	// cellPredator runs under the Predator-style full instrumenter.
-	cellPredator
-	// cellSheriff runs under the Sheriff-style page-diff detector.
-	cellSheriff
-	// cellRule is a fully-instrumented traced run feeding the rule
-	// ablation: both counting rules plus the coherence ground truth.
-	cellRule
-)
-
-// cellKey identifies one experiment cell. It is the memoization key, so
-// it must capture everything the simulated outcome depends on.
-type cellKey struct {
-	kind     cellKind
-	workload string
-	threads  int
-	cores    int
-	scale    float64
-	fixed    bool
-	// pmu is the sampling configuration for profiled cells; zero for
-	// native and baseline cells, so runs that differ only in profiler
-	// configuration share their native baselines.
-	pmu pmu.Config
-	// machine is the machine-model preset, canonicalized ("" = the
-	// canonical opteron48).
-	machine string
-	// traceHash is the content hash of the trace file for `trace:`
-	// workloads ("" otherwise): the cell's outcome depends on the file's
-	// bytes, so the bytes join the memoization key.
-	traceHash string
-}
-
-// cellOut is a finished cell's payload; which fields are set depends on
-// the kind. Consumers treat the report and findings as read-only — cells
-// are shared between experiments.
-type cellOut struct {
-	res      exec.Result
-	rep      *core.Report
-	findings []baseline.Finding
-	rule     RuleRow
-}
-
-// cell is a memoized in-flight or finished job.
+// cell is a memoized in-flight or finished job. Consumers treat the
+// result's report and findings as read-only — cells are shared between
+// experiments.
 type cell struct {
-	key  cellKey
+	key  Cell
 	done chan struct{}
-	out  cellOut
+	out  CellResult
 }
 
 // wait blocks until the cell has run and returns its output.
-func (c *cell) wait() cellOut {
+func (c *cell) wait() CellResult {
 	<-c.done
 	return c.out
 }
@@ -100,10 +50,12 @@ type Runner struct {
 	// run executes one cell. It is runCell on ordinary runners; the
 	// enumerating runner behind EnumerateCells swaps in a stub so a sweep
 	// can be planned without simulating anything.
-	run func(cellKey) cellOut
+	run func(Cell) CellResult
 
-	mu    sync.Mutex
-	cells map[cellKey]*cell
+	mu sync.Mutex
+	// cells memoizes by Cell, which captures everything a simulated
+	// outcome depends on.
+	cells map[Cell]*cell
 	// traceHashes memoizes trace-file content hashes per path for this
 	// runner's lifetime. A runner already memoizes whole cells forever,
 	// so re-hashing the file on every submit could never change which
@@ -121,7 +73,7 @@ func NewRunner(workers int) *Runner {
 	return &Runner{
 		sem:   make(chan struct{}, workers),
 		run:   runCell,
-		cells: make(map[cellKey]*cell),
+		cells: make(map[Cell]*cell),
 	}
 }
 
@@ -151,12 +103,14 @@ func (r *Runner) CellsRun() int {
 }
 
 // submit returns the memoized cell for k, launching it on the pool the
-// first time the key is seen. Trace workloads get their content hash
-// folded into the key here, so every path that submits cells — the
-// experiments, EnumerateCells, benchmarks — shares one identity rule.
-func (r *Runner) submit(k cellKey) *cell {
-	if k.traceHash == "" {
-		k.traceHash = r.traceHashFor(k.workload)
+// first time the cell is seen. The machine preset is canonicalized and
+// trace workloads get their content hash filled in here, so every path
+// that submits cells — the experiments, EnumerateCells, benchmarks —
+// shares one identity rule.
+func (r *Runner) submit(k Cell) *cell {
+	k.Machine = canonMachine(k.Machine)
+	if k.TraceHash == "" {
+		k.TraceHash = r.traceHashFor(k.Workload)
 	}
 	r.mu.Lock()
 	c, ok := r.cells[k]
@@ -175,8 +129,8 @@ func (r *Runner) submit(k cellKey) *cell {
 			mCellSeconds.Observe(end.Sub(start).Seconds())
 			if obs.TracingEnabled() {
 				obs.Span("harness", "cell", start, end, 0, map[string]any{
-					"workload": c.key.workload, "kind": int(c.key.kind),
-					"threads": c.key.threads, "cores": c.key.cores,
+					"workload": c.key.Workload, "kind": c.key.Kind,
+					"threads": c.key.Threads, "cores": c.key.Cores,
 				})
 			}
 			close(c.done)
@@ -210,34 +164,30 @@ func (r *Runner) traceHashFor(name string) string {
 }
 
 // runCell executes one cell on a fresh system.
-func runCell(k cellKey) cellOut {
-	w, ok := workload.ByName(k.workload)
+func runCell(k Cell) CellResult {
+	w, ok := workload.ByName(k.Workload)
 	if !ok {
-		panic(fmt.Sprintf("harness: unknown workload %q", k.workload))
+		panic(fmt.Sprintf("harness: unknown workload %q", k.Workload))
 	}
-	ccfg := cheetah.Config{Cores: k.cores}
-	if k.machine != "" {
-		m, ok := machine.Preset(k.machine)
-		if !ok {
-			panic(fmt.Sprintf("harness: unknown machine preset %q", k.machine))
-		}
-		ccfg.Machine = m
+	m, ok := machine.Preset(k.Machine)
+	if !ok {
+		panic(fmt.Sprintf("harness: unknown machine preset %q", k.Machine))
 	}
-	sys := cheetah.New(ccfg)
-	prog := w.Build(sys, workload.Params{Threads: k.threads, Scale: k.scale, Fixed: k.fixed})
-	switch k.kind {
-	case cellProfiled:
-		rep, res := sys.Profile(prog, cheetah.ProfileOptions{PMU: k.pmu})
-		return cellOut{res: res, rep: rep}
-	case cellPredator:
+	sys := cheetah.New(cheetah.Config{Cores: k.Cores, Machine: m})
+	prog := w.Build(sys, workload.Params{Threads: k.Threads, Scale: k.Scale, Fixed: k.Fixed})
+	switch k.Kind {
+	case KindProfiled:
+		rep, res := sys.Profile(prog, cheetah.ProfileOptions{PMU: k.PMU})
+		return CellResult{Result: res, Report: rep}
+	case KindPredator:
 		det := baseline.NewPredator(baseline.DefaultPredatorConfig(), sys.Heap(), sys.Globals())
 		res := sys.RunWith(prog, det)
-		return cellOut{res: res, findings: det.Findings()}
-	case cellSheriff:
+		return CellResult{Result: res, Findings: det.Findings()}
+	case KindSheriff:
 		det := baseline.NewSheriff(baseline.DefaultSheriffConfig(), sys.Heap(), sys.Globals())
 		res := sys.RunWith(prog, det)
-		return cellOut{res: res, findings: det.Findings()}
-	case cellRule:
+		return CellResult{Result: res, Findings: det.Findings()}
+	case KindRule:
 		two := newTwoEntryCounter(sys)
 		own := baseline.NewOwnership()
 		res, sim := sys.RunTraced(prog, two, own)
@@ -245,62 +195,56 @@ func runCell(k cellKey) cellOut {
 		for _, n := range sim.TotalLineInvalidations() {
 			truth += n
 		}
-		return cellOut{res: res, rule: RuleRow{
-			App:            k.workload,
+		return CellResult{Result: res, Rule: &RuleRow{
+			App:            k.Workload,
 			GroundTruth:    truth,
 			TwoEntry:       two.invalidations,
 			Ownership:      own.Invalidations,
 			TwoEntryBytes:  baseline.TwoEntryBytesPerLine(),
-			OwnershipBytes: baseline.OwnershipBytesPerLine(k.threads),
+			OwnershipBytes: baseline.OwnershipBytesPerLine(k.Threads),
 		}}
 	default:
-		return cellOut{res: sys.Run(prog)}
+		return CellResult{Result: sys.Run(prog)}
 	}
 }
 
-// native submits an unprofiled run of the workload under c.
+// submitKind submits the cell of the given kind for workload name under
+// c. Only profiled cells carry c's PMU, so runs that differ only in
+// profiler configuration share their native baselines.
+func (r *Runner) submitKind(kind, name string, c Config, fixed bool) *cell {
+	k := Cell{Kind: kind, Workload: name, Threads: c.Threads, Cores: c.Cores,
+		Scale: c.Scale, Fixed: fixed, Machine: c.Machine}
+	if kind == KindProfiled {
+		k.PMU = c.PMU
+	}
+	return r.submit(k)
+}
+
+// native submits an unprofiled run of the workload under c: the
+// ground-truth runtime.
 func (r *Runner) native(name string, c Config, fixed bool) *cell {
-	return r.submit(cellKey{
-		kind: cellNative, workload: name,
-		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		machine: canonMachine(c.Machine),
-	})
+	return r.submitKind(KindNative, name, c, fixed)
 }
 
 // profiled submits a Cheetah-profiled run using c.PMU.
 func (r *Runner) profiled(name string, c Config, fixed bool) *cell {
-	return r.submit(cellKey{
-		kind: cellProfiled, workload: name,
-		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		pmu: c.PMU, machine: canonMachine(c.Machine),
-	})
+	return r.submitKind(KindProfiled, name, c, fixed)
 }
 
-// predator submits a Predator-baseline run.
+// predator submits a run under the Predator-style full instrumenter.
 func (r *Runner) predator(name string, c Config, fixed bool) *cell {
-	return r.submit(cellKey{
-		kind: cellPredator, workload: name,
-		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		machine: canonMachine(c.Machine),
-	})
+	return r.submitKind(KindPredator, name, c, fixed)
 }
 
-// sheriff submits a Sheriff-baseline run.
+// sheriff submits a run under the Sheriff-style page-diff detector.
 func (r *Runner) sheriff(name string, c Config, fixed bool) *cell {
-	return r.submit(cellKey{
-		kind: cellSheriff, workload: name,
-		threads: c.Threads, cores: c.Cores, scale: c.Scale, fixed: fixed,
-		machine: canonMachine(c.Machine),
-	})
+	return r.submitKind(KindSheriff, name, c, fixed)
 }
 
-// rule submits a fully-instrumented traced run for the rule ablation.
-// Rule cells are memoized like any other, so the ablation's expensive
-// traced runs are shared across sweeps and shardable across processes.
+// rule submits a fully-instrumented traced run for the rule ablation:
+// both counting rules plus the coherence ground truth. Rule cells are
+// memoized like any other, so the ablation's expensive traced runs are
+// shared across sweeps and shardable across processes.
 func (r *Runner) rule(name string, c Config) *cell {
-	return r.submit(cellKey{
-		kind: cellRule, workload: name,
-		threads: c.Threads, cores: c.Cores, scale: c.Scale,
-		machine: canonMachine(c.Machine),
-	})
+	return r.submitKind(KindRule, name, c, false)
 }

@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,10 +51,10 @@ func TestTraceWorkloadRunsAsCell(t *testing.T) {
 	r := NewRunner(c.Workers)
 	cell := r.profiled("trace:"+path, c, false)
 	out := cell.wait()
-	if out.rep == nil {
+	if out.Report == nil {
 		t.Fatal("trace cell produced no report")
 	}
-	if got := out.rep.Format(); got != want {
+	if got := out.Report.Format(); got != want {
 		t.Errorf("trace cell report differs from recorded run\n--- recorded ---\n%s\n--- cell ---\n%s", want, got)
 	}
 	if r.CellsRun() != 1 {
@@ -93,9 +96,8 @@ func TestTraceCellIdentityHashesContent(t *testing.T) {
 
 	cfg := Config{Scale: 0.02, Threads: 2, Cores: 4, Workers: 1}.withDefaults()
 	cellFor := func() Cell {
-		r := &Runner{sem: make(chan struct{}, 1), run: func(cellKey) cellOut { return cellOut{} }, cells: make(map[cellKey]*cell)}
-		c := r.native("trace:"+path, cfg, false)
-		return cellOf(c.key)
+		r := &Runner{sem: make(chan struct{}, 1), run: func(Cell) CellResult { return CellResult{} }, cells: make(map[Cell]*cell)}
+		return r.native("trace:"+path, cfg, false).key
 	}
 	first := cellFor()
 	if first.TraceHash == "" {
@@ -126,7 +128,7 @@ func TestTraceCellIdentityHashesContent(t *testing.T) {
 
 	// Registered workloads carry no hash and keep their historical IDs.
 	r := NewRunner(1)
-	native := cellOf(r.native("figure1", cfg, false).key)
+	native := r.native("figure1", cfg, false).key
 	if native.TraceHash != "" {
 		t.Errorf("non-trace cell carries hash %q", native.TraceHash)
 	}
@@ -173,5 +175,36 @@ func TestTraceCellHashValidation(t *testing.T) {
 	}
 	if _, err := RunCell(good); err != nil {
 		t.Errorf("RunCell on matching trace content failed: %v", err)
+	}
+}
+
+// TestTraceContentHashStreams: hashing a trace streams the file rather
+// than reading it whole, so a sweep worker or gateway job that checks a
+// trace cell's hash holds a small buffer, not the trace. The hash is the
+// file's plain sha256.
+func TestTraceContentHashStreams(t *testing.T) {
+	data := make([]byte, 8<<20)
+	for i := range data {
+		data[i] = byte(i * 2654435761 >> 24)
+	}
+	path := filepath.Join(t.TempDir(), "big.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	want := hex.EncodeToString(sum[:])
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := TraceContentHash(path)
+	runtime.ReadMemStats(&after)
+	if got != want {
+		t.Errorf("TraceContentHash = %s, want the file's sha256 %s", got, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("hashing an %d MiB file allocated %d bytes, want < 1 MiB", len(data)>>20, alloc)
+	}
+	if h := TraceContentHash(filepath.Join(t.TempDir(), "missing.trace")); h != "" {
+		t.Errorf("hash of a missing file = %q, want empty", h)
 	}
 }

@@ -92,7 +92,7 @@ func TestMachinePresetRoundTripsTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := RunCells(Config{Procs: 1, Spawn: spawnSelf(t)}, []harness.Cell{cell})
+	results, _, err := runCells(Config{Procs: 1, Spawn: spawnSelf(t)}, []harness.Cell{cell})
 	if err != nil {
 		t.Fatal(err)
 	}

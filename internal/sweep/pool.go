@@ -17,7 +17,7 @@ import (
 // via SpawnWorkerProc, so simulations run outside the caller's heap and
 // a crashed cell kills a worker, not the caller. Its Exec method plugs
 // into QueueConfig.Exec; it is the one executor behind fsbench's sharded
-// sweeps (RunCells) and cheetahd's -worker-procs.
+// sweeps (Run) and cheetahd's -worker-procs.
 //
 // The pool owns the one worker-failure policy, read from Config:
 //   - a worker whose transport fails, or that sends no reply within

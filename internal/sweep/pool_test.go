@@ -270,7 +270,7 @@ func lateWorker(conn net.Conn, delay time.Duration, wrote chan<- error) {
 // the worker that reported it; it is not retried on another worker.
 func TestCellErrorFailsAtOnce(t *testing.T) {
 	t.Parallel()
-	_, stats, err := RunCells(Config{Procs: 2, Spawn: pipeWorker}, []harness.Cell{fakeCell("no-such-workload")})
+	_, stats, err := runCells(Config{Procs: 2, Spawn: pipeWorker}, []harness.Cell{fakeCell("no-such-workload")})
 	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
 		t.Fatalf("err = %v, want the cell's own failure", err)
 	}

@@ -3,7 +3,7 @@
 // content-addressed on-disk cache — onto an executor, and a ProcPool
 // executes them on worker subprocesses over a length-prefixed JSON wire
 // protocol on stdin/stdout pipes. The cheetahd gateway runs its jobs on
-// that queue; a sharded sweep (Run, RunCells) is one job on a private
+// that queue; a sharded sweep (Run) is one job on a private
 // queue, merged through harness.Runner.Preload into the exact rows and
 // report text the in-process runner produces — byte-identical at any
 // worker count, which the package's tests and a CI cmp step enforce.

@@ -16,7 +16,7 @@ import (
 // This file is the job-queue layer, the one cell scheduler: many
 // concurrent detection jobs — each a set of harness cells — multiplexed
 // onto one bounded executor. The cheetahd gateway keeps one queue for
-// its life; a sharded sweep (RunCells) submits its cells as one job to
+// its life; a sharded sweep (Run) submits its cells as one job to
 // a private queue over a ProcPool. Admission is bounded (a full queue
 // rejects rather than buffering without limit), concurrency is budgeted
 // per tenant so one client cannot starve the rest, identical cells

@@ -67,11 +67,11 @@ type Config struct {
 }
 
 // Run executes a full sharded sweep: enumerate cells, run them through
-// RunCells, then merge by preloading a runner and replaying the
+// runCells, then merge by preloading a runner and replaying the
 // experiment assembly in this process.
 func Run(cfg Config) (*harness.Results, Stats, error) {
 	cells := harness.EnumerateCells(cfg.Harness)
-	results, stats, err := RunCells(cfg, cells)
+	results, stats, err := runCells(cfg, cells)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -89,12 +89,12 @@ func Run(cfg Config) (*harness.Results, Stats, error) {
 	return harness.RunAllWith(r, cfg.Harness), stats, nil
 }
 
-// RunCells runs an explicit cell list as one job on a private JobQueue
-// whose executor is a ProcPool of cfg.Procs workers, and returns the
-// finished results keyed by cell ID. The queue collapses duplicate
-// cells and serves what the cache holds; the pool starts on the first
-// cache miss, so a warm re-sweep spawns no worker at all.
-func RunCells(cfg Config, cells []harness.Cell) (map[string]harness.CellResult, Stats, error) {
+// runCells runs a cell list as one job on a private JobQueue whose
+// executor is a ProcPool of cfg.Procs workers, and returns the finished
+// results keyed by cell ID. The queue collapses duplicate cells and
+// serves what the cache holds; the pool starts on the first cache miss,
+// so a warm re-sweep spawns no worker at all.
+func runCells(cfg Config, cells []harness.Cell) (map[string]harness.CellResult, Stats, error) {
 	if cfg.Procs <= 0 || cfg.Spawn == nil {
 		return nil, Stats{}, fmt.Errorf("sweep: need Procs > 0 and a Spawn function, got Procs = %d", cfg.Procs)
 	}

@@ -6,12 +6,15 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // The cross-process tests re-execute this test binary as a real worker
@@ -239,6 +242,148 @@ func TestWorkerDeathRetries(t *testing.T) {
 	}
 }
 
+// writePhaseTrace writes a small synthetic multi-phase indexed trace
+// and returns its trace:<path> workload name and its highest phase.
+func writePhaseTrace(t *testing.T) (string, int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "phases.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := trace.NewIndexedEncoder(f)
+	err = trace.WriteSynthetic(enc, trace.SynthConfig{Accesses: 1 << 13, Threads: 4, Phases: 12})
+	if err == nil {
+		err = enc.Close()
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := trace.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return "trace:" + path, sr.MaxPhase()
+}
+
+// traceCells builds one profiled cell per `trace:` workload name, all
+// of the trace behind name.
+func traceCells(name string, workloads ...string) []harness.Cell {
+	base := harness.Cell{Kind: harness.KindProfiled, Threads: 4, Cores: 8, Scale: 1,
+		PMU: harness.DetectionPMU(), TraceHash: harness.TraceContentHash(workload.TracePath(name))}
+	cells := make([]harness.Cell, len(workloads))
+	for i, w := range workloads {
+		cells[i] = base
+		cells[i].Workload = w
+	}
+	return cells
+}
+
+// checkTraceReports asserts that every cell's worker report equals the
+// in-process RunCell's, and returns the formatted reports in cell order.
+func checkTraceReports(t *testing.T, cells []harness.Cell, results map[string]harness.CellResult) []string {
+	t.Helper()
+	reports := make([]string, len(cells))
+	for i, c := range cells {
+		local, err := harness.RunCell(c)
+		if err != nil {
+			t.Fatalf("RunCell(%s): %v", c.Workload, err)
+		}
+		got, ok := results[c.ID()]
+		if !ok || got.Report == nil {
+			t.Fatalf("no report for %s", c.Workload)
+		}
+		reports[i] = got.Report.Format()
+		if want := local.Report.Format(); reports[i] != want {
+			t.Errorf("%s: worker report differs from in-process RunCell:\n%s", c.Workload, firstDiff(want, reports[i]))
+		}
+		if got.Result.TotalCycles != local.Result.TotalCycles {
+			t.Errorf("%s: worker runtime %d cycles, in-process %d", c.Workload, got.Result.TotalCycles, local.Result.TotalCycles)
+		}
+	}
+	return reports
+}
+
+// TestPhaseShardedReplayMatchesLocal runs one multi-phase indexed trace
+// as four `trace:<path>@lo-hi` phase-range cells that tile it, plus the
+// whole trace and its `@0-<max>` range, on 1, 2 and 4 real worker
+// processes. Every report must equal the in-process RunCell's, and the
+// range that spans every phase must report exactly what the whole
+// trace does. Short mode (CI -race) runs only the 2-process case.
+func TestPhaseShardedReplayMatchesLocal(t *testing.T) {
+	name, maxPhase := writePhaseTrace(t)
+	const ranges = 4
+	if maxPhase+1 < ranges {
+		t.Fatalf("trace has %d phases, want at least %d", maxPhase+1, ranges)
+	}
+	workloads := []string{name, fmt.Sprintf("%s@0-%d", name, maxPhase)}
+	for i := 0; i < ranges; i++ {
+		lo, hi := i*(maxPhase+1)/ranges, (i+1)*(maxPhase+1)/ranges-1
+		workloads = append(workloads, fmt.Sprintf("%s@%d-%d", name, lo, hi))
+	}
+	cells := traceCells(name, workloads...)
+
+	procCounts := []int{1, 2, 4}
+	if testing.Short() {
+		procCounts = []int{2}
+	}
+	for _, procs := range procCounts {
+		results, stats, err := runCells(Config{Procs: procs, Spawn: spawnSelf(t)}, cells)
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if stats.Executed != len(cells) {
+			t.Errorf("procs=%d: stats %+v, want %d executed", procs, stats, len(cells))
+		}
+		reports := checkTraceReports(t, cells, results)
+		if reports[1] != reports[0] {
+			t.Errorf("procs=%d: @0-%d report differs from the whole trace's:\n%s",
+				procs, maxPhase, firstDiff(reports[0], reports[1]))
+		}
+	}
+}
+
+// TestPhaseShardWorkerKillRequeues runs `trace:` cells on two real
+// worker processes: the whole trace, a mid range and the `@0-<max>`
+// range of one multi-phase indexed trace. One worker dies holding a
+// cell, so a trace cell is retried on the other. Every report must
+// equal the in-process RunCell's — a worker death never surfaces as a
+// changed or missing report — and the range that spans every phase
+// must report exactly what the whole trace does.
+func TestPhaseShardWorkerKillRequeues(t *testing.T) {
+	name, maxPhase := writePhaseTrace(t)
+	cells := traceCells(name, name,
+		fmt.Sprintf("%s@%d-%d", name, maxPhase/3, 2*maxPhase/3),
+		fmt.Sprintf("%s@0-%d", name, maxPhase))
+
+	// Worker 0 serves one cell, then dies holding a second; the serving
+	// worker holds its first reply until then, so it cannot drain the
+	// queue first.
+	gate := gateEnv + "=" + filepath.Join(t.TempDir(), "gate")
+	serve := spawnSelf(t, gate)
+	die := spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=1", gate)
+	spawn := func(i int) (io.ReadWriteCloser, error) {
+		if i == 0 {
+			return die(i)
+		}
+		return serve(i)
+	}
+	results, stats, err := runCells(Config{Procs: 2, Spawn: spawn}, cells)
+	if err != nil {
+		t.Fatalf("trace cells with a dying worker: %v", err)
+	}
+	if stats.Retries == 0 {
+		t.Error("no retries recorded; the dying worker should have lost an in-flight trace cell")
+	}
+	reports := checkTraceReports(t, cells, results)
+	if reports[2] != reports[0] {
+		t.Errorf("@0-%d report differs from the whole trace's:\n%s", maxPhase, firstDiff(reports[0], reports[2]))
+	}
+}
+
 // stallingWorker handshakes, then swallows every assignment without
 // ever replying — a wedged worker. It keeps reading so it notices the
 // pool abandoning it (the transport closing) and exits, like a worker
@@ -452,13 +597,13 @@ func TestRunCellsDuplicateCellsNoHang(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		results, stats, err := RunCells(Config{Procs: 1, Spawn: pipeWorker}, withDup)
+		results, stats, err := runCells(Config{Procs: 1, Spawn: pipeWorker}, withDup)
 		done <- out{results, stats, err}
 	}()
 	select {
 	case o := <-done:
 		if o.err != nil {
-			t.Fatalf("RunCells with duplicate cells: %v", o.err)
+			t.Fatalf("runCells with duplicate cells: %v", o.err)
 		}
 		if o.stats.Cells != 3 {
 			t.Errorf("stats.Cells = %d, want 3 distinct", o.stats.Cells)
@@ -472,6 +617,6 @@ func TestRunCellsDuplicateCellsNoHang(t *testing.T) {
 			}
 		}
 	case <-time.After(120 * time.Second):
-		t.Fatal("RunCells hung on a duplicated cell")
+		t.Fatal("runCells hung on a duplicated cell")
 	}
 }

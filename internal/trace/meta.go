@@ -8,10 +8,10 @@ import (
 
 // Meta summarizes a trace without building a Replay: identity, framing,
 // and structural counts. It exists for header inspection (`cheetah
-// -trace-info`) and shard planning, where decoding every access into
-// operation lists — what ReadFile does — would cost the whole file's
-// memory for an answer a scan (or, for indexed traces, the index alone)
-// provides.
+// -trace-info`, cheetahd's upload checks), where decoding every access
+// into operation lists — what ReadFile does — would cost the whole
+// file's memory for an answer a scan (or, for indexed traces, the index
+// alone) provides.
 type Meta struct {
 	// Name and Cores are the recorded program identity.
 	Name  string

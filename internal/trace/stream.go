@@ -22,8 +22,8 @@
 // thread ids, same operation streams, same pooling — so the detection
 // report is byte-identical to full in-memory replay (proven by
 // stream_equiv_test.go). ProgramRange additionally replays only a
-// contiguous phase range, the unit of cross-worker trace sharding in
-// internal/harness.
+// contiguous phase range, which ranged `trace:<path>@lo-hi` workloads
+// use.
 package trace
 
 import (
@@ -782,8 +782,7 @@ func (s *StreamReplay) Program() exec.Program {
 // (inclusive) populated; the rest become empty phases the engine skips
 // without advancing the clock. Phase indices, thread ids and pooling
 // are those of the full program, so a range replays exactly as that
-// slice of the full run on a fresh system — the unit of phase-sharded
-// sweeps.
+// slice of the full run would on a fresh system.
 func (s *StreamReplay) ProgramRange(lo, hi int) exec.Program {
 	if !s.prepared {
 		panic("trace: StreamReplay.Program called before Prepare")
@@ -821,30 +820,6 @@ func (s *StreamReplay) ProgramRange(lo, hi int) exec.Program {
 
 // MaxPhase returns the highest phase index in the trace.
 func (s *StreamReplay) MaxPhase() int { return s.sh.maxPhase }
-
-// StreamPhase describes one indexed phase, for shard planning.
-type StreamPhase struct {
-	Index    int
-	Name     string
-	Parallel bool
-	Accesses uint64
-}
-
-// Phases lists the trace's indexed phases in ascending phase order.
-func (s *StreamReplay) Phases() []StreamPhase {
-	out := make([]StreamPhase, 0, len(s.sh.segs))
-	for idx := 0; idx <= s.sh.maxPhase; idx++ {
-		si, ok := s.sh.phaseSeg[idx]
-		if !ok {
-			continue
-		}
-		out = append(out, StreamPhase{
-			Index: idx, Name: s.sh.segs[si].name,
-			Parallel: s.sh.segs[si].parallel, Accesses: s.sh.idx.segs[si].accesses,
-		})
-	}
-	return out
-}
 
 // WindowStats reports how many segments the replay read and verified
 // and the most accesses one span held for its thread — the evidence

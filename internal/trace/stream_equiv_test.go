@@ -173,11 +173,10 @@ func TestStreamedReplayEquivalence(t *testing.T) {
 
 // TestStreamedRangeConcatenation: replaying phase ranges on fresh
 // systems and concatenating the sub-reports must reproduce the phase
-// structure of the whole run — the invariant phase-sharded sweeps rest
-// on. Full-fidelity shard merging is proven end-to-end in
-// internal/sweep; this pins the trace-level contract: every phase of
-// the full replay appears in exactly one range replay, with the ranges'
-// total access counts summing to the trace's.
+// structure of the whole run — the contract ranged `trace:<path>@lo-hi`
+// names rest on. Every phase of the full replay appears in exactly one
+// range replay, with the ranges' total access counts summing to the
+// trace's.
 func TestStreamedRangeConcatenation(t *testing.T) {
 	dir := t.TempDir()
 	cases := 25

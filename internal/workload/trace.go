@@ -16,9 +16,9 @@ import (
 // these on demand, so the harness and both commands can sweep replayed
 // traces like any registered cell.
 //
-// A `@<lo>-<hi>` suffix restricts replay to the inclusive phase range —
-// `trace:big.trace@0-63` — the unit of cross-worker trace sharding.
-// Ranged names require an indexed trace (they always stream).
+// A `@<lo>-<hi>` suffix restricts replay to the inclusive phase range,
+// as in `trace:big.trace@0-63`. Ranged names require an indexed trace
+// (they always stream).
 const TracePrefix = "trace:"
 
 // IsTraceName reports whether name denotes a trace pseudo-workload.
