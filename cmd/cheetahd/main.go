@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:9139", "listen address for the API, metrics and pprof")
 	spool := fs.String("spool", "", "directory for uploaded traces (default: a temp directory)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (empty = no cache)")
-	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries past this size (0 = unbounded)")
+	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries past this size (0 = unbounded; requires -cache-dir)")
 	workers := fs.Int("workers", 0, "concurrent cell executions (0 = GOMAXPROCS)")
 	workerProcs := fs.Int("worker-procs", 0,
 		"run cells on this many persistent worker subprocesses instead of in-process goroutines")
@@ -52,6 +52,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+	if *cacheMaxBytes < 0 {
+		fmt.Fprintf(stderr, "cheetahd: -cache-max-bytes must be >= 0\n")
+		return 2
+	}
+	if *cacheMaxBytes != 0 && *cacheDir == "" {
+		fmt.Fprintf(stderr, "cheetahd: -cache-max-bytes requires -cache-dir\n")
 		return 2
 	}
 
@@ -119,10 +127,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (harness.RunCell — never the process-wide memoizing runner), or a
 	// persistent subprocess pool so simulations live outside the
 	// daemon's heap and a crashing cell kills a worker, not the service.
-	// The pool is the one fsbench's sharded sweeps run on, with the same
-	// failure policy at its defaults: a cell whose worker dies is retried
-	// on another, and dead workers are replaced while workers keep
-	// serving cells between deaths.
+	// The pool's failure policy runs at its defaults: a cell whose worker
+	// dies is retried on another, and dead workers are replaced while
+	// workers keep serving cells between deaths.
 	var pool *sweep.ProcPool
 	if *workerProcs > 0 {
 		exe, err := os.Executable()

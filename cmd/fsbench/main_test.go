@@ -2,12 +2,10 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	traceimport "repro/internal/trace/import"
 )
@@ -86,91 +84,6 @@ func TestRunRejectsBadTraceApp(t *testing.T) {
 	}
 }
 
-// TestShardedFlagValidation: sharding flags only make sense for the
-// full sweep, and the cache only with sharding; both misuses must be
-// diagnosed, not silently ignored.
-func TestShardedFlagValidation(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-experiment", "fig1", "-workers-procs", "2"}, &out, &errOut); code != 2 {
-		t.Errorf("-workers-procs with fig1: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-experiment all") {
-		t.Errorf("stderr missing diagnosis:\n%s", errOut.String())
-	}
-	errOut.Reset()
-	if code := run([]string{"-experiment", "all", "-cache-dir", t.TempDir()}, &out, &errOut); code != 2 {
-		t.Errorf("-cache-dir without sharding: exit %d, want 2", code)
-	}
-	errOut.Reset()
-	if code := run([]string{"-experiment", "all", "-cell-timeout", "10s"}, &out, &errOut); code != 2 {
-		t.Errorf("-cell-timeout without sharding: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-cell-timeout") {
-		t.Errorf("stderr missing -cell-timeout diagnosis:\n%s", errOut.String())
-	}
-}
-
-// TestWorkerModeOnClosedStdin: `fsbench -worker` under `go test` reads
-// EOF from stdin immediately; it must emit its hello frame and exit 0 —
-// the behavior a worker pool relies on when it closes a worker's pipe.
-func TestWorkerModeOnClosedStdin(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-worker"}, &out, &errOut); code != 0 {
-		t.Fatalf("worker exit %d, stderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), sweep.ProtoVersion) {
-		t.Errorf("worker stdout missing hello frame:\n%q", out.String())
-	}
-}
-
-// TestShardedSweepCLI: the full CLI path — a pool spawning real
-// fsbench -worker subprocesses — must print byte-identical output to
-// the serial CLI path. The packages under internal/ already test this
-// exhaustively; this guards the flag wiring.
-func TestShardedSweepCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a full sharded sweep")
-	}
-	if _, err := os.Stat(os.Args[0]); err != nil {
-		t.Skip("test binary path unavailable")
-	}
-	// The worker subprocess must be fsbench itself, not the test
-	// binary; build it once into a temp dir.
-	exe := filepath.Join(t.TempDir(), "fsbench")
-	if out, err := exec.Command("go", "build", "-o", exe, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building fsbench: %v\n%s", err, out)
-	}
-	args := []string{"-experiment", "all", "-scale", "0.04", "-threads", "4"}
-	serial, err := exec.Command(exe, append(args, "-workers", "1")...).Output()
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	sharded, err := exec.Command(exe, append(args, "-workers-procs", "2")...).Output()
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if string(serial) != string(sharded) {
-		t.Errorf("sharded CLI output diverges from serial:\nserial:\n%s\nsharded:\n%s", serial, sharded)
-	}
-}
-
-// TestCacheMaxBytesFlagValidation: the eviction cap requires a cache
-// directory and a non-negative value.
-func TestCacheMaxBytesFlagValidation(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-experiment", "all", "-workers-procs", "2", "-cache-max-bytes", "1024"}, &out, &errOut); code != 2 {
-		t.Errorf("-cache-max-bytes without -cache-dir: exit %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-cache-dir") {
-		t.Errorf("stderr missing diagnosis:\n%s", errOut.String())
-	}
-	errOut.Reset()
-	if code := run([]string{"-experiment", "all", "-workers-procs", "2",
-		"-cache-dir", t.TempDir(), "-cache-max-bytes", "-5"}, &out, &errOut); code != 2 {
-		t.Errorf("negative -cache-max-bytes: exit %d, want 2", code)
-	}
-}
-
 // TestImportedTraceSmoke is fsbench's imported-trace smoke workload: a
 // real perf script fixture imports to a native trace, sweeps through
 // the fig5 case study as a `trace:` pseudo-workload, and prints
@@ -240,17 +153,5 @@ func TestRunMetricsFlagsOffReportPath(t *testing.T) {
 	}
 	if !strings.Contains(string(spans), `"cat":"harness"`) || !strings.Contains(string(spans), `"workload":"figure1"`) {
 		t.Errorf("span log missing harness cell spans:\n%.300s", spans)
-	}
-}
-
-// TestRunProgressFlagRequiresSharding mirrors the other sharded-only
-// flags: -progress without a sharded sweep is a usage error.
-func TestRunProgressFlagRequiresSharding(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-experiment", "all", "-progress", "5s"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code %d, want 2; stderr:\n%s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "-progress requires a sharded sweep") {
-		t.Errorf("stderr missing diagnostic:\n%s", errOut.String())
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
 
 	"repro/internal/baseline"
@@ -19,16 +17,12 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the harness's cell surface: everything a multi-process
-// sweep (internal/sweep) or a gateway job needs to plan, farm out and
-// merge an evaluation. A Cell names one experiment cell and is the
-// Runner's memoization key; a CellResult is a finished cell's payload.
-// EnumerateCells plans a sweep without simulating anything, RunCell
-// executes one cell in a worker process, and Runner.Preload injects
-// finished results so RunAllWith reassembles the exact rows and reports
-// the in-process runner would have produced — byte-identical, because
-// every payload field is plain data that survives a JSON round trip
-// exactly.
+// This file is the harness's cell surface: what a gateway job
+// (internal/sweep) needs to run a cell outside the Runner, in this
+// process or in a worker subprocess. A Cell names one experiment cell
+// and is the Runner's memoization key; a CellResult is a finished
+// cell's payload, plain data that survives the wire's and the cache's
+// JSON round trip exactly. RunCell executes one cell.
 
 // Cell kinds: what a cell measures.
 const (
@@ -120,10 +114,9 @@ const (
 	maxPMUField    = 1 << 48
 )
 
-// Validate range-checks every field. It accepts exactly the cells
-// EnumerateCells can produce (for any valid Config) and rejects
-// everything a corrupt cache file or malicious worker stream could
-// smuggle in.
+// Validate range-checks every field. It accepts every cell the
+// experiments submit (for any valid Config) and rejects everything a
+// corrupt cache file or malicious worker stream could smuggle in.
 func (c Cell) Validate() error {
 	switch c.Kind {
 	case KindNative, KindProfiled, KindPredator, KindSheriff, KindRule:
@@ -310,38 +303,12 @@ func validateInstance(in *core.Instance) error {
 	return nil
 }
 
-// EnumerateCells plans a RunAll sweep: the complete, deduplicated set of
-// cells the sweep would execute under c, in a deterministic order
-// (sorted by ID), without simulating anything. It drives the real
-// experiment code against a runner whose execution hook is a stub, so
-// the plan can never drift from what RunAllWith actually submits.
-func EnumerateCells(c Config) []Cell {
-	r := &Runner{
-		sem: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		// The stub satisfies the experiments' row assembly (non-zero
-		// runtime, non-nil report and rule row) while doing no work; the
-		// resulting rows are discarded.
-		run: func(Cell) CellResult {
-			return CellResult{Result: exec.Result{TotalCycles: 1}, Report: &core.Report{}, Rule: &RuleRow{}}
-		},
-		cells: make(map[Cell]*cell),
-	}
-	RunAllWith(r, c)
-	r.mu.Lock()
-	cells := make([]Cell, 0, len(r.cells))
-	for k := range r.cells {
-		cells = append(cells, k)
-	}
-	r.mu.Unlock()
-	sort.Slice(cells, func(i, j int) bool { return cells[i].ID() < cells[j].ID() })
-	return cells
-}
-
-// RunCell executes one cell to completion in this process — the worker
-// side of a sharded sweep. Unknown workloads and workload construction
-// panics (a trace: cell whose file is missing on this machine) are
-// reported as errors, not crashes, so one bad cell cannot take down a
-// worker serving others.
+// RunCell executes one cell to completion in this process — the job
+// queue's default executor, and what a pool worker runs for each
+// assignment. Unknown workloads and workload construction panics (a
+// trace: cell whose file is missing on this machine) are reported as
+// errors, not crashes, so one bad cell cannot take down a worker
+// serving others.
 func RunCell(c Cell) (res CellResult, err error) {
 	if err := c.Validate(); err != nil {
 		return CellResult{}, err
@@ -350,9 +317,9 @@ func RunCell(c Cell) (res CellResult, err error) {
 		return CellResult{}, fmt.Errorf("harness: unknown workload %q", c.Workload)
 	}
 	// A trace cell's identity includes the planner's content hash; if
-	// the worker's copy of the file differs (it was rewritten
-	// mid-sweep), running it would merge a report for different data
-	// under the planned cell ID.
+	// this process's copy of the file differs (it was rewritten after
+	// the cell was built), running it would return a report for
+	// different data under the planned cell ID.
 	if c.TraceHash != "" {
 		if local := traceHashFor(c.Workload); local != c.TraceHash {
 			return CellResult{}, fmt.Errorf("harness: cell %s: local trace content hash %.12s does not match the planned %.12s",
@@ -365,33 +332,4 @@ func RunCell(c Cell) (res CellResult, err error) {
 		}
 	}()
 	return runCell(c), nil
-}
-
-// Preload hands the runner an already-finished cell (from a cache or a
-// worker process). Experiments that subsequently request the cell get
-// the preloaded payload instead of executing; cells nobody preloads
-// still run locally, so a partial preload degrades to local execution
-// rather than failing.
-func (r *Runner) Preload(c Cell, res CellResult) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if err := res.Validate(); err != nil {
-		return err
-	}
-	// The experiments read a profiled cell's report and a rule cell's
-	// row, so a payload without them cannot be merged.
-	if (c.Kind == KindProfiled && res.Report == nil) || (c.Kind == KindRule && res.Rule == nil) {
-		return fmt.Errorf("harness: cell %s result has no %s payload", c.ID(), c.Kind)
-	}
-	c.Machine = canonMachine(c.Machine)
-	done := make(chan struct{})
-	close(done)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.cells[c]; ok {
-		return fmt.Errorf("harness: cell %s already present", c.ID())
-	}
-	r.cells[c] = &cell{key: c, done: done, out: res}
-	return nil
 }

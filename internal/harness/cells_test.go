@@ -2,54 +2,37 @@ package harness
 
 import (
 	"encoding/json"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/pmu"
 )
 
-// TestEnumerateCellsDeterministic: the sweep plan must be identical
-// across calls (sorted, deduplicated) and cover every cell kind,
-// because shard assignment and the result cache key off it.
-func TestEnumerateCellsDeterministic(t *testing.T) {
-	t.Parallel()
-	c := Config{Scale: 0.05, Threads: 4}
-	a := EnumerateCells(c)
-	b := EnumerateCells(c)
-	if len(a) == 0 {
-		t.Fatal("empty enumeration")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two enumerations of the same config differ")
-	}
-	if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i].ID() < a[j].ID() }) {
-		t.Error("enumeration is not sorted by ID")
-	}
-	kinds := map[string]int{}
-	ids := map[string]bool{}
-	for _, cell := range a {
-		if err := cell.Validate(); err != nil {
-			t.Errorf("enumerated cell fails validation: %v", err)
-		}
-		if ids[cell.ID()] {
-			t.Errorf("duplicate cell %s", cell.ID())
-		}
-		ids[cell.ID()] = true
-		kinds[cell.Kind]++
-	}
-	for _, kind := range []string{KindNative, KindProfiled, KindPredator, KindSheriff, KindRule} {
-		if kinds[kind] == 0 {
-			t.Errorf("no %s cells in plan (kinds: %v)", kind, kinds)
-		}
-	}
-}
-
 // TestCellJSONRoundTrip: a cell must survive the wire exactly — its ID
-// (the cache key input) has to be reproducible on the other side.
+// (the cache key input) has to be reproducible on the other side. The
+// cells cover every kind, a fixed variant, a cycle-mode PMU, a
+// non-default machine and a trace workload.
 func TestCellJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	for _, cell := range EnumerateCells(Config{Scale: 0.05, Threads: 4}) {
+	const sample = "../../examples/tracereplay/sample.trace"
+	var cells []Cell
+	for _, kind := range []string{KindNative, KindProfiled, KindPredator, KindSheriff, KindRule} {
+		c := Cell{Kind: kind, Workload: "linear_regression", Threads: 16, Cores: 48, Scale: 0.05}
+		if kind == KindProfiled {
+			c.PMU = DetectionPMU()
+		}
+		cells = append(cells, c)
+	}
+	cells = append(cells,
+		Cell{Kind: KindNative, Workload: "figure1", Threads: 8, Cores: 48, Scale: 0.4, Fixed: true},
+		Cell{Kind: KindProfiled, Workload: "histogram", Threads: 32, Cores: 48, Scale: 0.5, Machine: "numa2x24",
+			PMU: pmu.Config{Period: 65536, Mode: pmu.CountCycles, Jitter: 64, HandlerCycles: 4500, SetupCycles: 90}},
+		Cell{Kind: KindProfiled, Workload: "trace:" + sample + "@0-1", Threads: 16, Cores: 48, Scale: 1,
+			PMU: DetectionPMU(), TraceHash: TraceContentHash(sample)},
+	)
+	for _, cell := range cells {
+		if err := cell.Validate(); err != nil {
+			t.Fatalf("%s: %v", cell.ID(), err)
+		}
 		b, err := json.Marshal(cell)
 		if err != nil {
 			t.Fatal(err)
@@ -160,71 +143,5 @@ func TestRunCellErrors(t *testing.T) {
 	// Build; RunCell must convert that to an error.
 	if _, err := RunCell(Cell{Kind: KindNative, Workload: "trace:/no/such.trace", Threads: 2, Cores: 8, Scale: 0.05}); err == nil {
 		t.Error("missing trace file: want error")
-	}
-}
-
-// TestPreloadedRunnerMatchesLocal is the merge path in miniature: run
-// every enumerated cell with RunCell (as sweep workers would), preload
-// a fresh runner with the results, and the assembled sweep must be
-// byte-identical to an ordinary in-process run — including a JSON round
-// trip of every payload, since that is what the wire and cache do.
-func TestPreloadedRunnerMatchesLocal(t *testing.T) {
-	t.Parallel()
-	c := Config{Scale: 0.04, Threads: 4}
-
-	serialCfg := c
-	serialCfg.Workers = 1
-	want := RunAll(serialCfg)
-
-	r := NewRunner(0)
-	for _, cell := range EnumerateCells(c) {
-		res, err := RunCell(cell)
-		if err != nil {
-			t.Fatalf("RunCell(%s): %v", cell.ID(), err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("marshal %s: %v", cell.ID(), err)
-		}
-		var back CellResult
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", cell.ID(), err)
-		}
-		if err := r.Preload(cell, back); err != nil {
-			t.Fatalf("preload %s: %v", cell.ID(), err)
-		}
-	}
-	executed := r.CellsRun()
-	got := RunAllWith(r, c)
-	if r.CellsRun() != executed {
-		t.Errorf("merge executed %d cells locally, want 0 (all preloaded)", r.CellsRun()-executed)
-	}
-	if wf, gf := want.Format(), got.Format(); wf != gf {
-		t.Errorf("preloaded sweep diverges from local:\n%s", firstDiff(wf, gf))
-	}
-}
-
-// TestPreloadRejectsDuplicatesAndGarbage: Preload is fed from external
-// sources and must refuse what would corrupt a merge.
-func TestPreloadRejectsDuplicatesAndGarbage(t *testing.T) {
-	t.Parallel()
-	r := NewRunner(0)
-	cell := Cell{Kind: KindNative, Workload: "figure1", Threads: 2, Cores: 8, Scale: 0.05}
-	if err := r.Preload(cell, CellResult{}); err != nil {
-		t.Fatalf("first preload: %v", err)
-	}
-	if err := r.Preload(cell, CellResult{}); err == nil {
-		t.Error("duplicate preload accepted")
-	}
-	if err := r.Preload(Cell{Kind: "bogus"}, CellResult{}); err == nil {
-		t.Error("invalid cell accepted")
-	}
-	// The experiments read a profiled cell's report and a rule cell's
-	// row; a payload lacking them must be refused, not merged.
-	for _, kind := range []string{KindProfiled, KindRule} {
-		bare := Cell{Kind: kind, Workload: "figure1", Threads: 2, Cores: 8, Scale: 0.05}
-		if err := r.Preload(bare, CellResult{}); err == nil {
-			t.Errorf("%s cell without its payload accepted", kind)
-		}
 	}
 }

@@ -15,8 +15,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the Format* golden files"
 // against checked-in golden files, over hand-built rows that exercise
 // each column's formatting (percentages, hex quirks, n/a markers,
 // reported/missed flags). Formatting drift then fails here, with a
-// readable diff, before it fails the sharded-vs-serial cmp steps whose
-// reports embed these tables. Regenerate with:
+// readable diff, before it fails the CLI cmp steps whose reports embed
+// these tables. Regenerate with:
 //
 //	go test ./internal/harness -run TestFormatGolden -update
 func TestFormatGolden(t *testing.T) {

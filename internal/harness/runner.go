@@ -47,10 +47,6 @@ func (c *cell) wait() CellResult {
 // Runner schedules experiment cells over a bounded worker pool.
 type Runner struct {
 	sem chan struct{}
-	// run executes one cell. It is runCell on ordinary runners; the
-	// enumerating runner behind EnumerateCells swaps in a stub so a sweep
-	// can be planned without simulating anything.
-	run func(Cell) CellResult
 
 	mu sync.Mutex
 	// cells memoizes by Cell, which captures everything a simulated
@@ -72,7 +68,6 @@ func NewRunner(workers int) *Runner {
 	}
 	return &Runner{
 		sem:   make(chan struct{}, workers),
-		run:   runCell,
 		cells: make(map[Cell]*cell),
 	}
 }
@@ -105,8 +100,8 @@ func (r *Runner) CellsRun() int {
 // submit returns the memoized cell for k, launching it on the pool the
 // first time the cell is seen. The machine preset is canonicalized and
 // trace workloads get their content hash filled in here, so every path
-// that submits cells — the experiments, EnumerateCells, benchmarks —
-// shares one identity rule.
+// that submits cells — the experiments and benchmarks — shares one
+// identity rule.
 func (r *Runner) submit(k Cell) *cell {
 	k.Machine = canonMachine(k.Machine)
 	if k.TraceHash == "" {
@@ -123,7 +118,7 @@ func (r *Runner) submit(k Cell) *cell {
 			r.sem <- struct{}{}
 			defer func() { <-r.sem }()
 			start := time.Now()
-			c.out = r.run(c.key)
+			c.out = runCell(c.key)
 			end := time.Now()
 			mCellsExecuted.Inc()
 			mCellSeconds.Observe(end.Sub(start).Seconds())
@@ -244,7 +239,7 @@ func (r *Runner) sheriff(name string, c Config, fixed bool) *cell {
 // rule submits a fully-instrumented traced run for the rule ablation:
 // both counting rules plus the coherence ground truth. Rule cells are
 // memoized like any other, so the ablation's expensive traced runs are
-// shared across sweeps and shardable across processes.
+// shared across experiments.
 func (r *Runner) rule(name string, c Config) *cell {
 	return r.submitKind(KindRule, name, c, false)
 }

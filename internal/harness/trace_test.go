@@ -96,8 +96,9 @@ func TestTraceCellIdentityHashesContent(t *testing.T) {
 
 	cfg := Config{Scale: 0.02, Threads: 2, Cores: 4, Workers: 1}.withDefaults()
 	cellFor := func() Cell {
-		r := &Runner{sem: make(chan struct{}, 1), run: func(Cell) CellResult { return CellResult{} }, cells: make(map[Cell]*cell)}
-		return r.native("trace:"+path, cfg, false).key
+		c := NewRunner(1).native("trace:"+path, cfg, false)
+		c.wait()
+		return c.key
 	}
 	first := cellFor()
 	if first.TraceHash == "" {

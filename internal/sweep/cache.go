@@ -26,14 +26,12 @@ import (
 const CacheSchema = "cheetah-sweep-cache/v2"
 
 // Cache is an on-disk store of finished cell results, content-addressed
-// by the hash of the cache schema and the cell's canonical ID. Re-sweeps
-// and resumed crashed sweeps look cells up before scheduling them, so
-// already-finished work is never re-run.
+// by the hash of the cache schema and the cell's canonical ID. The job
+// queue looks cells up before executing them, so finished work is never
+// re-run, by this process or a later one.
 //
 // A cache may be size-capped with SetMaxBytes: when the stored entries
-// exceed the cap, the least-recently-used ones are evicted — except
-// entries this Cache instance wrote or served, which belong to the
-// running sweep and are never evicted, even over budget. Recency is
+// exceed the cap, the least-recently-used ones are evicted. Recency is
 // tracked by modification time, which Get bumps explicitly on every hit:
 // access times are untrustworthy for LRU, since relatime and noatime
 // mounts leave them stale.
@@ -42,9 +40,6 @@ type Cache struct {
 	maxBytes int64
 
 	mu sync.Mutex
-	// protected holds the entry paths the running sweep touched (Put or
-	// Get hit): its working set, exempt from eviction.
-	protected map[string]bool
 	// size estimates the stored bytes (lazily initialized by a walk);
 	// eviction recounts authoritatively, this only schedules it.
 	size  int64
@@ -56,7 +51,7 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
-	return &Cache{dir: dir, protected: make(map[string]bool)}, nil
+	return &Cache{dir: dir}, nil
 }
 
 // SetMaxBytes caps the cache's on-disk size; 0 (the default) means
@@ -74,7 +69,7 @@ func CacheKey(c harness.Cell) string {
 }
 
 // path shards entries over 256 subdirectories by hash prefix, keeping
-// directories small on paper-scale sweeps.
+// directories small in large caches.
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
@@ -106,15 +101,11 @@ func (c *Cache) Get(cell harness.Cell) (harness.CellResult, bool) {
 	if err != nil {
 		return harness.CellResult{}, false
 	}
-	// A hit joins the running sweep's working set: bump the entry's
-	// mtime (the eviction scan's recency key — atime would be a no-op
-	// under relatime/noatime mounts) and protect it from eviction for
-	// this sweep's lifetime.
+	// Bump the entry's mtime, the eviction scan's recency key: atime
+	// would be a no-op under relatime/noatime mounts. A failed bump only
+	// ages the entry.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	c.mu.Lock()
-	c.protected[path] = true
-	c.mu.Unlock()
 	return res, true
 }
 
@@ -147,8 +138,8 @@ func decodeCacheEntry(data []byte, wantID string) (harness.CellResult, error) {
 }
 
 // Put stores a finished cell atomically (temp file + rename), so a
-// crashed sweep can never leave a truncated entry for the next resume
-// to trip over.
+// crashed process can never leave a truncated entry for a later Get to
+// trip over.
 func (c *Cache) Put(cell harness.Cell, res harness.CellResult) error {
 	b, err := json.Marshal(cacheEntry{Schema: CacheSchema, Cell: cell.ID(), Result: res})
 	if err != nil {
@@ -162,7 +153,6 @@ func (c *Cache) Put(cell harness.Cell, res harness.CellResult) error {
 		return err
 	}
 	c.mu.Lock()
-	c.protected[path] = true
 	if c.sized {
 		c.size += int64(len(b))
 	}
@@ -180,11 +170,9 @@ type cacheEntryInfo struct {
 }
 
 // evictOverBudget enforces the size cap: when the stored entries exceed
-// it, unprotected entries are removed least-recently-used-first until
-// the cache fits (or only the running sweep's own entries remain, which may
-// legitimately exceed the cap and are never evicted). Failures are
-// ignored — eviction is hygiene, not correctness; a file that will not
-// die today dies on a later sweep.
+// it, entries are removed least-recently-used-first until the cache
+// fits. Failures are ignored — eviction is hygiene, not correctness; a
+// file that will not die today dies on a later Put.
 func (c *Cache) evictOverBudget() {
 	c.mu.Lock()
 	limit := c.maxBytes
@@ -210,9 +198,6 @@ func (c *Cache) evictOverBudget() {
 	for _, e := range entries {
 		if c.size <= limit {
 			break
-		}
-		if c.protected[e.path] {
-			continue
 		}
 		if os.Remove(e.path) == nil {
 			c.size -= e.size

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -170,25 +171,41 @@ func TestCacheEvictsOldestOverCap(t *testing.T) {
 	}
 }
 
-// TestCacheNeverEvictsRunningSweepEntries: entries written by the
-// running sweep are exempt even when they alone exceed the cap — a
-// sweep must never cannibalize its own resume state.
-func TestCacheNeverEvictsRunningSweepEntries(t *testing.T) {
+// TestLongLivedCacheStaysUnderCap: one Cache that keeps storing past
+// its cap, as a daemon's does, holds the directory under the cap. The
+// entries it wrote itself are evicted like any others.
+func TestLongLivedCacheStaysUnderCap(t *testing.T) {
 	t.Parallel()
-	cache, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.SetMaxBytes(1) // absurdly small: everything is over budget
-	for i := 0; i < 3; i++ {
+	const limit = 4 << 10
+	cache.SetMaxBytes(limit)
+	for i := 0; i < 200; i++ {
 		if err := cache.Put(cellWithThreads(2+i), sampleResult()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok := cache.Get(cellWithThreads(2 + i)); !ok {
-			t.Errorf("running sweep's entry %d was evicted", i)
+	var entries, total int64
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		entries++
+		total += fi.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total > limit || entries == 0 {
+		t.Errorf("after 200 Puts: %d entries hold %d bytes, want 1 or more under the %d-byte cap", entries, total, limit)
 	}
 }
 

@@ -8,43 +8,6 @@ import (
 	"repro/internal/machine"
 )
 
-// TestMachinePresetShardedMatchesSerial extends the cross-config
-// determinism suite along the machine axis: for every non-default
-// preset, the sweep sharded across 2 real worker processes must merge
-// into byte-identical report tables and the exact metrics map of the
-// serial in-process run under the same model. This is also the wire
-// test for the cell's machine dimension — if workers dropped or
-// mangled the Machine field they would simulate the default model and
-// diverge from the serial run wherever the preset changes results.
-func TestMachinePresetShardedMatchesSerial(t *testing.T) {
-	base := testConfig(t)
-	for _, name := range machine.Names() {
-		if name == machine.DefaultName {
-			continue // the canonical model is TestShardedSweepMatchesSerial's job
-		}
-		t.Run(name, func(t *testing.T) {
-			c := base
-			c.Machine = name
-			serialCfg := c
-			serialCfg.Workers = 1
-			serial := harness.RunAll(serialCfg)
-			serialText := serial.Format()
-
-			res, stats, err := Run(Config{Harness: c, Procs: 2, Spawn: spawnSelf(t)})
-			if err != nil {
-				t.Fatalf("sharded sweep under %s: %v", name, err)
-			}
-			if stats.Executed != stats.Cells || stats.Cached != 0 {
-				t.Errorf("stats = %+v, want all %d cells executed", stats, stats.Cells)
-			}
-			if got := res.Format(); got != serialText {
-				t.Errorf("sharded report under %s diverges from serial:\n%s",
-					name, firstDiff(serialText, got))
-			}
-		})
-	}
-}
-
 // TestMachinePresetChangesCellIdentity pins the identity convention:
 // the canonical preset (spelled out or empty) leaves cell IDs exactly
 // as they were before the machine dimension existed, and every
@@ -92,13 +55,13 @@ func TestMachinePresetRoundTripsTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := runCells(Config{Procs: 1, Spawn: spawnSelf(t)}, []harness.Cell{cell})
-	if err != nil {
-		t.Fatal(err)
+	r := runOnPool(t, poolConfig{procs: 1, spawn: spawnSelf(t)}, []harness.Cell{cell})
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	remote, ok := results[cell.ID()]
+	remote, ok := r.results[cell.ID()]
 	if !ok {
-		t.Fatalf("no result for %s in %v", cell.ID(), results)
+		t.Fatalf("no result for %s in %v", cell.ID(), r.results)
 	}
 	lr := harness.RenderDetectionReport(local.Report, local.Result, true, true)
 	rr := harness.RenderDetectionReport(remote.Report, remote.Result, true, true)

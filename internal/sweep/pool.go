@@ -16,16 +16,16 @@ import (
 // transports speaking the sweep wire protocol — typically subprocesses
 // via SpawnWorkerProc, so simulations run outside the caller's heap and
 // a crashed cell kills a worker, not the caller. Its Exec method plugs
-// into QueueConfig.Exec; it is the one executor behind fsbench's sharded
-// sweeps (Run) and cheetahd's -worker-procs.
+// into QueueConfig.Exec; it is the executor behind cheetahd's
+// -worker-procs.
 //
-// The pool owns the one worker-failure policy, read from Config:
-//   - a worker whose transport fails, or that sends no reply within
-//     CellTimeout, is retired (its transport closed) and the cell is
-//     retried on another worker, up to MaxAttempts workers per cell; a
+// The pool owns the one worker-failure policy (see poolConfig):
+//   - a worker whose transport fails, or that sends no reply within the
+//     cell timeout, is retired (its transport closed) and the cell is
+//     retried on another worker, up to maxAttempts workers per cell; a
 //     worker found dead before the cell reached it costs no attempt;
 //   - a retired worker is replaced by a fresh spawn while no more than
-//     MaxRespawns workers have died in a row with no cell served
+//     maxRespawns workers have died in a row with no cell served
 //     between the deaths;
 //   - once no worker is live and none can be spawned, every waiting
 //     and later Exec fails with an error that names the lost workers.
@@ -33,12 +33,9 @@ import (
 // A cell-level error reply fails its cell at once: the worker survived,
 // and a deterministic cell fails the same way on any worker.
 type ProcPool struct {
-	cfg Config
+	cfg poolConfig
 
-	startOnce sync.Once
-	startErr  error
-
-	// free holds idle workers, at most Procs of them; it is never
+	// free holds idle workers, at most procs of them; it is never
 	// closed (in-flight Execs return workers to it at any time). stop is
 	// closed once, by Close or when the last worker is lost for good,
 	// and stopErr says which.
@@ -51,9 +48,38 @@ type ProcPool struct {
 	spawning int                  // respawns in progress, counted as live
 	nspawned int
 	// deaths counts workers lost since a cell was last served: the
-	// quantity MaxRespawns bounds.
+	// quantity maxRespawns bounds.
 	deaths int
 	counts poolStats
+}
+
+// poolConfig is a pool's size, spawn function and failure policy.
+// NewProcPool fills the policy with its defaults; only tests set it.
+type poolConfig struct {
+	// procs is how many workers the pool keeps live.
+	procs int
+	// spawn creates the i'th worker transport. It may be called from
+	// several goroutines at once.
+	spawn func(i int) (io.ReadWriteCloser, error)
+	// log receives worker losses, respawns and retries (optional).
+	log io.Writer
+	// maxAttempts bounds how many workers one cell may be assigned to
+	// before it fails (default 3): a cell that kills every worker it
+	// touches must not loop forever.
+	maxAttempts int
+	// maxRespawns bounds how many workers may die in a row, with no
+	// cell served between the deaths, and still be replaced; a failed
+	// spawn counts as a death. 0 means the default of 2×procs; negative
+	// disables replacement. A pool that keeps serving survives any
+	// number of scattered crashes, while a spawn command that always
+	// crashes stops at the bound.
+	maxRespawns int
+	// cellTimeout bounds how long one assigned cell may go without a
+	// reply (default 0 = wait forever). A worker that exceeds it — a
+	// wedged subprocess — is retired exactly like a dead one. It must
+	// comfortably exceed the slowest cell's runtime; a too-tight value
+	// merely burns attempts.
+	cellTimeout time.Duration
 }
 
 // poolStats is the pool's lifetime accounting.
@@ -62,7 +88,6 @@ type poolStats struct {
 	respawns int // replacements spawned after deaths
 	retries  int // cells reassigned after their worker died
 	lost     int // workers retired dead
-	live     int // workers currently live
 }
 
 // poolWorker is one live transport plus its buffered framing state.
@@ -75,52 +100,41 @@ type poolWorker struct {
 }
 
 // NewProcPool spawns n workers and verifies each one's hello handshake,
-// under the default failure policy (see Config). It logs worker losses,
-// respawns and retries to log (optional). Failure to bring up any
-// worker fails construction; a pool that starts degraded would silently
-// serve with less parallelism than the operator asked for.
+// under the default failure policy (see poolConfig). It logs worker
+// losses, respawns and retries to log (optional). Failure to bring up
+// any worker fails construction; a pool that starts degraded would
+// silently serve with less parallelism than the operator asked for.
 func NewProcPool(n int, spawn func(i int) (io.ReadWriteCloser, error), log io.Writer) (*ProcPool, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sweep: pool needs at least one worker")
-	}
-	p := newProcPool(Config{Procs: n, Spawn: spawn, Log: log})
-	if err := p.start(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newProcPool(poolConfig{procs: n, spawn: spawn, log: log})
 }
 
-// newProcPool builds a pool that spawns its cfg.Procs workers on the
-// first Exec, under cfg's failure policy.
-func newProcPool(cfg Config) *ProcPool {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
+// newProcPool is NewProcPool under cfg's failure policy, with zero
+// fields at their defaults.
+func newProcPool(cfg poolConfig) (*ProcPool, error) {
+	if cfg.procs <= 0 {
+		return nil, fmt.Errorf("sweep: pool needs at least one worker")
 	}
-	if cfg.MaxRespawns == 0 {
-		cfg.MaxRespawns = 2 * cfg.Procs
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = 3
 	}
-	return &ProcPool{
+	if cfg.maxRespawns == 0 {
+		cfg.maxRespawns = 2 * cfg.procs
+	}
+	p := &ProcPool{
 		cfg:     cfg,
-		free:    make(chan *poolWorker, cfg.Procs),
+		free:    make(chan *poolWorker, cfg.procs),
 		stop:    make(chan struct{}),
 		workers: map[*poolWorker]bool{},
 	}
-}
-
-// start spawns the initial workers, once.
-func (p *ProcPool) start() error {
-	p.startOnce.Do(func() {
-		for i := 0; i < p.cfg.Procs; i++ {
-			w, err := p.spawnWorker()
-			if err != nil {
-				p.Close()
-				p.startErr = err
-				return
-			}
-			p.free <- w
+	for i := 0; i < cfg.procs; i++ {
+		w, err := p.spawnWorker()
+		if err != nil {
+			p.Close()
+			return nil, err
 		}
-	})
-	return p.startErr
+		p.free <- w
+	}
+	return p, nil
 }
 
 // spawnWorker brings up one worker through its handshake.
@@ -129,7 +143,7 @@ func (p *ProcPool) spawnWorker() (*poolWorker, error) {
 	i := p.nspawned
 	p.nspawned++
 	p.mu.Unlock()
-	t, err := p.cfg.Spawn(i)
+	t, err := p.cfg.spawn(i)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: spawning pool worker %d: %w", i, err)
 	}
@@ -161,15 +175,12 @@ func (p *ProcPool) spawnWorker() (*poolWorker, error) {
 
 // Exec runs one cell on the next free worker. A worker that dies
 // holding the cell, or times out, is retired and the cell retried on
-// another, up to MaxAttempts workers; a worker found dead when the cell
+// another, up to maxAttempts workers; a worker found dead when the cell
 // is handed to it is retired without costing the cell an attempt. A
 // cell-level MsgError comes back as an error with the worker intact.
 func (p *ProcPool) Exec(cell harness.Cell) (harness.CellResult, error) {
-	if err := p.start(); err != nil {
-		return harness.CellResult{}, err
-	}
 	var err error
-	for attempts := 0; attempts < p.cfg.MaxAttempts; {
+	for attempts := 0; attempts < p.cfg.maxAttempts; {
 		var w *poolWorker
 		select {
 		case w = <-p.free:
@@ -199,7 +210,7 @@ func (p *ProcPool) Exec(cell harness.Cell) (harness.CellResult, error) {
 		p.retire(w, err)
 	}
 	return harness.CellResult{}, fmt.Errorf("sweep: cell %s failed on %d workers, last: %w",
-		cell.ID(), p.cfg.MaxAttempts, err)
+		cell.ID(), p.cfg.maxAttempts, err)
 }
 
 // release returns a worker that served a cell to the idle set — or
@@ -236,11 +247,11 @@ func (p *ProcPool) retire(w *poolWorker, cause error) {
 	p.logf("sweep: worker %d lost: %v", w.id, cause)
 	for {
 		p.mu.Lock()
-		if p.stopErr != nil || p.cfg.MaxRespawns < 0 || p.deaths > p.cfg.MaxRespawns {
+		if p.stopErr != nil || p.cfg.maxRespawns < 0 || p.deaths > p.cfg.maxRespawns {
 			if len(p.workers) == 0 && p.spawning == 0 && p.stopErr == nil {
 				p.stopErr = fmt.Errorf("sweep: all pool workers are gone: %d lost, worker %d last; "+
 					"%d deaths in a row with no cell served spent the respawn budget of %d; last cause: %v",
-					p.counts.lost, w.id, p.deaths, p.cfg.MaxRespawns, cause)
+					p.counts.lost, w.id, p.deaths, p.cfg.maxRespawns, cause)
 				close(p.stop)
 			}
 			p.mu.Unlock()
@@ -262,8 +273,8 @@ func (p *ProcPool) retire(w *poolWorker, cause error) {
 		p.mu.Unlock()
 		if err == nil {
 			mWorkersRespawned.Inc()
-			p.logf("sweep: respawned worker %d (deaths in a row: %d of %d)", nw.id, deaths, p.cfg.MaxRespawns)
-			p.free <- nw // cannot block: live workers never exceed Procs
+			p.logf("sweep: respawned worker %d (deaths in a row: %d of %d)", nw.id, deaths, p.cfg.maxRespawns)
+			p.free <- nw // cannot block: live workers never exceed procs
 			return
 		}
 		p.logf("sweep: %v", err)
@@ -315,15 +326,15 @@ func (p *ProcPool) await(w *poolWorker, cell harness.Cell) (res harness.CellResu
 // the read; the reply counts as lost even if it raced the close, so a
 // late reply is never counted.
 func (p *ProcPool) readReply(w *poolWorker) (*Message, error) {
-	if p.cfg.CellTimeout <= 0 {
+	if p.cfg.cellTimeout <= 0 {
 		return ReadMessage(w.br)
 	}
-	timer := time.AfterFunc(p.cfg.CellTimeout, func() { w.t.Close() })
+	timer := time.AfterFunc(p.cfg.cellTimeout, func() { w.t.Close() })
 	m, err := ReadMessage(w.br)
 	if !timer.Stop() {
 		mCellTimeouts.Inc()
 		obs.Event("sweep", "cell-timeout", w.id, nil)
-		return nil, fmt.Errorf("no reply within the %v cell timeout", p.cfg.CellTimeout)
+		return nil, fmt.Errorf("no reply within the %v cell timeout", p.cfg.cellTimeout)
 	}
 	return m, err
 }
@@ -358,9 +369,7 @@ func (p *ProcPool) Close() error {
 func (p *ProcPool) stats() poolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.counts
-	s.live = len(p.workers)
-	return s
+	return p.counts
 }
 
-func (p *ProcPool) logf(format string, args ...any) { logf(p.cfg.Log, format, args...) }
+func (p *ProcPool) logf(format string, args ...any) { logf(p.cfg.log, format, args...) }

@@ -200,19 +200,16 @@ func stallUntilEOF(gate string) {
 }
 
 // TestLateReplyAfterCellTimeoutNotCounted: a worker that answers only
-// after CellTimeout has its transport closed at the deadline and its
-// cell retried elsewhere; the late reply is never read back into the
-// sweep, every cell is counted executed exactly once, and the merged
-// report is byte-identical to the serial run.
+// after the cell timeout has its transport closed at the deadline and
+// its cell retried elsewhere; the late reply is never read back into
+// the job, every cell is counted executed exactly once, and every
+// cell's result equals the in-process one.
 func TestLateReplyAfterCellTimeoutNotCounted(t *testing.T) {
 	t.Parallel()
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serialText := harness.RunAll(serialCfg).Format()
-
+	cells := testCells()
 	const timeout = 3 * time.Second
 	lateWrite := make(chan error, 1)
+	// Worker 0 is the first free worker, so it takes the first cell.
 	spawn := func(i int) (io.ReadWriteCloser, error) {
 		poolSide, workerSide := net.Pipe()
 		if i == 0 {
@@ -222,9 +219,9 @@ func TestLateReplyAfterCellTimeoutNotCounted(t *testing.T) {
 		}
 		return poolSide, nil
 	}
-	res, stats, err := Run(Config{Harness: c, Procs: 2, Spawn: spawn, CellTimeout: timeout})
-	if err != nil {
-		t.Fatalf("sweep with a late worker: %v", err)
+	r := runOnPool(t, poolConfig{procs: 2, spawn: spawn, cellTimeout: timeout}, cells)
+	if r.err != nil {
+		t.Fatalf("job with a late worker: %v", r.err)
 	}
 	select {
 	case err := <-lateWrite:
@@ -234,12 +231,11 @@ func TestLateReplyAfterCellTimeoutNotCounted(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("the late worker never tried to reply")
 	}
-	if stats.Executed != stats.Cells || stats.Retries == 0 {
-		t.Errorf("stats = %+v, want all %d cells executed once and the late worker's cell retried", stats, stats.Cells)
+	if int(r.queue.CellsExecuted) != r.cells || r.pool.retries == 0 {
+		t.Errorf("queue %+v, pool %+v: want all %d cells executed once and the late worker's cell retried",
+			r.queue, r.pool, r.cells)
 	}
-	if got := res.Format(); got != serialText {
-		t.Errorf("report after a late reply diverges from serial:\n%s", firstDiff(serialText, got))
-	}
+	checkMatchesLocal(t, cells, r.results)
 }
 
 // lateWorker runs its first cell, holds the reply for delay, then tries
@@ -270,11 +266,11 @@ func lateWorker(conn net.Conn, delay time.Duration, wrote chan<- error) {
 // the worker that reported it; it is not retried on another worker.
 func TestCellErrorFailsAtOnce(t *testing.T) {
 	t.Parallel()
-	_, stats, err := runCells(Config{Procs: 2, Spawn: pipeWorker}, []harness.Cell{fakeCell("no-such-workload")})
-	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
-		t.Fatalf("err = %v, want the cell's own failure", err)
+	r := runOnPool(t, poolConfig{procs: 2, spawn: pipeWorker}, []harness.Cell{fakeCell("no-such-workload")})
+	if r.err == nil || !strings.Contains(r.err.Error(), "no-such-workload") {
+		t.Fatalf("err = %v, want the cell's own failure", r.err)
 	}
-	if stats.Retries != 0 || stats.Executed != 0 {
-		t.Errorf("stats = %+v, want no retry and nothing executed", stats)
+	if r.pool.retries != 0 || r.queue.CellsExecuted != 0 {
+		t.Errorf("pool %+v, queue %+v: want no retry and nothing executed", r.pool, r.queue)
 	}
 }

@@ -1,12 +1,9 @@
-// Package sweep runs harness experiment cells in worker processes. A
+// Package sweep runs harness experiment cells as detection jobs. A
 // JobQueue schedules cells — deduping identical ones and serving the
-// content-addressed on-disk cache — onto an executor, and a ProcPool
-// executes them on worker subprocesses over a length-prefixed JSON wire
-// protocol on stdin/stdout pipes. The cheetahd gateway runs its jobs on
-// that queue; a sharded sweep (Run) is one job on a private
-// queue, merged through harness.Runner.Preload into the exact rows and
-// report text the in-process runner produces — byte-identical at any
-// worker count, which the package's tests and a CI cmp step enforce.
+// content-addressed on-disk cache — onto an executor: harness.RunCell
+// in process by default, or a ProcPool that executes them on worker
+// subprocesses over a length-prefixed JSON wire protocol on
+// stdin/stdout pipes. The cheetahd gateway runs its jobs on that queue.
 package sweep
 
 import (

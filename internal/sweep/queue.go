@@ -16,13 +16,12 @@ import (
 // This file is the job-queue layer, the one cell scheduler: many
 // concurrent detection jobs — each a set of harness cells — multiplexed
 // onto one bounded executor. The cheetahd gateway keeps one queue for
-// its life; a sharded sweep (Run) submits its cells as one job to
-// a private queue over a ProcPool. Admission is bounded (a full queue
-// rejects rather than buffering without limit), concurrency is budgeted
-// per tenant so one client cannot starve the rest, identical cells
-// running at the same moment collapse to a single execution
-// (singleflight), and finished cells land in the shared
-// content-addressed cache so later jobs are served from disk.
+// its life. Admission is bounded (a full queue rejects rather than
+// buffering without limit), concurrency is budgeted per tenant so one
+// client cannot starve the rest, identical cells running at the same
+// moment collapse to a single execution (singleflight), and finished
+// cells land in the shared content-addressed cache so later jobs are
+// served from disk.
 // Determinism carries over untouched: a cell's result depends only on
 // its identity, so deduping and caching can never change a job's bytes.
 
@@ -59,7 +58,7 @@ type QueueConfig struct {
 	Cache *Cache
 	// Exec runs one cell (default harness.RunCell — a fresh, isolated
 	// system per cell, never the process-wide memoizing runner). A
-	// ProcPool's Exec shards cells over worker subprocesses instead.
+	// ProcPool's Exec runs cells on worker subprocesses instead.
 	Exec func(harness.Cell) (harness.CellResult, error)
 	// Log receives human-readable diagnostics (optional).
 	Log io.Writer

@@ -381,27 +381,40 @@ func TestTerminalEventSurvivesFullBuffer(t *testing.T) {
 
 // TestProcPoolExecMatchesLocal: a cell executed through the pool's wire
 // protocol returns the same payload as local execution, and a worker
-// crash mid-assignment is healed by respawn-and-retry.
+// crash mid-assignment is healed by respawn-and-retry. The cells are
+// figure1's cell of every kind and a numa2x24 cell whose result differs
+// from the default machine's, so a worker that dropped the cell's
+// machine would be caught.
 func TestProcPoolExecMatchesLocal(t *testing.T) {
 	t.Parallel()
-	cell := harness.EnumerateCells(testConfig(t))[0]
-	local, err := harness.RunCell(cell)
-	if err != nil {
-		t.Fatal(err)
+	numa := harness.Cell{Kind: harness.KindProfiled, Workload: "figure1", Threads: 32, Cores: 48,
+		Scale: 0.02, PMU: harness.DetectionPMU(), Machine: "numa2x24"}
+	onDefault := numa
+	onDefault.Machine = ""
+	a, errA := harness.RunCell(numa)
+	b, errB := harness.RunCell(onDefault)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
+	if mustJSON(t, a) == mustJSON(t, b) {
+		t.Fatal("the numa2x24 cell's result equals the default machine's; it cannot catch a dropped machine")
+	}
+	cells := append(testCells()[:5], numa)
 
 	pool, err := NewProcPool(2, func(int) (io.ReadWriteCloser, error) { return pipeWorker(0) }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	got, err := pool.Exec(cell)
-	if err != nil {
-		t.Fatalf("pool exec: %v", err)
+	results := map[string]harness.CellResult{}
+	for _, c := range cells {
+		got, err := pool.Exec(c)
+		if err != nil {
+			t.Fatalf("pool exec %s: %v", c.ID(), err)
+		}
+		results[c.ID()] = got
 	}
-	if fmt.Sprint(got.Result) != fmt.Sprint(local.Result) {
-		t.Error("pool-executed result diverges from local execution")
-	}
+	checkMatchesLocal(t, cells, results)
 
 	// Crash injection: the first worker dies on its first assignment;
 	// the pool must respawn and serve the cell on the replacement.
@@ -429,7 +442,7 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer crashPool.Close()
-	if _, err := crashPool.Exec(cell); err != nil {
+	if _, err := crashPool.Exec(cells[0]); err != nil {
 		t.Fatalf("pool exec across worker crash: %v", err)
 	}
 	if spawned != 2 {

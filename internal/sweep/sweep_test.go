@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,10 +24,11 @@ import (
 // workerEnv selects plain serving; dieAfterEnv makes the worker exit(1)
 // after serving that many cells — the fault-injection "kill" (from the
 // pool's perspective an abrupt self-kill and an external SIGKILL are
-// the same event: the pipe breaks mid-sweep); "stall" takes a cell and
-// never answers. gateEnv names a file that orders two workers: a dying
-// worker creates it just before it exits, and a serving worker holds
-// its first reply until it exists. A stalling worker creates it once it
+// the same event: the pipe breaks mid-job); "stall" takes a cell and
+// never answers. gateEnv orders workers: a dying worker creates the
+// file it names just before it exits, and a serving worker holds its
+// first reply until every file in its list (os.PathListSeparator
+// between them) exists. A stalling worker creates its file once it
 // holds its cell.
 const (
 	workerEnv   = "SWEEP_TEST_WORKER"
@@ -39,8 +42,8 @@ func TestMain(m *testing.M) {
 		os.Exit(m.Run())
 	case "serve":
 		var w io.Writer = os.Stdout
-		if gate := os.Getenv(gateEnv); gate != "" {
-			w = &gatedWriter{w: os.Stdout, gate: gate}
+		if gates := filepath.SplitList(os.Getenv(gateEnv)); len(gates) > 0 {
+			w = &gatedWriter{w: os.Stdout, gates: gates}
 		}
 		if err := Serve(os.Stdin, w); err != nil {
 			fmt.Fprintf(os.Stderr, "test worker: %v\n", err)
@@ -88,11 +91,12 @@ func serveThenDie(n int) {
 }
 
 // gatedWriter passes a serving worker's handshake through, then holds
-// its first reply until the gate file exists — or a minute has passed,
-// so that a broken ordering fails the test's assertions, not its clock.
+// its first reply until every gate file exists — or a minute has
+// passed, so that a broken ordering fails the test's assertions, not
+// its clock.
 type gatedWriter struct {
 	w      io.Writer
-	gate   string
+	gates  []string
 	writes int
 }
 
@@ -100,9 +104,11 @@ func (g *gatedWriter) Write(b []byte) (int, error) {
 	// Serve writes its handshake with one flush, so the second write
 	// starts the first reply.
 	if g.writes++; g.writes == 2 {
-		for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-			if _, err := os.Stat(g.gate); err == nil {
-				break
+		for deadline := time.Now().Add(time.Minute); len(g.gates) > 0 && time.Now().Before(deadline); {
+			if _, err := os.Stat(g.gates[0]); err == nil {
+				g.gates = g.gates[1:]
+			} else {
+				time.Sleep(5 * time.Millisecond)
 			}
 		}
 	}
@@ -135,111 +141,122 @@ func pipeWorker(int) (io.ReadWriteCloser, error) {
 	return coordSide, nil
 }
 
-func testConfig(t *testing.T) harness.Config {
-	c := harness.Config{Scale: 0.05, Threads: 4}
+// testCells is the fixed cell list the pool tests run: every cell kind
+// on three workloads, small enough to run in milliseconds. Short mode
+// (CI -race) runs them at a smaller scale.
+func testCells() []harness.Cell {
+	scale := 0.05
 	if testing.Short() {
-		c.Scale = 0.02
+		scale = 0.02
 	}
-	return c
+	var cells []harness.Cell
+	for _, w := range []string{"figure1", "histogram", "linear_regression"} {
+		for _, kind := range []string{harness.KindNative, harness.KindProfiled,
+			harness.KindPredator, harness.KindSheriff, harness.KindRule} {
+			c := harness.Cell{Kind: kind, Workload: w, Threads: 4, Cores: 48, Scale: scale}
+			if kind == harness.KindProfiled {
+				c.PMU = harness.DetectionPMU()
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cells
 }
 
-// TestShardedSweepMatchesSerial is the subsystem's headline invariant:
-// the same sweep sharded across 1, 2 and 4 real worker processes must
-// merge into byte-identical report tables to the ones the in-process
-// serial runner produces. Short mode (CI -race) runs a
-// smaller scale and only the 2-process sharding.
-func TestShardedSweepMatchesSerial(t *testing.T) {
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serial := harness.RunAll(serialCfg)
-	serialText := serial.Format()
-
-	procCounts := []int{1, 2, 4}
-	if testing.Short() {
-		procCounts = []int{2}
-	}
-	for _, procs := range procCounts {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			res, stats, err := Run(Config{Harness: c, Procs: procs, Spawn: spawnSelf(t)})
-			if err != nil {
-				t.Fatalf("sharded sweep: %v", err)
-			}
-			if stats.Executed != stats.Cells || stats.Cached != 0 {
-				t.Errorf("stats = %+v, want all %d cells executed", stats, stats.Cells)
-			}
-			if got := res.Format(); got != serialText {
-				t.Errorf("sharded report diverges from serial:\n%s", firstDiff(serialText, got))
-			}
-		})
-	}
+// poolRun is the outcome of one job on a JobQueue over a ProcPool.
+type poolRun struct {
+	results map[string]harness.CellResult
+	cells   int // distinct cells in the job
+	pool    poolStats
+	queue   QueueStats
+	err     error // the job's
 }
 
-// TestSweepResumesFromCache: a re-sweep over a warm cache must execute
-// zero cells (no worker processes even spawn) and still produce the
-// identical report — the crashed-sweep resume guarantee.
-func TestSweepResumesFromCache(t *testing.T) {
-	c := testConfig(t)
-	cache, err := OpenCache(t.TempDir())
+// runOnPool runs cells as one job on a JobQueue whose executor is a
+// ProcPool under cfg: the pairing cheetahd -worker-procs serves from,
+// with one queue slot per worker.
+func runOnPool(t *testing.T, cfg poolConfig, cells []harness.Cell) poolRun {
+	t.Helper()
+	pool, err := newProcPool(cfg)
+	if err != nil {
+		t.Fatalf("starting the pool: %v", err)
+	}
+	defer pool.Close()
+	q := NewJobQueue(QueueConfig{Workers: cfg.procs, MaxQueuedCells: len(cells), Exec: pool.Exec})
+	job, err := q.Submit(JobSpec{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Harness: c, Procs: 2, Spawn: spawnSelf(t), Cache: cache}
-	first, stats, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("cold sweep: %v", err)
+	select {
+	case <-job.Done():
+	case <-time.After(5 * time.Minute):
+		t.Fatalf("job of %d cells still running after 5 minutes", len(job.Cells))
 	}
-	if stats.Executed == 0 || stats.Cached != 0 {
-		t.Fatalf("cold sweep stats = %+v, want all executed", stats)
-	}
+	return poolRun{results: job.Results(), cells: len(job.Cells), pool: pool.stats(), queue: q.Stats(), err: job.Err()}
+}
 
-	cfg.Spawn = func(int) (io.ReadWriteCloser, error) {
-		t.Error("resumed sweep spawned a worker")
-		return nil, fmt.Errorf("no workers in resume test")
+// localResults memoizes in-process RunCell results, as JSON, by cell ID.
+var localResults sync.Map
+
+// checkMatchesLocal asserts that every cell has a result, and that it
+// equals what harness.RunCell returns for the cell in this process,
+// compared in the JSON form the wire and the cache carry.
+func checkMatchesLocal(t *testing.T, cells []harness.Cell, results map[string]harness.CellResult) {
+	t.Helper()
+	for _, c := range cells {
+		got, ok := results[c.ID()]
+		if !ok {
+			t.Errorf("no result for %s", c.ID())
+			continue
+		}
+		want, ok := localResults.Load(c.ID())
+		if !ok {
+			local, err := harness.RunCell(c)
+			if err != nil {
+				t.Fatalf("RunCell(%s): %v", c.ID(), err)
+			}
+			want = mustJSON(t, local)
+			localResults.Store(c.ID(), want)
+		}
+		if mustJSON(t, got) != want {
+			t.Errorf("%s: pool result differs from in-process RunCell", c.ID())
+		}
 	}
-	second, stats, err := Run(cfg)
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
 	if err != nil {
-		t.Fatalf("warm sweep: %v", err)
+		t.Fatal(err)
 	}
-	if stats.Executed != 0 || stats.Cached != stats.Cells {
-		t.Errorf("warm sweep stats = %+v, want all %d cells cached", stats, stats.Cells)
-	}
-	if f, s := first.Format(), second.Format(); f != s {
-		t.Errorf("resumed report diverges:\n%s", firstDiff(f, s))
-	}
+	return string(b)
 }
 
 // TestWorkerDeathRetries is the fault-injection case: one of two
-// workers dies mid-sweep with a cell in flight; the pool must retry it
-// on another worker and still merge the identical report.
+// workers dies with a cell in flight; the pool must retry it on another
+// worker, and every cell's result must still equal the in-process one.
 func TestWorkerDeathRetries(t *testing.T) {
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serialText := harness.RunAll(serialCfg).Format()
-
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := testCells()
+	// Worker 0 serves two cells, then dies holding a third; worker 1
+	// holds its first reply until then, so worker 0 takes those cells.
+	gate := gateEnv + "=" + filepath.Join(t.TempDir(), "gate")
+	die := spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=2", gate)
+	serve := spawnSelf(t, gate)
 	spawn := func(i int) (io.ReadWriteCloser, error) {
 		if i == 0 {
-			// Worker 0 serves two cells, then dies holding a third.
-			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=2"}, os.Stderr)
+			return die(i)
 		}
-		return SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve"}, os.Stderr)
+		return serve(i)
 	}
-	res, stats, err := Run(Config{Harness: c, Procs: 2, Spawn: spawn})
-	if err != nil {
-		t.Fatalf("sweep with dying worker: %v", err)
+	r := runOnPool(t, poolConfig{procs: 2, spawn: spawn}, cells)
+	if r.err != nil {
+		t.Fatalf("job with a dying worker: %v", r.err)
 	}
-	if stats.Retries == 0 {
+	if r.pool.retries == 0 {
 		t.Error("no retries recorded; the dying worker should have lost an in-flight cell")
 	}
-	if got := res.Format(); got != serialText {
-		t.Errorf("report after worker death diverges from serial:\n%s", firstDiff(serialText, got))
-	}
+	checkMatchesLocal(t, cells, r.results)
 }
 
 // writePhaseTrace writes a small synthetic multi-phase indexed trace
@@ -331,14 +348,14 @@ func TestPhaseShardedReplayMatchesLocal(t *testing.T) {
 		procCounts = []int{2}
 	}
 	for _, procs := range procCounts {
-		results, stats, err := runCells(Config{Procs: procs, Spawn: spawnSelf(t)}, cells)
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
+		r := runOnPool(t, poolConfig{procs: procs, spawn: spawnSelf(t)}, cells)
+		if r.err != nil {
+			t.Fatalf("procs=%d: %v", procs, r.err)
 		}
-		if stats.Executed != len(cells) {
-			t.Errorf("procs=%d: stats %+v, want %d executed", procs, stats, len(cells))
+		if int(r.queue.CellsExecuted) != len(cells) {
+			t.Errorf("procs=%d: queue stats %+v, want %d executed", procs, r.queue, len(cells))
 		}
-		reports := checkTraceReports(t, cells, results)
+		reports := checkTraceReports(t, cells, r.results)
 		if reports[1] != reports[0] {
 			t.Errorf("procs=%d: @0-%d report differs from the whole trace's:\n%s",
 				procs, maxPhase, firstDiff(reports[0], reports[1]))
@@ -371,14 +388,14 @@ func TestPhaseShardWorkerKillRequeues(t *testing.T) {
 		}
 		return serve(i)
 	}
-	results, stats, err := runCells(Config{Procs: 2, Spawn: spawn}, cells)
-	if err != nil {
-		t.Fatalf("trace cells with a dying worker: %v", err)
+	r := runOnPool(t, poolConfig{procs: 2, spawn: spawn}, cells)
+	if r.err != nil {
+		t.Fatalf("trace cells with a dying worker: %v", r.err)
 	}
-	if stats.Retries == 0 {
+	if r.pool.retries == 0 {
 		t.Error("no retries recorded; the dying worker should have lost an in-flight trace cell")
 	}
-	reports := checkTraceReports(t, cells, results)
+	reports := checkTraceReports(t, cells, r.results)
 	if reports[2] != reports[0] {
 		t.Errorf("@0-%d report differs from the whole trace's:\n%s", maxPhase, firstDiff(reports[0], reports[2]))
 	}
@@ -404,17 +421,14 @@ func stallingWorker(t io.ReadWriteCloser) {
 }
 
 // TestCellTimeoutRequeues is the hung-worker fault injection: one of
-// two workers accepts a cell and never replies. With CellTimeout set the
-// pool must retire it, retry the cell on another worker, and still
-// merge the byte-identical report — without the timeout the sweep would
-// hang forever.
+// two workers accepts a cell and never replies. With a cell timeout the
+// pool must retire it and retry the cell on another worker, and every
+// cell's result must equal the in-process one — without the timeout
+// the job would hang forever.
 func TestCellTimeoutRequeues(t *testing.T) {
 	t.Parallel()
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serialText := harness.RunAll(serialCfg).Format()
-
+	cells := testCells()
+	// Worker 0 is the first free worker, so it takes the first cell.
 	spawn := func(i int) (io.ReadWriteCloser, error) {
 		coordSide, workerSide := net.Pipe()
 		if i == 0 {
@@ -428,54 +442,53 @@ func TestCellTimeoutRequeues(t *testing.T) {
 	// (a spurious trip would just burn an attempt, but the test asserts
 	// on retry accounting); the stall is detected concurrently with the
 	// healthy worker draining the queue.
-	res, stats, err := Run(Config{Harness: c, Procs: 2, Spawn: spawn,
-		CellTimeout: 3 * time.Second, MaxAttempts: 5})
-	if err != nil {
-		t.Fatalf("sweep with stalled worker: %v", err)
+	r := runOnPool(t, poolConfig{procs: 2, spawn: spawn, cellTimeout: 3 * time.Second, maxAttempts: 5}, cells)
+	if r.err != nil {
+		t.Fatalf("job with a stalled worker: %v", r.err)
 	}
-	if stats.Retries == 0 {
+	if r.pool.retries == 0 {
 		t.Error("no retries recorded; the stalled worker's cell should have been requeued")
 	}
-	if got := res.Format(); got != serialText {
-		t.Errorf("report after stalled worker diverges from serial:\n%s", firstDiff(serialText, got))
-	}
+	checkMatchesLocal(t, cells, r.results)
 }
 
 // TestAllWorkersDeadFails: when every worker is gone and cells remain,
-// the sweep must fail with a diagnosis instead of hanging.
+// the job must fail with a diagnosis instead of hanging.
 func TestAllWorkersDeadFails(t *testing.T) {
-	c := testConfig(t)
-	_, _, err := Run(Config{Harness: c, Procs: 1,
-		Spawn: spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=0")})
-	if err == nil {
-		t.Fatal("sweep with no surviving workers succeeded")
+	r := runOnPool(t, poolConfig{procs: 1,
+		spawn: spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=0")}, testCells())
+	if r.err == nil {
+		t.Fatal("job with no surviving workers succeeded")
 	}
-	if !strings.Contains(err.Error(), "workers") {
-		t.Errorf("error does not diagnose worker loss: %v", err)
+	if !strings.Contains(r.err.Error(), "workers") {
+		t.Errorf("error does not diagnose worker loss: %v", r.err)
 	}
 }
 
-// TestNoSpawnableWorkersFails: if every Spawn call errors and no
-// listener can supply workers, the sweep must fail immediately instead
-// of blocking forever on an event stream nobody feeds.
+// TestNoSpawnableWorkersFails: if every spawn errors, bringing up the
+// pool must fail at once, naming the cause, instead of blocking on
+// workers that never come. cheetahd builds its pool before it serves,
+// so this is where its -worker-procs path stops.
 func TestNoSpawnableWorkersFails(t *testing.T) {
 	t.Parallel()
-	c := testConfig(t)
 	spawn := func(int) (io.ReadWriteCloser, error) {
 		return nil, fmt.Errorf("forced spawn failure")
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := Run(Config{Harness: c, Procs: 2, Spawn: spawn})
+		pool, err := NewProcPool(2, spawn, nil)
+		if err == nil {
+			pool.Close()
+		}
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("sweep with unspawnable workers succeeded")
+		if err == nil || !strings.Contains(err.Error(), "forced spawn failure") {
+			t.Fatalf("pool with unspawnable workers: err = %v, want the spawn failure", err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("sweep with unspawnable workers hung")
+		t.Fatal("pool with unspawnable workers hung")
 	}
 }
 
@@ -492,131 +505,96 @@ func firstDiff(a, b string) string {
 }
 
 // TestDeadWorkersAreRespawned is the worker-loss recovery fault
-// injection: 3 of 4 subprocess workers die early in the sweep. The pool
+// injection: 3 of 4 subprocess workers die early in the job. The pool
 // must spawn replacements — not limp serially on the lone survivor —
-// and still merge the byte-identical report.
+// and every cell's result must still equal the in-process one.
 func TestDeadWorkersAreRespawned(t *testing.T) {
-	c := testConfig(t)
-	serialCfg := c
-	serialCfg.Workers = 1
-	serialText := harness.RunAll(serialCfg).Format()
-
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
+	cells := testCells()
+	// The first three workers each serve one cell, then die holding
+	// their second. Every other worker holds its first reply until all
+	// three have died, so the dying workers take cells until they do.
+	dir := t.TempDir()
+	var gates []string
+	var die [3]func(int) (io.ReadWriteCloser, error)
+	for i := range die {
+		gates = append(gates, filepath.Join(dir, fmt.Sprintf("gate%d", i)))
+		die[i] = spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=1", gateEnv+"="+gates[i])
 	}
+	serve := spawnSelf(t, gateEnv+"="+strings.Join(gates, string(os.PathListSeparator)))
 	spawn := func(i int) (io.ReadWriteCloser, error) {
-		if i < 3 {
-			// The first three workers each serve one cell, then die
-			// holding their second.
-			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=1"}, os.Stderr)
+		if i < len(die) {
+			return die[i](i)
 		}
-		return SpawnWorkerProc(exe, nil, []string{workerEnv + "=serve"}, os.Stderr)
+		return serve(i)
 	}
-	res, stats, err := Run(Config{Harness: c, Procs: 4, Spawn: spawn, MaxAttempts: 8})
-	if err != nil {
-		t.Fatalf("sweep with dying workers: %v", err)
+	r := runOnPool(t, poolConfig{procs: 4, spawn: spawn, maxAttempts: 8}, cells)
+	if r.err != nil {
+		t.Fatalf("job with dying workers: %v", r.err)
 	}
-	if stats.Respawns != 3 {
-		t.Errorf("Respawns = %d, want 3 (one per dead worker)", stats.Respawns)
+	if r.pool.respawns != 3 {
+		t.Errorf("respawns = %d, want 3 (one per dead worker)", r.pool.respawns)
 	}
-	if stats.Workers != 7 {
-		t.Errorf("Workers = %d, want 7 (4 originals + 3 replacements)", stats.Workers)
+	if r.pool.workers != 7 {
+		t.Errorf("workers = %d, want 7 (4 originals + 3 replacements)", r.pool.workers)
 	}
-	if stats.Retries < 3 {
-		t.Errorf("Retries = %d, want >= 3 (each death lost an in-flight cell)", stats.Retries)
+	if r.pool.retries < 3 {
+		t.Errorf("retries = %d, want >= 3 (each death lost an in-flight cell)", r.pool.retries)
 	}
-	if got := res.Format(); got != serialText {
-		t.Errorf("report after respawns diverges from serial:\n%s", firstDiff(serialText, got))
-	}
+	checkMatchesLocal(t, cells, r.results)
 }
 
 // TestRespawnBudgetBoundsChurn: when every spawned worker dies at its
 // first cell, re-spawning must stop at the configured bound and the
-// sweep must fail with a diagnosis instead of spawning forever.
+// job must fail with a diagnosis instead of spawning forever.
 func TestRespawnBudgetBoundsChurn(t *testing.T) {
-	c := testConfig(t)
+	crashing := spawnSelf(t, workerEnv+"=die-after", dieAfterEnv+"=0")
 	spawned := 0
-	_, stats, err := Run(Config{Harness: c, Procs: 1, MaxRespawns: 2, MaxAttempts: 100,
-		Spawn: func(i int) (io.ReadWriteCloser, error) {
-			spawned++
-			exe, exeErr := os.Executable()
-			if exeErr != nil {
-				return nil, exeErr
-			}
-			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=0"}, os.Stderr)
-		}})
-	if err == nil {
-		t.Fatal("sweep with only crashing workers succeeded")
+	spawn := func(i int) (io.ReadWriteCloser, error) {
+		spawned++
+		return crashing(i)
 	}
-	if !strings.Contains(err.Error(), "workers") {
-		t.Errorf("error does not diagnose worker loss: %v", err)
+	r := runOnPool(t, poolConfig{procs: 1, spawn: spawn, maxRespawns: 2, maxAttempts: 100}, testCells())
+	if r.err == nil {
+		t.Fatal("job with only crashing workers succeeded")
 	}
-	if stats.Respawns != 2 {
-		t.Errorf("Respawns = %d, want exactly the budget of 2", stats.Respawns)
+	if !strings.Contains(r.err.Error(), "workers") {
+		t.Errorf("error does not diagnose worker loss: %v", r.err)
+	}
+	if r.pool.respawns != 2 {
+		t.Errorf("respawns = %d, want exactly the budget of 2", r.pool.respawns)
 	}
 	if spawned != 3 {
-		t.Errorf("Spawn called %d times, want 3 (1 original + 2 respawns)", spawned)
+		t.Errorf("spawn called %d times, want 3 (1 original + 2 respawns)", spawned)
 	}
 
 	// A negative budget disables re-spawning entirely.
 	spawned = 0
-	_, stats, err = Run(Config{Harness: c, Procs: 1, MaxRespawns: -1,
-		Spawn: func(i int) (io.ReadWriteCloser, error) {
-			spawned++
-			exe, exeErr := os.Executable()
-			if exeErr != nil {
-				return nil, exeErr
-			}
-			return SpawnWorkerProc(exe, nil,
-				[]string{workerEnv + "=die-after", dieAfterEnv + "=0"}, os.Stderr)
-		}})
-	if err == nil {
-		t.Fatal("sweep with crashing worker and respawns disabled succeeded")
+	r = runOnPool(t, poolConfig{procs: 1, spawn: spawn, maxRespawns: -1}, testCells())
+	if r.err == nil {
+		t.Fatal("job with a crashing worker and respawns disabled succeeded")
 	}
-	if stats.Respawns != 0 || spawned != 1 {
-		t.Errorf("MaxRespawns=-1: Respawns = %d, Spawn calls = %d, want 0 and 1", stats.Respawns, spawned)
+	if r.pool.respawns != 0 || spawned != 1 {
+		t.Errorf("maxRespawns=-1: respawns = %d, spawn calls = %d, want 0 and 1", r.pool.respawns, spawned)
 	}
 }
 
 // TestRunCellsDuplicateCellsNoHang: a cell list containing the same
 // cell twice must complete and yield one result per distinct ID.
 // Before deduplication the completion counter included the duplicate,
-// but only one copy could ever finish — the sweep hung forever.
+// but only one copy could ever finish — the job hung forever.
 func TestRunCellsDuplicateCellsNoHang(t *testing.T) {
 	t.Parallel()
-	cells := harness.EnumerateCells(testConfig(t))[:3]
+	cells := testCells()[:3]
 	withDup := append([]harness.Cell{cells[0]}, cells...)
-
-	type out struct {
-		results map[string]harness.CellResult
-		stats   Stats
-		err     error
+	r := runOnPool(t, poolConfig{procs: 1, spawn: pipeWorker}, withDup)
+	if r.err != nil {
+		t.Fatalf("job with duplicate cells: %v", r.err)
 	}
-	done := make(chan out, 1)
-	go func() {
-		results, stats, err := runCells(Config{Procs: 1, Spawn: pipeWorker}, withDup)
-		done <- out{results, stats, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatalf("runCells with duplicate cells: %v", o.err)
-		}
-		if o.stats.Cells != 3 {
-			t.Errorf("stats.Cells = %d, want 3 distinct", o.stats.Cells)
-		}
-		if len(o.results) != 3 {
-			t.Errorf("got %d results, want 3", len(o.results))
-		}
-		for _, c := range cells {
-			if _, ok := o.results[c.ID()]; !ok {
-				t.Errorf("no result for cell %s", c.ID())
-			}
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("runCells hung on a duplicated cell")
+	if r.cells != 3 {
+		t.Errorf("job has %d cells, want 3 distinct", r.cells)
 	}
+	if len(r.results) != 3 {
+		t.Errorf("got %d results, want 3", len(r.results))
+	}
+	checkMatchesLocal(t, cells, r.results)
 }

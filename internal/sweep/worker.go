@@ -15,9 +15,9 @@ import (
 // announces itself with a hello frame, then executes run frames one at
 // a time until a shutdown frame or EOF. Cell-level failures (unknown
 // workload, missing trace file) are answered with error frames; the
-// loop keeps serving. `fsbench -worker` and `cheetahd -worker` call this
-// on stdin/stdout; process-level parallelism comes from a ProcPool
-// spawning several workers.
+// loop keeps serving. `cheetahd -worker` calls this on stdin/stdout;
+// process-level parallelism comes from a ProcPool spawning several
+// workers.
 func Serve(r io.Reader, w io.Writer) error {
 	br := bufio.NewReader(r)
 	bw := bufio.NewWriter(w)
