@@ -183,6 +183,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "cheetahd: queue shutdown: %v\n", err)
 		return 1
 	}
+	// Every job has finished; let each release its spooled upload.
+	srv.releases.Wait()
 	return 0
 }
 

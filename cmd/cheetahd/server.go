@@ -41,6 +41,15 @@ type server struct {
 	// result itself is render-agnostic.
 	mu         sync.Mutex
 	renderOpts map[string]renderOpts
+
+	// spooled counts, by content hash, the unfinished jobs that replay
+	// each spooled upload; the last one to finish removes the file.
+	// spoolMu also covers spooling, so a file is never removed between
+	// an upload's reuse of it and its count. releases tracks the
+	// goroutines that release an admitted job's count once it finishes.
+	spoolMu  sync.Mutex
+	spooled  map[string]int
+	releases sync.WaitGroup
 }
 
 type renderOpts struct {
@@ -80,6 +89,7 @@ func newServer(queue *sweep.JobQueue, spoolDir string, maxUpload int64, jobTTL t
 		jobTTL:     jobTTL,
 		log:        log,
 		renderOpts: make(map[string]renderOpts),
+		spooled:    make(map[string]int),
 	}
 }
 
@@ -189,8 +199,22 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	job, err := s.queue.Submit(sweep.JobSpec{
 		Tenant: tenantOf(r),
 		Label:  label,
-		Cells:  []harness.Cell{cell},
+		Cell:   cell,
 	})
+	if hash := cell.TraceHash; hash != "" {
+		// An upload is spooled and counted for this job: a refused job
+		// releases it at once, an admitted one when it finishes.
+		if err != nil {
+			s.releaseSpooled(hash)
+		} else {
+			s.releases.Add(1)
+			go func() {
+				defer s.releases.Done()
+				<-job.Done()
+				s.releaseSpooled(hash)
+			}()
+		}
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, sweep.ErrQueueFull):
@@ -270,6 +294,7 @@ func (s *server) cellFromSpec(r *http.Request) (harness.Cell, string, renderOpts
 // the report matches the CLI byte for byte. A trace without a
 // `machine=` note replays on the default machine with no Machine in
 // its cell, so its cell ID and cache key stay those of the default.
+// The spooled file is counted for one job; see releaseSpooled.
 func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 	body := http.MaxBytesReader(nil, r.Body, s.maxUpload)
 	tmp, err := os.CreateTemp(s.spoolDir, "upload-*.tmp")
@@ -302,12 +327,6 @@ func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 	// disk, and the name doubles as the cell's trace hash.
 	hash := hex.EncodeToString(h.Sum(nil))
 	path := filepath.Join(s.spoolDir, hash+".trace")
-	if _, statErr := os.Stat(path); statErr != nil {
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			return harness.Cell{}, "", fmt.Errorf("spooling upload: %w", err)
-		}
-	}
-
 	cell := harness.Cell{
 		Kind:      harness.KindProfiled,
 		Workload:  workload.TracePrefix + path,
@@ -325,7 +344,31 @@ func (s *server) cellFromUpload(r *http.Request) (harness.Cell, string, error) {
 	if label == "" {
 		label = "trace upload"
 	}
+
+	s.spoolMu.Lock()
+	defer s.spoolMu.Unlock()
+	if s.spooled[hash] == 0 {
+		if err := os.Rename(tmp.Name(), path); err != nil {
+			return harness.Cell{}, "", fmt.Errorf("spooling upload: %w", err)
+		}
+	}
+	s.spooled[hash]++
 	return cell, label, nil
+}
+
+// releaseSpooled drops one job's count on the spooled upload of content
+// hash; the last release removes the file. A later upload of the same
+// bytes spools it again under the same path, so its cell ID and cache
+// key stay the same.
+func (s *server) releaseSpooled(hash string) {
+	s.spoolMu.Lock()
+	defer s.spoolMu.Unlock()
+	if s.spooled[hash]--; s.spooled[hash] == 0 {
+		delete(s.spooled, hash)
+		if err := os.Remove(filepath.Join(s.spoolDir, hash+".trace")); err != nil {
+			s.logf("cheetahd: removing spooled upload: %v", err)
+		}
+	}
 }
 
 func (s *server) jobFor(w http.ResponseWriter, r *http.Request) (*sweep.Job, bool) {
@@ -435,7 +478,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusAccepted, "job %s is %s; retry shortly", job.ID, job.State())
 		return
 	}
-	res, ok := job.Results()[job.Cells[0].ID()]
+	res, ok := job.Result()
 	if !ok || res.Report == nil {
 		httpError(w, http.StatusInternalServerError, "job %s finished without a report", job.ID)
 		return

@@ -573,3 +573,56 @@ func TestEventsStreamSSE(t *testing.T) {
 		t.Errorf("SSE stream starts with %q, want queued (history replay)", kinds[0])
 	}
 }
+
+// TestSpooledUploadsGoWithTheirJobs: a spooled upload is removed once
+// the last job that replays it has finished, so a long-lived -spool
+// directory does not keep every trace ever uploaded. An upload of the
+// same bytes after that spools the file again and replays it.
+func TestSpooledUploadsGoWithTheirJobs(t *testing.T) {
+	t.Parallel()
+	spool := t.TempDir()
+	srv := newServer(sweep.NewJobQueue(sweep.QueueConfig{Workers: 2}), spool, 64<<20, 0, nil)
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+
+	dir := t.TempDir()
+	paths := make([]string, 3)
+	ids := make([]string, len(paths))
+	for i := range paths {
+		paths[i] = writeTrace(t, dir, fmt.Sprintf("s%d.trace", i), 0.02+0.005*float64(i))
+		ids[i] = submitTrace(t, ts, paths[i], "")
+	}
+	for i, id := range ids {
+		if fetchReport(t, ts, id) != cliReplayReport(t, paths[i]) {
+			t.Errorf("upload %d: report differs from the CLI replay", i)
+		}
+	}
+	waitSpoolEmpty(t, spool)
+
+	if fetchReport(t, ts, submitTrace(t, ts, paths[0], "")) != cliReplayReport(t, paths[0]) {
+		t.Error("re-upload after its file was removed: report differs from the CLI replay")
+	}
+	waitSpoolEmpty(t, spool)
+}
+
+// waitSpoolEmpty polls the spool directory for up to 10 s: a job drops
+// its upload when Done closes, just after its report turns servable.
+func waitSpoolEmpty(t *testing.T, spool string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		entries, err := os.ReadDir(spool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Fatalf("spool holds %d files after every report was served: %v", len(names), names)
+		}
+	}
+}

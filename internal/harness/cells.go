@@ -58,12 +58,12 @@ type Cell struct {
 	Machine string `json:"machine,omitempty"`
 	// TraceHash is the sha256 of the trace file's content for `trace:`
 	// pseudo-workloads (empty otherwise, or when the file is unreadable
-	// at planning time). A trace cell's outcome depends on the file's
-	// bytes, not its path, so the hash joins the identity: rewriting a
-	// trace in place orphans its old cache entries instead of serving
-	// stale results, and a worker whose copy of the file diverges from
-	// the planner's refuses the cell instead of merging a mismatched
-	// report.
+	// when the cell is built). A trace cell's outcome depends on the
+	// file's bytes, not its path, so the hash joins the identity:
+	// rewriting a trace in place orphans its old cache entries instead
+	// of serving stale results, and a worker whose copy of the file
+	// diverges from the hashed one refuses the cell instead of returning
+	// a report of other data.
 	TraceHash string `json:"trace_hash,omitempty"`
 }
 
@@ -207,7 +207,7 @@ type CellResult struct {
 
 // Bounds on CellResult payloads: generous multiples of anything a real
 // run produces, but small enough that a hostile cache file or worker
-// stream cannot make the merge side amplify its input.
+// stream cannot make its reader amplify its input.
 const (
 	maxResultRecords   = 1 << 21
 	maxReportInstances = 1 << 20
@@ -316,13 +316,13 @@ func RunCell(c Cell) (res CellResult, err error) {
 	if _, ok := workload.ByName(c.Workload); !ok {
 		return CellResult{}, fmt.Errorf("harness: unknown workload %q", c.Workload)
 	}
-	// A trace cell's identity includes the planner's content hash; if
-	// this process's copy of the file differs (it was rewritten after
-	// the cell was built), running it would return a report for
-	// different data under the planned cell ID.
+	// A trace cell's identity includes the content hash taken when the
+	// cell was built; if this process's copy of the file differs (it was
+	// rewritten after the cell was built), running it would return a
+	// report for different data under the cell's ID.
 	if c.TraceHash != "" {
 		if local := traceHashFor(c.Workload); local != c.TraceHash {
-			return CellResult{}, fmt.Errorf("harness: cell %s: local trace content hash %.12s does not match the planned %.12s",
+			return CellResult{}, fmt.Errorf("harness: cell %s: local trace content hash %.12s does not match the cell's %.12s",
 				c.ID(), local, c.TraceHash)
 		}
 	}

@@ -140,7 +140,7 @@ func TestTraceCellIdentityHashesContent(t *testing.T) {
 
 // TestTraceCellHashValidation: hashes are validated like every other
 // external field, and RunCell refuses a cell whose local file content
-// diverges from the planner's hash.
+// diverges from the cell's hash.
 func TestTraceCellHashValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTrace(t, dir, "a.trace", 0.02)

@@ -31,10 +31,10 @@ const CacheSchema = "cheetah-sweep-cache/v2"
 // re-run, by this process or a later one.
 //
 // A cache may be size-capped with SetMaxBytes: when the stored entries
-// exceed the cap, the least-recently-used ones are evicted. Recency is
-// tracked by modification time, which Get bumps explicitly on every hit:
-// access times are untrustworthy for LRU, since relatime and noatime
-// mounts leave them stale.
+// exceed the cap, the least-recently-used ones are evicted until 7/8 of
+// the cap is left. Recency is tracked by modification time, which Get
+// bumps explicitly on every hit: access times are untrustworthy for
+// LRU, since relatime and noatime mounts leave them stale.
 type Cache struct {
 	dir      string
 	maxBytes int64
@@ -170,9 +170,12 @@ type cacheEntryInfo struct {
 }
 
 // evictOverBudget enforces the size cap: when the stored entries exceed
-// it, entries are removed least-recently-used-first until the cache
-// fits. Failures are ignored — eviction is hygiene, not correctness; a
-// file that will not die today dies on a later Put.
+// it, entries are removed least-recently-used-first until 7/8 of the cap
+// is left, so the directory walk this takes comes once per cap/8 bytes
+// stored, not on every Put at the cap. Emptied shard directories stay:
+// removing one would race a concurrent Put's MkdirAll. Failures are
+// ignored — eviction is hygiene, not correctness; a file that will not
+// die today dies on a later Put.
 func (c *Cache) evictOverBudget() {
 	c.mu.Lock()
 	limit := c.maxBytes
@@ -195,8 +198,9 @@ func (c *Cache) evictOverBudget() {
 		}
 		return entries[i].path < entries[j].path
 	})
+	lowWater := limit - limit/8
 	for _, e := range entries {
-		if c.size <= limit {
+		if c.size <= lowWater {
 			break
 		}
 		if os.Remove(e.path) == nil {

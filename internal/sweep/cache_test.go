@@ -209,6 +209,34 @@ func TestLongLivedCacheStaysUnderCap(t *testing.T) {
 	}
 }
 
+// TestCacheEvictsToLowWater: a Put that takes a capped cache over its
+// cap evicts down to 7/8 of the cap, not just under it, so the directory
+// walk that enforces the cap comes once per cap/8 bytes stored instead
+// of with every later Put.
+func TestCacheEvictsToLowWater(t *testing.T) {
+	t.Parallel()
+	cache, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(cellWithThreads(2), sampleResult()); err != nil {
+		t.Fatal(err)
+	}
+	_, entrySize := cache.scan()
+	limit := 16*entrySize + entrySize/2
+	cache.SetMaxBytes(limit)
+	for i := 3; i <= 18; i++ {
+		if err := cache.Put(cellWithThreads(i), sampleResult()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, total := cache.scan()
+	if lowWater := limit - limit/8; total > lowWater {
+		t.Errorf("after 17 Puts of about %d bytes under a %d-byte cap: %d entries hold %d bytes, want at most 7/8 of the cap, %d",
+			entrySize, limit, len(entries), total, lowWater)
+	}
+}
+
 // TestCacheHitRecencyOutlivesTheSweep: a Get hit bumps the entry's
 // mtime, so its recency is visible to later sweeps — an old entry that
 // was recently hit survives a later sweep's eviction while an untouched

@@ -3,7 +3,7 @@ package sweep
 import "repro/internal/obs"
 
 // Gateway observability: the job queue's admission and dedupe
-// lifecycle, one layer above the per-sweep cell metrics. Everything is
+// lifecycle, one layer above the worker pool's metrics. Everything is
 // touched per job or per cell — never per simulated access.
 var (
 	mGWJobsSubmitted = obs.GetCounter("cheetah_gateway_jobs_submitted_total",
@@ -11,13 +11,13 @@ var (
 	mGWJobsRejected = obs.GetCounter("cheetah_gateway_jobs_rejected_total",
 		"Jobs rejected because the queue was at its cell bound.")
 	mGWJobsCompleted = obs.GetCounter("cheetah_gateway_jobs_completed_total",
-		"Jobs that finished with every cell succeeding.")
+		"Jobs whose cell succeeded.")
 	mGWJobsFailed = obs.GetCounter("cheetah_gateway_jobs_failed_total",
-		"Jobs that finished with at least one cell error.")
+		"Jobs whose cell failed.")
 	mGWJobsRunning = obs.GetGauge("cheetah_gateway_jobs_running",
 		"Jobs currently executing.")
 	mGWQueueDepth = obs.GetGauge("cheetah_gateway_queue_depth",
-		"Cells admitted but not yet finished, summed over all jobs.")
+		"Jobs, one cell each, admitted but not yet finished.")
 	mGWCellsExecuted = obs.GetCounter("cheetah_gateway_cells_executed_total",
 		"Cells the gateway actually executed on a worker.")
 	mGWCellsCached = obs.GetCounter("cheetah_gateway_cells_cached_total",

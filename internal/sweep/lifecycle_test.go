@@ -17,7 +17,7 @@ import (
 
 // TestJobLifecycleInterleavings is the job queue's lifecycle suite. Each
 // case is a seeded random sequence of the operations a long-lived
-// gateway sees: submissions of fresh, duplicate and already-cached
+// gateway sees: one-cell jobs of fresh, repeated and already-cached
 // cells, subscriptions and their cancellation, GC at zero and nonzero
 // retention, polls of a job's state, and Shutdown. The queue executes
 // on a ProcPool of in-process workers behind net.Pipe transports; a
@@ -31,11 +31,11 @@ import (
 //     cached and deduped cell-done events of all jobs, and so sum to the
 //     finished cells; CellsExecuted equals the cells workers served, and
 //     no cell is served twice;
-//   - Results() is complete if and only if the job is done: a complete
-//     set means the done state, and Done() closed in the done state
-//     means a complete set;
-//   - an evicted job's Get fails, while its cached results still serve
-//     a resubmission of its cells without executing any of them.
+//   - Result() has the result if and only if the job is done: a result
+//     means the done state, and Done() closed in the done state means a
+//     result;
+//   - an evicted job's Get fails, while its cached result still serves
+//     a resubmission of its cell without executing it.
 func TestJobLifecycleInterleavings(t *testing.T) {
 	cases := 2000
 	if testing.Short() {
@@ -111,15 +111,15 @@ func runLifecycleCase(t *testing.T, seed int64, cache *Cache) {
 	for ops := 8 + c.rng.Intn(17); ops > 0; ops-- {
 		switch op := c.rng.Intn(20); {
 		case op < 5:
-			c.submit(c.freshCells(), false)
+			c.submit(c.freshCell(), false)
 		case op < 7:
 			if j := c.pick(); j != nil {
-				// Resubmit a job's cells with one repeated inside the spec.
-				c.submit(append([]harness.Cell{j.Cells[0]}, j.Cells...), false)
+				// Repeat a job's cell, finished or not.
+				c.submit(j.Cell, false)
 			}
 		case op < 9:
 			if j := c.pick(); j != nil && isClosed(j.Done()) && j.State() == JobDone {
-				c.submit(j.Cells, true)
+				c.submit(j.Cell, true)
 			}
 		case op < 12:
 			if j := c.pick(); j != nil {
@@ -200,19 +200,16 @@ func (c *lifecycleCase) serve(conn net.Conn) {
 	}
 }
 
-// freshCells draws one to three cells no earlier submission used.
-func (c *lifecycleCase) freshCells() []harness.Cell {
-	cells := make([]harness.Cell, 1+c.rng.Intn(3))
-	for i := range cells {
-		cells[i] = fakeCell(fmt.Sprintf("lc%d.%d", c.seed, c.nextCell))
-		c.nextCell++
-		if c.rng.Intn(3) == 0 {
-			c.mu.Lock()
-			c.crashy[cells[i].ID()] = true
-			c.mu.Unlock()
-		}
+// freshCell draws a cell no earlier submission used.
+func (c *lifecycleCase) freshCell() harness.Cell {
+	cell := fakeCell(fmt.Sprintf("lc%d.%d", c.seed, c.nextCell))
+	c.nextCell++
+	if c.rng.Intn(3) == 0 {
+		c.mu.Lock()
+		c.crashy[cell.ID()] = true
+		c.mu.Unlock()
 	}
-	return cells
+	return cell
 }
 
 // pick returns a random submitted job, or nil before the first.
@@ -223,9 +220,9 @@ func (c *lifecycleCase) pick() *Job {
 	return c.jobs[c.rng.Intn(len(c.jobs))]
 }
 
-func (c *lifecycleCase) submit(cells []harness.Cell, cached bool) {
+func (c *lifecycleCase) submit(cell harness.Cell, cached bool) {
 	tenant := fmt.Sprintf("t%d", c.rng.Intn(2))
-	j, err := c.q.Submit(JobSpec{Tenant: tenant, Cells: cells})
+	j, err := c.q.Submit(JobSpec{Tenant: tenant, Cell: cell})
 	if c.shutDown {
 		if !errors.Is(err, ErrShuttingDown) {
 			c.t.Errorf("submit after Shutdown: err = %v, want ErrShuttingDown", err)
@@ -256,27 +253,19 @@ func (c *lifecycleCase) subscribe(j *Job) {
 	}()
 }
 
-// probeTerminal waits for j's last cell, then polls its state until it
-// turns terminal and subscribes at once, to land a subscription as close
-// to the terminal transition as it can. A subscription to a terminal job
+// probeTerminal waits for j's cell, then polls its state until it turns
+// terminal and subscribes at once, to land a subscription as close to
+// the terminal transition as it can. A subscription to a terminal job
 // gets a closed channel, so its snapshot is its whole stream and must
 // end with the terminal event.
 func (c *lifecycleCase) probeTerminal(j *Job) {
-	past, live, cancel := j.Subscribe()
+	_, live, cancel := j.Subscribe()
 	c.readers.Add(1)
 	go func() {
 		defer c.readers.Done()
-		done := 0
-		for _, ev := range past {
-			if ev.Kind == "cell-done" {
-				done++
-			}
-		}
 		for ev := range live {
 			if ev.Kind == "cell-done" {
-				if done++; done == len(j.Cells) {
-					break
-				}
+				break
 			}
 		}
 		cancel()
@@ -324,17 +313,17 @@ func (c *lifecycleCase) gc(ttl time.Duration) {
 		}
 		if st == JobDone && !resubmitted && !c.shutDown {
 			resubmitted = true
-			c.submit(j.Cells, true)
+			c.submit(j.Cell, true)
 		}
 	}
 }
 
-// poll checks one job's state, results and Done channel against each
+// poll checks one job's state, result and Done channel against each
 // other at an arbitrary moment of its life.
 func (c *lifecycleCase) poll(j *Job) {
-	if complete(j, j.Results()) {
+	if _, ok := j.Result(); ok {
 		if st := j.State(); st != JobDone {
-			c.t.Errorf("job %s has every result but state %s", j.ID, st)
+			c.t.Errorf("job %s has its result but state %s", j.ID, st)
 		}
 	}
 	if isClosed(j.Done()) {
@@ -342,8 +331,8 @@ func (c *lifecycleCase) poll(j *Job) {
 		if st != JobDone && st != JobFailed {
 			c.t.Errorf("job %s: Done closed in state %s", j.ID, st)
 		}
-		if got := complete(j, j.Results()); got != (st == JobDone) {
-			c.t.Errorf("job %s: Done closed in state %s with complete results = %v", j.ID, st, got)
+		if _, ok := j.Result(); ok != (st == JobDone) {
+			c.t.Errorf("job %s: Done closed in state %s with a result = %v", j.ID, st, ok)
 		}
 	}
 }
@@ -403,7 +392,7 @@ func (c *lifecycleCase) check() {
 			via[ev.Via]++
 			finished++
 			if c.mustNotExecute[j] && ev.Via == "executed" {
-				t.Errorf("job %s resubmits finished cells, yet executed %s", j.ID, ev.Cell)
+				t.Errorf("job %s resubmits a finished cell, yet executed %s", j.ID, ev.Cell)
 			}
 		}
 		c.poll(j)
@@ -475,16 +464,6 @@ func kinds(events []JobEvent) []string {
 		out[i] = ev.Kind
 	}
 	return out
-}
-
-// complete reports whether res holds a result for every cell of j.
-func complete(j *Job, res map[string]harness.CellResult) bool {
-	for _, cell := range j.Cells {
-		if _, ok := res[cell.ID()]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 func isClosed(ch <-chan struct{}) bool {

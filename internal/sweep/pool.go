@@ -20,10 +20,10 @@ import (
 // -worker-procs.
 //
 // The pool owns the one worker-failure policy (see poolConfig):
-//   - a worker whose transport fails, or that sends no reply within the
-//     cell timeout, is retired (its transport closed) and the cell is
-//     retried on another worker, up to maxAttempts workers per cell; a
-//     worker found dead before the cell reached it costs no attempt;
+//   - a worker whose transport fails is retired (its transport closed)
+//     and the cell is retried on another worker, up to maxAttempts
+//     workers per cell; a worker found dead before the cell reached it
+//     costs no attempt;
 //   - a retired worker is replaced by a fresh spawn while no more than
 //     maxRespawns workers have died in a row with no cell served
 //     between the deaths;
@@ -69,17 +69,10 @@ type poolConfig struct {
 	maxAttempts int
 	// maxRespawns bounds how many workers may die in a row, with no
 	// cell served between the deaths, and still be replaced; a failed
-	// spawn counts as a death. 0 means the default of 2×procs; negative
-	// disables replacement. A pool that keeps serving survives any
-	// number of scattered crashes, while a spawn command that always
-	// crashes stops at the bound.
+	// spawn counts as a death (default 2×procs). A pool that keeps
+	// serving survives any number of scattered crashes, while a spawn
+	// command that always crashes stops at the bound.
 	maxRespawns int
-	// cellTimeout bounds how long one assigned cell may go without a
-	// reply (default 0 = wait forever). A worker that exceeds it — a
-	// wedged subprocess — is retired exactly like a dead one. It must
-	// comfortably exceed the slowest cell's runtime; a too-tight value
-	// merely burns attempts.
-	cellTimeout time.Duration
 }
 
 // poolStats is the pool's lifetime accounting.
@@ -117,7 +110,7 @@ func newProcPool(cfg poolConfig) (*ProcPool, error) {
 	if cfg.maxAttempts <= 0 {
 		cfg.maxAttempts = 3
 	}
-	if cfg.maxRespawns == 0 {
+	if cfg.maxRespawns <= 0 {
 		cfg.maxRespawns = 2 * cfg.procs
 	}
 	p := &ProcPool{
@@ -174,10 +167,10 @@ func (p *ProcPool) spawnWorker() (*poolWorker, error) {
 }
 
 // Exec runs one cell on the next free worker. A worker that dies
-// holding the cell, or times out, is retired and the cell retried on
-// another, up to maxAttempts workers; a worker found dead when the cell
-// is handed to it is retired without costing the cell an attempt. A
-// cell-level MsgError comes back as an error with the worker intact.
+// holding the cell is retired and the cell retried on another, up to
+// maxAttempts workers; a worker found dead when the cell is handed to
+// it is retired without costing the cell an attempt. A cell-level
+// MsgError comes back as an error with the worker intact.
 func (p *ProcPool) Exec(cell harness.Cell) (harness.CellResult, error) {
 	var err error
 	for attempts := 0; attempts < p.cfg.maxAttempts; {
@@ -247,7 +240,7 @@ func (p *ProcPool) retire(w *poolWorker, cause error) {
 	p.logf("sweep: worker %d lost: %v", w.id, cause)
 	for {
 		p.mu.Lock()
-		if p.stopErr != nil || p.cfg.maxRespawns < 0 || p.deaths > p.cfg.maxRespawns {
+		if p.stopErr != nil || p.deaths > p.cfg.maxRespawns {
 			if len(p.workers) == 0 && p.spawning == 0 && p.stopErr == nil {
 				p.stopErr = fmt.Errorf("sweep: all pool workers are gone: %d lost, worker %d last; "+
 					"%d deaths in a row with no cell served spent the respawn budget of %d; last cause: %v",
@@ -297,8 +290,8 @@ func (p *ProcPool) assign(w *poolWorker, cell harness.Cell) error {
 }
 
 // await reads w's reply to the cell just assigned. dead reports that
-// the worker died holding the cell or timed out (as opposed to a clean
-// cell-level error).
+// the worker died holding the cell (as opposed to a clean cell-level
+// error).
 func (p *ProcPool) await(w *poolWorker, cell harness.Cell) (res harness.CellResult, err error, dead bool) {
 	start := time.Now()
 	defer func() {
@@ -306,7 +299,7 @@ func (p *ProcPool) await(w *poolWorker, cell harness.Cell) (res harness.CellResu
 			obs.Span("sweep", "cell", start, time.Now(), w.id, map[string]any{"cell": cell.ID(), "ok": err == nil})
 		}
 	}()
-	m, err := p.readReply(w)
+	m, err := ReadMessage(w.br)
 	if err != nil {
 		return harness.CellResult{}, fmt.Errorf("sweep: pool reply: %w", err), true
 	}
@@ -319,24 +312,6 @@ func (p *ProcPool) await(w *poolWorker, cell harness.Cell) (res harness.CellResu
 	}
 	mCellSeconds.Observe(time.Since(start).Seconds())
 	return *m.Result, nil, false
-}
-
-// readReply reads one reply frame under the cell timeout, if any. When
-// the timeout fires, the worker's transport is closed, which unblocks
-// the read; the reply counts as lost even if it raced the close, so a
-// late reply is never counted.
-func (p *ProcPool) readReply(w *poolWorker) (*Message, error) {
-	if p.cfg.cellTimeout <= 0 {
-		return ReadMessage(w.br)
-	}
-	timer := time.AfterFunc(p.cfg.cellTimeout, func() { w.t.Close() })
-	m, err := ReadMessage(w.br)
-	if !timer.Stop() {
-		mCellTimeouts.Inc()
-		obs.Event("sweep", "cell-timeout", w.id, nil)
-		return nil, fmt.Errorf("no reply within the %v cell timeout", p.cfg.cellTimeout)
-	}
-	return m, err
 }
 
 // Close fails waiting and future Exec calls and closes every worker's

@@ -199,69 +199,6 @@ func stallUntilEOF(gate string) {
 	}
 }
 
-// TestLateReplyAfterCellTimeoutNotCounted: a worker that answers only
-// after the cell timeout has its transport closed at the deadline and
-// its cell retried elsewhere; the late reply is never read back into
-// the job, every cell is counted executed exactly once, and every
-// cell's result equals the in-process one.
-func TestLateReplyAfterCellTimeoutNotCounted(t *testing.T) {
-	t.Parallel()
-	cells := testCells()
-	const timeout = 3 * time.Second
-	lateWrite := make(chan error, 1)
-	// Worker 0 is the first free worker, so it takes the first cell.
-	spawn := func(i int) (io.ReadWriteCloser, error) {
-		poolSide, workerSide := net.Pipe()
-		if i == 0 {
-			go lateWorker(workerSide, timeout+time.Second, lateWrite)
-		} else {
-			go Serve(workerSide, workerSide)
-		}
-		return poolSide, nil
-	}
-	r := runOnPool(t, poolConfig{procs: 2, spawn: spawn, cellTimeout: timeout}, cells)
-	if r.err != nil {
-		t.Fatalf("job with a late worker: %v", r.err)
-	}
-	select {
-	case err := <-lateWrite:
-		if err == nil {
-			t.Error("the late reply was delivered; the timed-out transport should have been closed")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("the late worker never tried to reply")
-	}
-	if int(r.queue.CellsExecuted) != r.cells || r.pool.retries == 0 {
-		t.Errorf("queue %+v, pool %+v: want all %d cells executed once and the late worker's cell retried",
-			r.queue, r.pool, r.cells)
-	}
-	checkMatchesLocal(t, cells, r.results)
-}
-
-// lateWorker runs its first cell, holds the reply for delay, then tries
-// to send it and reports the write's outcome on wrote.
-func lateWorker(conn net.Conn, delay time.Duration, wrote chan<- error) {
-	defer conn.Close()
-	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-	if WriteMessage(bw, &Message{Type: MsgHello, Proto: ProtoVersion}) != nil || bw.Flush() != nil {
-		return
-	}
-	m, err := ReadMessage(br)
-	if err != nil || m.Type != MsgRun {
-		return
-	}
-	res, err := harness.RunCell(*m.Cell)
-	if err != nil {
-		return
-	}
-	time.Sleep(delay)
-	err = WriteMessage(bw, &Message{Type: MsgResult, Seq: m.Seq, Result: &res})
-	if err == nil {
-		err = bw.Flush()
-	}
-	wrote <- err
-}
-
 // TestCellErrorFailsAtOnce: a cell-level error reply fails the cell on
 // the worker that reported it; it is not retried on another worker.
 func TestCellErrorFailsAtOnce(t *testing.T) {

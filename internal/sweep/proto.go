@@ -1,9 +1,10 @@
-// Package sweep runs harness experiment cells as detection jobs. A
-// JobQueue schedules cells — deduping identical ones and serving the
-// content-addressed on-disk cache — onto an executor: harness.RunCell
-// in process by default, or a ProcPool that executes them on worker
-// subprocesses over a length-prefixed JSON wire protocol on
-// stdin/stdout pipes. The cheetahd gateway runs its jobs on that queue.
+// Package sweep runs harness experiment cells as detection jobs, one
+// cell per job. A JobQueue schedules the jobs' cells — deduping
+// identical ones and serving the content-addressed on-disk cache — onto
+// an executor: harness.RunCell in process by default, or a ProcPool
+// that executes them on worker subprocesses over a length-prefixed JSON
+// wire protocol on stdin/stdout pipes. The cheetahd gateway runs its
+// jobs on that queue.
 package sweep
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/harness"
@@ -14,9 +13,9 @@ import (
 )
 
 // This file is the job-queue layer, the one cell scheduler: many
-// concurrent detection jobs — each a set of harness cells — multiplexed
-// onto one bounded executor. The cheetahd gateway keeps one queue for
-// its life. Admission is bounded (a full queue rejects rather than
+// concurrent detection jobs — each one harness cell — multiplexed onto
+// one bounded executor. The cheetahd gateway keeps one queue for its
+// life. Admission is bounded (a full queue rejects rather than
 // buffering without limit), concurrency is budgeted per tenant so one
 // client cannot starve the rest, identical cells running at the same
 // moment collapse to a single execution (singleflight), and finished
@@ -34,19 +33,14 @@ var (
 	ErrShuttingDown = errors.New("sweep: job queue shutting down")
 )
 
-// errSkipped resolves the flight of a cell whose job failed before the
-// cell reached the executor. A job that joined that flight runs the cell
-// itself.
-var errSkipped = errors.New("sweep: cell skipped: its job already failed")
-
 // QueueConfig configures a JobQueue.
 type QueueConfig struct {
 	// Workers bounds how many cells execute concurrently across all
 	// jobs and tenants (default 4).
 	Workers int
-	// MaxQueuedCells bounds the cells admitted but not yet finished,
-	// summed over every queued and running job (default 1024). A
-	// submission that would exceed it fails with ErrQueueFull.
+	// MaxQueuedCells bounds the jobs, one cell each, admitted but not
+	// yet finished (default 1024). A submission past it fails with
+	// ErrQueueFull.
 	MaxQueuedCells int
 	// TenantBudget bounds how many cells one tenant executes
 	// concurrently (default: Workers, i.e. no per-tenant throttling).
@@ -86,8 +80,8 @@ type JobSpec struct {
 	Tenant string
 	// Label is a human-readable name for logs and the job listing.
 	Label string
-	// Cells is the work; duplicates within one job are collapsed.
-	Cells []harness.Cell
+	// Cell is the work.
+	Cell harness.Cell
 }
 
 // JobState is a job's lifecycle position.
@@ -113,28 +107,27 @@ type JobEvent struct {
 	Total int    `json:"total"`
 }
 
+// maxJobEvents is the length of a job's longest event sequence: queued,
+// running, cell-done and done.
+const maxJobEvents = 4
+
 // Job is one submitted detection job. All methods are safe for
-// concurrent use; results become available once Done() is closed.
+// concurrent use; the result becomes available once Done() is closed.
 type Job struct {
 	ID     string
 	Tenant string
 	Label  string
-	Cells  []harness.Cell
+	Cell   harness.Cell
 
-	queue *JobQueue
-	done  chan struct{}
-	// failed is set once one of the job's cells has failed; from then on
-	// the job starts no further execution.
-	failed atomic.Bool
+	done chan struct{}
 
 	mu      sync.Mutex
 	state   JobState
 	err     error
-	results map[string]harness.CellResult
+	result  harness.CellResult
 	events  []JobEvent
 	subs    map[int]chan JobEvent
 	nextSub int
-	nDone   int
 	// finishedAt is when the job reached a terminal state; the queue's
 	// GC measures retention from it.
 	finishedAt time.Time
@@ -157,30 +150,32 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Results returns the finished cell results keyed by cell ID. Complete
-// only after Done() closes; the map is shared, treat it as read-only.
-func (j *Job) Results() map[string]harness.CellResult {
+// Result returns the job's cell result, and whether the job is done:
+// a running or failed job has none.
+func (j *Job) Result() (harness.CellResult, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.results
+	return j.result, j.state == JobDone
 }
 
-// Progress returns (finished, total) cell counts.
+// Progress returns (finished, total) cell counts: (1, 1) once the job
+// is done, (0, 1) until then or if it failed.
 func (j *Job) Progress() (done, total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nDone, len(j.Cells)
+	if j.State() == JobDone {
+		return 1, 1
+	}
+	return 0, 1
 }
 
 // Subscribe returns every event so far plus a live channel for the
 // rest, and a cancel function. The channel closes after the job's
-// terminal event. A slow subscriber drops events rather than blocking
-// the job (SSE consumers resync from the snapshot on reconnect).
+// terminal event, and its buffer holds the whole event sequence, so a
+// slow subscriber never blocks the job and never misses an event.
 func (j *Job) Subscribe() (past []JobEvent, live <-chan JobEvent, cancel func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	past = append([]JobEvent(nil), j.events...)
-	ch := make(chan JobEvent, 256)
+	ch := make(chan JobEvent, maxJobEvents)
 	if j.state == JobDone || j.state == JobFailed {
 		close(ch)
 		return past, ch, func() {}
@@ -198,35 +193,14 @@ func (j *Job) Subscribe() (past []JobEvent, live <-chan JobEvent, cancel func())
 	}
 }
 
-// emit records a progress event and fans it out.
-func (j *Job) emit(ev JobEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.record(ev, false)
-}
-
 // record appends ev to the history and delivers it to every subscriber;
-// j.mu must be held. A slow subscriber whose buffer is full misses a
-// progress event (it resyncs from the snapshot), but never the terminal
-// one: to make room for it, the subscriber's oldest buffered event is
-// dropped instead. terminal then closes every subscriber channel, so
-// each stream ends with the terminal event.
+// j.mu must be held. The send cannot block: a subscriber's buffer holds
+// every event a job records. terminal then closes every subscriber
+// channel, so each stream ends with the terminal event.
 func (j *Job) record(ev JobEvent, terminal bool) {
 	j.events = append(j.events, ev)
 	for id, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			if terminal {
-				select {
-				case <-ch:
-				default:
-				}
-				// Cannot block: every send happens under j.mu, and the
-				// receive above left a free slot.
-				ch <- ev
-			}
-		}
+		ch <- ev
 		if terminal {
 			delete(j.subs, id)
 			close(ch)
@@ -234,22 +208,22 @@ func (j *Job) record(ev JobEvent, terminal bool) {
 	}
 }
 
-// finish moves the job to its terminal state and records the terminal
-// event in one critical section, so a Subscribe sees either a running
-// job whose live channel will carry the event or a finished job whose
-// snapshot ends with it.
-func (j *Job) finish(results map[string]harness.CellResult, err error) {
+// finish records the cell's outcome and the terminal event and moves
+// the job to its terminal state in one critical section, so a Subscribe
+// sees either a running job whose live channel will carry the events or
+// a finished job whose snapshot ends with them.
+func (j *Job) finish(res harness.CellResult, via string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.results = results
 	j.finishedAt = time.Now()
 	if err != nil {
 		j.state, j.err = JobFailed, err
-		j.record(JobEvent{Kind: "failed", Err: err.Error(), Done: j.nDone, Total: len(j.Cells)}, true)
+		j.record(JobEvent{Kind: "failed", Err: err.Error(), Total: 1}, true)
 		return
 	}
-	j.state = JobDone
-	j.record(JobEvent{Kind: "done", Done: len(j.Cells), Total: len(j.Cells)}, true)
+	j.state, j.result = JobDone, res
+	j.record(JobEvent{Kind: "cell-done", Cell: j.Cell.ID(), Via: via, Done: 1, Total: 1}, false)
+	j.record(JobEvent{Kind: "done", Done: 1, Total: 1}, true)
 }
 
 // flight is one in-flight cell execution shared by every job that
@@ -280,9 +254,9 @@ type JobQueue struct {
 
 	wg sync.WaitGroup
 
-	// global bounds total concurrent executions; tenants bounds each
-	// tenant's share. Acquisition order is tenant → global, so a tenant
-	// at its budget queues without holding a worker slot.
+	// global bounds total concurrent executions; each tenant's semaphore
+	// bounds its share. Acquisition order is tenant → global, so a
+	// tenant at its budget queues without holding a worker slot.
 	global chan struct{}
 
 	mu       sync.Mutex
@@ -290,8 +264,8 @@ type JobQueue struct {
 	jobs     map[string]*Job
 	order    []string // submission order, for listings
 	inflight map[string]*flight
-	tenants  map[string]chan struct{}
-	pending  int // admitted-but-unfinished cells (bounded)
+	tenants  map[string]*tenant
+	pending  int // admitted-but-unfinished jobs (bounded)
 	nextID   uint64
 	stats    QueueStats
 
@@ -299,6 +273,14 @@ type JobQueue struct {
 	// its terminal state, before Done closes — where a Subscribe once
 	// saw the terminal state without the terminal event.
 	afterFinish func(*Job)
+}
+
+// tenant is one tenant's execution budget. The queue holds the entry
+// while the tenant has an unfinished job and forgets it after, since
+// tenant names are client input.
+type tenant struct {
+	sem  chan struct{}
+	jobs int // unfinished
 }
 
 // NewJobQueue builds a queue ready to accept submissions.
@@ -309,37 +291,22 @@ func NewJobQueue(cfg QueueConfig) *JobQueue {
 		global:   make(chan struct{}, cfg.Workers),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*flight),
-		tenants:  make(map[string]chan struct{}),
+		tenants:  make(map[string]*tenant),
 	}
 	mGWQueueDepth.Set(0)
 	return q
 }
 
-// Submit admits a job, returning ErrQueueFull when the cell bound is
-// hit and ErrShuttingDown after Shutdown. The job starts immediately;
-// track it via the returned handle.
+// Submit admits a job, returning ErrQueueFull when the job bound is hit
+// and ErrShuttingDown after Shutdown. The job starts immediately; track
+// it via the returned handle.
 func (q *JobQueue) Submit(spec JobSpec) (*Job, error) {
-	if len(spec.Cells) == 0 {
-		return nil, fmt.Errorf("sweep: job with no cells")
+	if err := spec.Cell.Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: invalid cell in job: %w", err)
 	}
-	for _, c := range spec.Cells {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: invalid cell in job: %w", err)
-		}
-	}
-	// Collapse duplicates within the job: one result per distinct cell
-	// ID.
-	seen := make(map[string]bool, len(spec.Cells))
-	cells := make([]harness.Cell, 0, len(spec.Cells))
-	for _, c := range spec.Cells {
-		if id := c.ID(); !seen[id] {
-			seen[id] = true
-			cells = append(cells, c)
-		}
-	}
-	tenant := spec.Tenant
-	if tenant == "" {
-		tenant = "default"
+	name := spec.Tenant
+	if name == "" {
+		name = "default"
 	}
 
 	q.mu.Lock()
@@ -347,42 +314,41 @@ func (q *JobQueue) Submit(spec JobSpec) (*Job, error) {
 		q.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
-	if q.pending+len(cells) > q.cfg.MaxQueuedCells {
+	if q.pending >= q.cfg.MaxQueuedCells {
 		q.stats.Rejected++
 		q.mu.Unlock()
 		mGWJobsRejected.Inc()
-		return nil, fmt.Errorf("%w: %d cells queued, submission of %d would exceed the bound of %d",
-			ErrQueueFull, q.pending, len(cells), q.cfg.MaxQueuedCells)
+		return nil, fmt.Errorf("%w: %d cells queued, at the bound of %d",
+			ErrQueueFull, q.pending, q.cfg.MaxQueuedCells)
 	}
 	q.nextID++
 	job := &Job{
 		ID:     fmt.Sprintf("j%06d", q.nextID),
-		Tenant: tenant,
+		Tenant: name,
 		Label:  spec.Label,
-		Cells:  cells,
-		queue:  q,
+		Cell:   spec.Cell,
 		done:   make(chan struct{}),
 		state:  JobQueued,
+		events: []JobEvent{{Kind: "queued", Total: 1}},
 		subs:   make(map[int]chan JobEvent),
 	}
 	q.jobs[job.ID] = job
 	q.order = append(q.order, job.ID)
-	q.pending += len(cells)
+	q.pending++
 	depth := q.pending
 	q.stats.Submitted++
-	q.stats.QueuedCells = q.pending
-	tenantSem, ok := q.tenants[tenant]
+	t, ok := q.tenants[name]
 	if !ok {
-		tenantSem = make(chan struct{}, q.cfg.TenantBudget)
-		q.tenants[tenant] = tenantSem
+		t = &tenant{sem: make(chan struct{}, q.cfg.TenantBudget)}
+		q.tenants[name] = t
 	}
+	t.jobs++
 	q.wg.Add(1)
 	q.mu.Unlock()
 
 	mGWJobsSubmitted.Inc()
 	mGWQueueDepth.Set(int64(depth))
-	job.emit(JobEvent{Kind: "queued", Total: len(cells)})
-	go q.runJob(job, tenantSem)
+	go q.runJob(job, t)
 	return job, nil
 }
 
@@ -475,113 +441,72 @@ func (q *JobQueue) Shutdown(ctx context.Context) error {
 	}
 }
 
-// runJob drives one job: every cell through the singleflight/cache/
-// execute pipeline concurrently, then the terminal event. Once a cell
-// has failed, the cells that have not reached the executor are skipped:
-// the job's result is already decided.
-func (q *JobQueue) runJob(job *Job, tenantSem chan struct{}) {
+// runJob drives one job: its cell through the singleflight/cache/
+// execute pipeline, then the terminal event.
+func (q *JobQueue) runJob(job *Job, t *tenant) {
 	defer q.wg.Done()
 	start := time.Now()
 	mGWJobsRunning.Add(1)
 	defer mGWJobsRunning.Add(-1)
 	job.mu.Lock()
 	job.state = JobRunning
+	job.record(JobEvent{Kind: "running", Total: 1}, false)
 	job.mu.Unlock()
-	job.emit(JobEvent{Kind: "running", Total: len(job.Cells)})
 
-	results := make(map[string]harness.CellResult, len(job.Cells))
-	var (
-		resMu    sync.Mutex
-		cellWG   sync.WaitGroup
-		firstErr error
-	)
-	for _, cell := range job.Cells {
-		cellWG.Add(1)
-		go func(cell harness.Cell) {
-			defer cellWG.Done()
-			res, via, err := q.cellResult(job, cell, tenantSem)
-
-			q.mu.Lock()
-			q.pending--
-			depth := q.pending
-			q.mu.Unlock()
-			mGWQueueDepth.Set(int64(depth))
-
-			resMu.Lock()
-			defer resMu.Unlock()
-			if err != nil {
-				if firstErr == nil && !errors.Is(err, errSkipped) {
-					firstErr = fmt.Errorf("cell %s: %w", cell.ID(), err)
-				}
-				return
-			}
-			results[cell.ID()] = res
-			job.mu.Lock()
-			job.nDone++
-			done := job.nDone
-			job.mu.Unlock()
-			job.emit(JobEvent{Kind: "cell-done", Cell: cell.ID(), Via: via,
-				Done: done, Total: len(job.Cells)})
-		}(cell)
+	res, via, err := q.cellResult(job.Cell, t.sem)
+	if err != nil {
+		err = fmt.Errorf("cell %s: %w", job.Cell.ID(), err)
 	}
-	cellWG.Wait()
 
 	elapsed := time.Since(start)
 	mGWJobSeconds.Observe(elapsed.Seconds())
 	if obs.TracingEnabled() {
 		obs.Span("gateway", "job", start, time.Now(), 0, map[string]any{
-			"job": job.ID, "tenant": job.Tenant, "cells": len(job.Cells),
+			"job": job.ID, "tenant": job.Tenant, "cells": 1,
 		})
 	}
 
 	// Account first, so whoever sees the terminal state sees it counted.
 	q.mu.Lock()
-	if firstErr != nil {
+	q.pending--
+	depth := q.pending
+	if t.jobs--; t.jobs == 0 {
+		delete(q.tenants, job.Tenant)
+	}
+	if err != nil {
 		q.stats.Failed++
 	} else {
 		q.stats.Completed++
 	}
 	q.mu.Unlock()
-	if firstErr != nil {
+	mGWQueueDepth.Set(int64(depth))
+	if err != nil {
 		mGWJobsFailed.Inc()
-		q.logf("sweep: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), firstErr)
+		q.logf("sweep: job %s (%s) failed after %v: %v", job.ID, job.Tenant, elapsed.Round(time.Millisecond), err)
 	} else {
 		mGWJobsCompleted.Inc()
 	}
-	job.finish(results, firstErr)
+	job.finish(res, via, err)
 	if q.afterFinish != nil {
 		q.afterFinish(job)
 	}
 	close(job.done)
 }
 
-// cellResult satisfies one cell of job: join an identical in-flight
-// execution if one exists (deduped), else serve from the cache (cached),
-// else acquire tenant and global budget and execute, unless job has
-// failed meanwhile. via reports which path won, for the job's progress
-// events and the dedupe assertions in tests.
-func (q *JobQueue) cellResult(job *Job, cell harness.Cell, tenantSem chan struct{}) (res harness.CellResult, via string, err error) {
+// cellResult satisfies one cell: join an identical in-flight execution
+// if one exists (deduped), else serve from the cache (cached), else
+// acquire tenant and global budget and execute. via reports which path
+// won, for the job's progress events and the dedupe assertions in
+// tests.
+func (q *JobQueue) cellResult(cell harness.Cell, tenantSem chan struct{}) (res harness.CellResult, via string, err error) {
 	id := cell.ID()
 	q.mu.Lock()
-	for {
-		f, ok := q.inflight[id]
-		if !ok {
-			break
-		}
+	if f, ok := q.inflight[id]; ok {
 		q.stats.CellsDeduped++
 		q.mu.Unlock()
+		mGWCellsDeduped.Inc()
 		<-f.done
-		if !errors.Is(f.err, errSkipped) {
-			mGWCellsDeduped.Inc()
-			if f.err != nil {
-				job.failed.Store(true)
-			}
-			return f.res, "deduped", f.err
-		}
-		// The flight's own job failed and skipped the cell: take it over,
-		// or join whoever took it over first.
-		q.mu.Lock()
-		q.stats.CellsDeduped--
+		return f.res, "deduped", f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	q.inflight[id] = f
@@ -612,14 +537,8 @@ func (q *JobQueue) cellResult(job *Job, cell harness.Cell, tenantSem chan struct
 	q.global <- struct{}{}
 	defer func() { <-q.global }()
 
-	if job.failed.Load() {
-		return harness.CellResult{}, "", errSkipped
-	}
 	res, err = q.cfg.Exec(cell)
 	if err != nil {
-		// Marked before the slots are released, so no cell of the job
-		// that waits for them starts after this failure.
-		job.failed.Store(true)
 		return harness.CellResult{}, "", err
 	}
 	q.mu.Lock()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,7 +67,7 @@ func TestJobQueueDedupesConcurrentIdenticalJobs(t *testing.T) {
 	const n = 20
 	jobs := make([]*Job, n)
 	for i := range jobs {
-		j, err := q.Submit(JobSpec{Tenant: fmt.Sprintf("t%d", i%4), Cells: []harness.Cell{fakeCell("same")}})
+		j, err := q.Submit(JobSpec{Tenant: fmt.Sprintf("t%d", i%4), Cell: fakeCell("same")})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -135,18 +134,19 @@ func TestJobQueueTenantBudget(t *testing.T) {
 	}
 	q := NewJobQueue(QueueConfig{Workers: 16, TenantBudget: budget, Exec: exec})
 
-	// One tenant, 8 distinct cells: at most `budget` execute at once.
-	cells := make([]harness.Cell, 8)
-	for i := range cells {
-		cells[i] = fakeCell(fmt.Sprintf("hog-%d", i))
-	}
-	hog, err := q.Submit(JobSpec{Tenant: "hog", Cells: cells})
-	if err != nil {
-		t.Fatal(err)
+	// One tenant, 8 jobs of distinct cells: at most `budget` execute at
+	// once.
+	hogs := make([]*Job, 8)
+	for i := range hogs {
+		j, err := q.Submit(JobSpec{Tenant: "hog", Cell: fakeCell(fmt.Sprintf("hog-%d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hogs[i] = j
 	}
 	// A second tenant gets its own budget: its cell must start even
 	// while the hog is saturated.
-	other, err := q.Submit(JobSpec{Tenant: "other", Cells: []harness.Cell{fakeCell("other-cell")}})
+	other, err := q.Submit(JobSpec{Tenant: "other", Cell: fakeCell("other-cell")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,9 @@ func TestJobQueueTenantBudget(t *testing.T) {
 		}
 	}
 	close(block)
-	waitJob(t, hog)
-	waitJob(t, other)
+	for _, j := range append(hogs, other) {
+		waitJob(t, j)
+	}
 	if max > budget+1 {
 		t.Errorf("max concurrency %d, want <= %d (hog budget %d + other 1)", max, budget+1, budget)
 	}
@@ -185,19 +186,25 @@ func TestJobQueueBoundedAdmission(t *testing.T) {
 	}
 	q := NewJobQueue(QueueConfig{Workers: 1, MaxQueuedCells: 2, Exec: exec})
 
-	j1, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("a"), fakeCell("b")}})
-	if err != nil {
-		t.Fatal(err)
+	var admitted []*Job
+	for _, name := range []string{"a", "b"} {
+		j, err := q.Submit(JobSpec{Cell: fakeCell(name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		admitted = append(admitted, j)
 	}
-	if _, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("c")}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit(JobSpec{Cell: fakeCell("c")}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-bound submit: err = %v, want ErrQueueFull", err)
 	}
 	if s := q.Stats(); s.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1", s.Rejected)
 	}
 	close(block)
-	waitJob(t, j1)
-	if _, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("c")}}); err != nil {
+	for _, j := range admitted {
+		waitJob(t, j)
+	}
+	if _, err := q.Submit(JobSpec{Cell: fakeCell("c")}); err != nil {
 		t.Fatalf("submit after capacity freed: %v", err)
 	}
 }
@@ -214,12 +221,12 @@ func TestJobQueueCacheServesLaterJob(t *testing.T) {
 	ex := &countingExec{}
 	q := NewJobQueue(QueueConfig{Workers: 2, Cache: cache, Exec: ex.exec})
 
-	first, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+	first, err := q.Submit(JobSpec{Cell: fakeCell("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, first)
-	second, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+	second, err := q.Submit(JobSpec{Cell: fakeCell("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +245,7 @@ func TestJobQueueShutdown(t *testing.T) {
 	t.Parallel()
 	ex := &countingExec{}
 	q := NewJobQueue(QueueConfig{Workers: 2, Exec: ex.exec})
-	j, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+	j, err := q.Submit(JobSpec{Cell: fakeCell("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +259,7 @@ func TestJobQueueShutdown(t *testing.T) {
 	default:
 		t.Error("Shutdown returned with the job unfinished")
 	}
-	if _, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("y")}}); !errors.Is(err, ErrShuttingDown) {
+	if _, err := q.Submit(JobSpec{Cell: fakeCell("y")}); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("submit after Shutdown: err = %v, want ErrShuttingDown", err)
 	}
 }
@@ -264,7 +271,7 @@ func TestJobEventsStream(t *testing.T) {
 	t.Parallel()
 	ex := &countingExec{gate: make(chan struct{})}
 	q := NewJobQueue(QueueConfig{Workers: 1, Exec: ex.exec})
-	j, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+	j, err := q.Submit(JobSpec{Cell: fakeCell("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +330,7 @@ func TestSubscribeAtTerminalTransition(t *testing.T) {
 					liveAfter++
 				}
 			}
-			j, err := q.Submit(JobSpec{Cells: []harness.Cell{fakeCell("x")}})
+			j, err := q.Submit(JobSpec{Cell: fakeCell("x")})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,35 +354,6 @@ func TestSubscribeAtTerminalTransition(t *testing.T) {
 				t.Errorf("at-finish subscriber got %d live events after its snapshot", liveAfter)
 			}
 		})
-	}
-}
-
-// TestTerminalEventSurvivesFullBuffer drives a Job directly: a
-// subscriber that never reads overflows its buffer with progress
-// events, and must still find the terminal event last on its channel.
-func TestTerminalEventSurvivesFullBuffer(t *testing.T) {
-	j := &Job{Cells: []harness.Cell{fakeCell("x")}, state: JobRunning,
-		done: make(chan struct{}), subs: make(map[int]chan JobEvent)}
-	_, live, cancel := j.Subscribe()
-	defer cancel()
-	for i := 0; i < 2*cap(live); i++ {
-		j.emit(JobEvent{Kind: "cell-done", Done: i})
-	}
-	j.finish(nil, nil)
-	var got []JobEvent
-	for ev := range live {
-		got = append(got, ev)
-	}
-	if len(got) != cap(live) {
-		t.Fatalf("subscriber received %d events, want a full buffer of %d", len(got), cap(live))
-	}
-	if last := got[len(got)-1]; last.Kind != "done" {
-		t.Errorf("last event %q, want the terminal done", last.Kind)
-	}
-	for _, ev := range got[:len(got)-1] {
-		if ev.Kind != "cell-done" {
-			t.Errorf("buffered event %q before the terminal one", ev.Kind)
-		}
 	}
 }
 
@@ -450,145 +428,60 @@ func TestProcPoolExecMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestFailedJobStartsNoFurtherCells: once a cell of a job has failed,
-// the job starts no further execution, and the queue still drains. One
-// worker slot makes "after the failure" exact: no other cell can start
-// until the failed one has released the slot. Cells start in whatever
-// order the scheduler picks, so each round checks what started after
-// the failure, not how many cells ran.
-func TestFailedJobStartsNoFurtherCells(t *testing.T) {
+// TestFinishedTenantsAreForgotten: tenant names are client input (the
+// gateway's X-Tenant header), so the queue keeps a tenant's budget only
+// while the tenant has an unfinished job. 100 tenants of one job each
+// must leave no entry once every job has finished, and a tenant's entry
+// must outlive a finished job while another of its jobs still runs.
+func TestFinishedTenantsAreForgotten(t *testing.T) {
 	t.Parallel()
-	for round := 0; round < 5; round++ {
-		var (
-			mu     sync.Mutex
-			failed bool
-			late   []string
-		)
-		exec := func(c harness.Cell) (harness.CellResult, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if failed {
-				late = append(late, c.ID())
-			}
-			if c.Workload == "bad" {
-				failed = true
-				return harness.CellResult{}, errors.New("bad cell")
-			}
-			return harness.CellResult{}, nil
-		}
-		q := NewJobQueue(QueueConfig{Workers: 1, Exec: exec})
-		cells := []harness.Cell{fakeCell("bad")}
-		for i := 0; i < 20; i++ {
-			cells = append(cells, fakeCell(fmt.Sprintf("good%d", i)))
-		}
-		j, err := q.Submit(JobSpec{Cells: cells})
+	ex := &countingExec{}
+	q := NewJobQueue(QueueConfig{Workers: 4, Exec: ex.exec})
+	jobs := make([]*Job, 100)
+	for i := range jobs {
+		j, err := q.Submit(JobSpec{Tenant: fmt.Sprintf("tenant-%d", i), Cell: fakeCell(fmt.Sprintf("c%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}
+		jobs[i] = j
+	}
+	for _, j := range jobs {
 		waitJob(t, j)
-		if j.State() != JobFailed || !strings.Contains(fmt.Sprint(j.Err()), "bad cell") {
-			t.Fatalf("round %d: job state %s, err %v; want failed by the bad cell", round, j.State(), j.Err())
-		}
-		mu.Lock()
-		if len(late) > 0 {
-			t.Errorf("round %d: %d cells started after the job had failed: %v", round, len(late), late)
-		}
-		mu.Unlock()
-		if s := q.Stats(); s.QueuedCells != 0 || s.Failed != 1 {
-			t.Errorf("round %d: stats %+v, want the failed job counted and no cell queued", round, s)
-		}
+	}
+	if left := tenantEntries(q); left != 0 {
+		t.Errorf("%d tenant entries left after every job finished, want 0", left)
+	}
+
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(fakeCell("hit"), harness.CellResult{}); err != nil {
+		t.Fatal(err)
+	}
+	gated := &countingExec{gate: make(chan struct{})}
+	q = NewJobQueue(QueueConfig{Workers: 4, Cache: cache, Exec: gated.exec})
+	running, err := q.Submit(JobSpec{Tenant: "t", Cell: fakeCell("slow")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := q.Submit(JobSpec{Tenant: "t", Cell: fakeCell("hit")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, hit)
+	if n := tenantEntries(q); n != 1 {
+		t.Errorf("%d tenant entries while the tenant's job %s runs, want 1", n, running.ID)
+	}
+	close(gated.gate)
+	waitJob(t, running)
+	if n := tenantEntries(q); n != 0 {
+		t.Errorf("%d tenant entries after the tenant's last job finished, want 0", n)
 	}
 }
 
-// TestSkippedCellRunsForJoinedJob: job B joined the in-flight execution
-// of a cell that job A then skipped, because another of A's cells had
-// failed. B must still get the cell run, exactly once. Which of A's
-// cells takes the one worker slot first is the scheduler's choice, so
-// rounds repeat until A has skipped the shared cell a few times.
-func TestSkippedCellRunsForJoinedJob(t *testing.T) {
-	t.Parallel()
-	skips := 0
-	for round := 0; round < 50 && skips < 3; round++ {
-		held, hold := make(chan struct{}), make(chan struct{})
-		var mu sync.Mutex
-		runs := map[string]int{}
-		exec := func(c harness.Cell) (harness.CellResult, error) {
-			if c.Workload == "hold" {
-				close(held)
-				<-hold
-			}
-			mu.Lock()
-			runs[c.Workload]++
-			mu.Unlock()
-			if strings.HasPrefix(c.Workload, "bad") {
-				return harness.CellResult{}, errors.New("bad cell")
-			}
-			return harness.CellResult{}, nil
-		}
-		q := NewJobQueue(QueueConfig{Workers: 1, Exec: exec})
-		// hold keeps the only worker slot until A's flights and B's join
-		// are in place.
-		h, err := q.Submit(JobSpec{Tenant: "h", Cells: []harness.Cell{fakeCell("hold")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-held
-		cells := []harness.Cell{fakeCell("shared")}
-		for i := 0; i < 8; i++ {
-			cells = append(cells, fakeCell(fmt.Sprintf("bad%d", i)))
-		}
-		a, err := q.Submit(JobSpec{Tenant: "a", Cells: cells})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "A's flights", func() bool {
-			q.mu.Lock()
-			defer q.mu.Unlock()
-			return len(q.inflight) == 1+len(cells)
-		})
-		b, err := q.Submit(JobSpec{Tenant: "b", Cells: []harness.Cell{fakeCell("shared")}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "B's join", func() bool { return q.Stats().CellsDeduped == 1 })
-		close(hold)
-		for _, j := range []*Job{h, a, b} {
-			waitJob(t, j)
-		}
-		if a.State() != JobFailed {
-			t.Fatalf("round %d: job A ended %s, want failed", round, a.State())
-		}
-		if _, ok := b.Results()[fakeCell("shared").ID()]; b.State() != JobDone || !ok {
-			t.Fatalf("round %d: job B ended %s (%v) with the shared result present = %v, want done with it",
-				round, b.State(), b.Err(), ok)
-		}
-		mu.Lock()
-		if runs["shared"] != 1 {
-			t.Errorf("round %d: shared cell ran %d times, want once", round, runs["shared"])
-		}
-		mu.Unlock()
-		past, _, cancel := b.Subscribe()
-		cancel()
-		for _, ev := range past {
-			if ev.Kind == "cell-done" && ev.Via == "executed" {
-				skips++ // A skipped the cell, so B ran it itself
-			}
-		}
-		if s := q.Stats(); s.QueuedCells != 0 || s.CellsExecuted != 2 {
-			t.Errorf("round %d: stats %+v, want hold and shared executed and no cell queued", round, s)
-		}
-	}
-	if skips == 0 {
-		t.Fatal("job A never skipped the shared cell")
-	}
-}
-
-// waitUntil polls cond until it holds, failing the test after 30s.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+func tenantEntries(q *JobQueue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.tenants)
 }

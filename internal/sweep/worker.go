@@ -65,9 +65,9 @@ func Serve(r io.Reader, w io.Writer) error {
 // procTransport is a worker subprocess seen as a transport: writes go
 // to its stdin, reads come from its stdout, Close shuts stdin (the
 // worker's EOF) and reaps the process, killing it if it lingers. Close
-// is idempotent and safe to call concurrently — a cell timeout, a dead
-// worker's retirement and the pool's Close can race, and exec.Cmd.Wait
-// must only ever run once.
+// is idempotent and safe to call concurrently — a dead worker's
+// retirement and the pool's Close can race, and exec.Cmd.Wait must only
+// ever run once.
 type procTransport struct {
 	cmd   *exec.Cmd
 	stdin io.WriteCloser
